@@ -82,7 +82,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		maxIdle  = fs.Int("maxidle", 8, "idle explorations before stopping a climb")
 		topK     = fs.Int("topk", 0, "keep only the K best windows (0 = threshold mode)")
 		variant  = fs.String("variant", "lmn", "search variant: l, ln, lm, lmn")
-		knnEng   = fs.String("knn-engine", "", "k-NN engine for batch variants (l, ln): kdtree, brute, grid, or the approximate forest (empty = kdtree)")
 		brute    = fs.Bool("brute", false, "run the exact Brute Force search instead (slow)")
 		seed     = fs.Int64("seed", 1, "random seed")
 		stats    = fs.Bool("stats", false, "print search statistics")
@@ -121,7 +120,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		Seed:           *seed,
 		MaxEvaluations: *maxEvals,
 		RestartWorkers: *restartW,
-		KNNEngine:      *knnEng,
 	}
 	switch strings.ToLower(*variant) {
 	case "l":

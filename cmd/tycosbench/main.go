@@ -64,13 +64,6 @@ type result struct {
 	Iterations  int     `json:"iterations"`
 	Note        string  `json:"note,omitempty"`
 	SpeedupVsB  float64 `json:"speedup_vs_baseline,omitempty"`
-	// SpeedupVsExact, MaxAbsDrift and Epsilon are the -knn suite's columns:
-	// approximate-engine speedup against the exact kd-tree timed in the same
-	// run, worst |ΔMI| in nats on the same corpus, and the bound it was
-	// gated at.
-	SpeedupVsExact float64 `json:"speedup_vs_exact,omitempty"`
-	MaxAbsDrift    float64 `json:"max_abs_drift,omitempty"`
-	Epsilon        float64 `json:"epsilon,omitempty"`
 }
 
 // baselines are the pre-optimisation measurements (captured on the same
@@ -79,7 +72,6 @@ type result struct {
 var baselines = map[string]int64{
 	"ksg-estimate/kdtree": 1275910,
 	"ksg-estimate/brute":  3035737,
-	"ksg-estimate/grid":   1486657,
 	"incremental-slide":   62536,
 	"search/TYCOS_L":      366422785,
 	"search/TYCOS_LMN":    92275012,
@@ -94,7 +86,6 @@ func main() {
 		out      = flag.String("out", "", "output file (default BENCH_HOTPATH.json, BENCH_OBS.json with -obs, BENCH_DISCOVERY.json with -discovery)")
 		obsMode  = flag.Bool("obs", false, "measure observer overhead (nil sink vs Metrics vs trace vs trace+spans) instead of the MI hot path")
 		discMode = flag.Bool("discovery", false, "measure the anchor→fleet discovery pipeline, screened vs unscreened")
-		knnMode  = flag.Bool("knn", false, "measure the k-NN engine layer: per-estimate cost by engine, exact-vs-forest scaling, bounded-MI-error gate")
 	)
 	flag.Parse()
 	if *out == "" {
@@ -103,8 +94,6 @@ func main() {
 			*out = "BENCH_OBS.json"
 		case *discMode:
 			*out = "BENCH_DISCOVERY.json"
-		case *knnMode:
-			*out = "BENCH_KNN.json"
 		default:
 			*out = "BENCH_HOTPATH.json"
 		}
@@ -115,10 +104,6 @@ func main() {
 	}
 	if *discMode {
 		runDiscovery(*out, *quick)
-		return
-	}
-	if *knnMode {
-		runKNN(*out, *quick)
 		return
 	}
 
@@ -172,7 +157,7 @@ func main() {
 		xs[i] = rng.NormFloat64()
 		ys[i] = 0.6*xs[i] + 0.8*rng.NormFloat64()
 	}
-	for _, backend := range []mi.Backend{mi.BackendKDTree, mi.BackendBrute, mi.BackendGrid} {
+	for _, backend := range []mi.Backend{mi.BackendKDTree, mi.BackendBrute} {
 		est := mi.NewKSG(4, backend)
 		if _, err := est.Estimate(xs, ys); err != nil {
 			fatal(err)

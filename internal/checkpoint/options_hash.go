@@ -26,11 +26,4 @@ func HashOptions(w io.Writer, o core.Options) {
 		o.HistoryLength, o.MinImprovement, int(o.Normalization), o.TopK,
 		int(o.Variant), o.Jitter, o.MaxEvaluations, o.SignificanceLevel)
 	fmt.Fprintf(w, "|%d", o.Seed)
-	// KNNEngine extends the fingerprint only when set: the empty default —
-	// every pre-engine configuration — keeps its byte layout, so existing
-	// journals and goldens replay unchanged, while any explicit engine choice
-	// (exact or approximate) invalidates entries computed under another.
-	if o.KNNEngine != "" {
-		fmt.Fprintf(w, "|%s", o.KNNEngine)
-	}
 }

@@ -113,20 +113,6 @@ type Options struct {
 	SignificanceLevel float64
 	// Seed drives all randomness; equal seeds give identical searches.
 	Seed int64
-	// KNNEngine, when non-empty, selects the k-NN engine backing the batch
-	// KSG estimator by registry name (mi.EngineNames lists them: "kdtree",
-	// "brute", "grid", "forest"). Empty keeps the exact kd-tree default, so
-	// existing configurations — and their checkpoint fingerprints — are
-	// unchanged. Approximate engines (the randomized kd-forest) trade a
-	// bounded MI error for per-estimate throughput; mi.NewBoundedKSG
-	// quantifies the drift and refuses configurations above a caller ε. The
-	// engine is seeded from Seed, so equal seeds still give identical
-	// searches. Incompatible with the incremental variants (TYCOS_LM/LMN),
-	// whose window-sliding estimator owns its k-NN state; validate rejects
-	// the combination. The null-model calibration always uses the exact
-	// estimator regardless of this setting — the noise threshold must not
-	// inherit approximation bias.
-	KNNEngine string
 	// RestartWorkers bounds the concurrency of the restart/climb loop inside
 	// this one search: the scan positions are decomposed into fixed restart
 	// segments fanned over this many workers, each owning its own scorer and
@@ -205,14 +191,6 @@ func (o Options) validate(n int) error {
 	}
 	if o.SMin <= o.K {
 		return fmt.Errorf("core: s_min = %d must exceed KSG k = %d", o.SMin, o.K)
-	}
-	if o.KNNEngine != "" {
-		if !mi.HasEngine(o.KNNEngine) {
-			return fmt.Errorf("core: unknown k-NN engine %q (registered: %v)", o.KNNEngine, mi.EngineNames())
-		}
-		if o.Variant.incremental() {
-			return fmt.Errorf("core: k-NN engine %q cannot back variant %s: the incremental estimator owns its k-NN state", o.KNNEngine, o.Variant)
-		}
 	}
 	return nil
 }

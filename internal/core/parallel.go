@@ -252,7 +252,7 @@ func newScorer(p series.Pair, opts Options, null *nullModel) scorer {
 		sc.shared = opts.EstimatorCache
 		return sc
 	}
-	sc := newBatchScorerEngine(p, opts.K, opts.Normalization, opts.KNNEngine, opts.Seed)
+	sc := newBatchScorer(p, opts.K, opts.Normalization)
 	sc.null = null
 	return sc
 }

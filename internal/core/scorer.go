@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
 
@@ -60,21 +59,6 @@ type batchScorer struct {
 
 func newBatchScorer(p series.Pair, k int, norm mi.Normalization) *batchScorer {
 	return &batchScorer{pair: p, est: mi.NewKSG(k, mi.BackendKDTree), norm: norm}
-}
-
-// newBatchScorerEngine is newBatchScorer with the k-NN engine chosen by
-// registry name; an empty name keeps the exact default. Options.validate
-// rejects unknown names before any scorer is built, so construction cannot
-// fail here.
-func newBatchScorerEngine(p series.Pair, k int, norm mi.Normalization, engine string, seed int64) *batchScorer {
-	if engine == "" {
-		return newBatchScorer(p, k, norm)
-	}
-	est, err := mi.NewKSGNamed(k, engine, seed)
-	if err != nil {
-		panic(fmt.Sprintf("core: scorer for validated engine: %v", err))
-	}
-	return &batchScorer{pair: p, est: est, norm: norm}
 }
 
 func (s *batchScorer) score(w window.Window) (float64, error) {

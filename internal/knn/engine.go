@@ -1,18 +1,13 @@
 package knn
 
-import (
-	"fmt"
-	"sort"
-	"sync"
-)
+import "fmt"
 
 // Engine is the formal contract between the KSG estimator and a k-NN
 // backend: build over a point set, answer the estimator's batched
 // self-queries, and serve the marginal range counts of Eq. (2). It extends
 // the raw Index interface with the two things the estimator actually needs —
 // a rebuild entry point that reuses internal scratch, and per-axis interval
-// counts — so estimator code selects backends by name instead of switching
-// over concrete types.
+// counts.
 //
 // Contracts:
 //
@@ -24,136 +19,43 @@ import (
 //     valid until the next Build.
 //   - SelfKNearest(i, k) is the batched-query path: it answers
 //     KNearest(pts[i], k, exclude=i) for the indexed point i, amortizing
-//     traversal scratch (result buffers, candidate queues, visited masks)
-//     across the calls of one estimation pass. The returned slice is owned
-//     by the engine and valid until the next SelfKNearest or Build.
+//     result buffers across the calls of one estimation pass. The returned
+//     slice is owned by the engine and valid until the next SelfKNearest or
+//     Build.
 //   - Neighbour lists obey the deterministic (distance, index) total order:
 //     ties at the k-th distance are broken by ascending point index, so the
-//     selected SET — not just its distances — is identical across exact
-//     backends and candidate visit orders (the PR-5 cross-backend property).
-//     Approximate engines keep the same order over whatever candidates they
-//     examine, and are deterministic functions of (points, Config).
+//     selected SET — not just its distances — is identical across engines
+//     and candidate visit orders. Every engine is exact and agrees with
+//     Brute bit for bit; the differential suite enforces this.
 //   - CountX(x, d) returns the number of indexed points p with |p.X − x| ≤ d
 //     over the full multiset — including the query point's own coordinate
-//     when it is indexed; CountY is the Y-axis analogue. These are exact on
-//     every engine, including approximate ones: marginal counts are
-//     one-dimensional and cost O(log m), so there is nothing to trade away,
-//     and keeping them exact confines approximation drift to the kNN radii.
-//   - Exact reports whether SelfKNearest answers are exact. Engines with
-//     Exact() == true must agree bit-for-bit with Brute on every query;
-//     the differential suite enforces this.
+//     when it is indexed; CountY is the Y-axis analogue.
 type Engine interface {
 	Build(pts []Point, xs, ys []float64)
 	SelfKNearest(i, k int) []Neighbor
 	CountX(x, d float64) int
 	CountY(y, d float64) int
 	Len() int
-	Exact() bool
-	Name() string
 }
 
-// Config carries the construction parameters an engine may need. Exact
-// engines use K (grid cell tuning); randomized engines derive every internal
-// stream from Seed, so equal (points, Config) means equal answers.
+// Config carries an engine's construction parameters.
 type Config struct {
-	// K is the neighbour count the engine will serve; backends use it to
-	// tune build-time structure (grid cell size, forest leaf capacity).
+	// K is the neighbour count the engine will serve. The current engines
+	// need no build-time tuning from it.
 	K int
-	// Seed drives randomized engines (tree shape in the kd-forest). Exact
-	// engines ignore it. The engine derives all internal streams from it
-	// through the SplitMix64 idiom, so a raw caller seed is safe to pass.
-	Seed int64
-	// Trees overrides the kd-forest tree count (0 → DefaultForestTrees).
-	Trees int
-	// Checks overrides the kd-forest per-query candidate budget
-	// (0 → DefaultForestChecks). Budgets ≥ the point count make the forest
-	// answer exactly.
-	Checks int
 }
 
-// Spec describes a registered engine: its selection name, whether its
-// queries are exact, and its factory.
-type Spec struct {
-	Name  string
-	Exact bool
-	New   func(cfg Config) Engine
-}
-
-var (
-	engineMu sync.RWMutex
-	registry = map[string]Spec{}
-)
-
-// Register adds an engine to the selection registry. It panics on an empty
-// name, a nil factory, or a duplicate registration — engine names are part
-// of the public configuration surface (core.Options.KNNEngine, journal
-// fingerprints), so collisions must fail loudly at init time.
-func Register(s Spec) {
-	if s.Name == "" || s.New == nil {
-		panic("knn: Register requires a name and a factory")
-	}
-	engineMu.Lock()
-	defer engineMu.Unlock()
-	if _, dup := registry[s.Name]; dup {
-		panic(fmt.Sprintf("knn: engine %q registered twice", s.Name))
-	}
-	registry[s.Name] = s
-}
-
-// NewEngine constructs the named engine. Unknown names return an error
-// listing the registered engines.
+// NewEngine constructs the named engine: "kdtree" (the exact bucketed k-d
+// tree, the default) or "brute" (the linear-scan reference). Other names
+// return an error.
 func NewEngine(name string, cfg Config) (Engine, error) {
-	engineMu.RLock()
-	s, ok := registry[name]
-	engineMu.RUnlock()
-	if !ok {
-		return nil, fmt.Errorf("knn: unknown engine %q (registered: %v)", name, EngineNames())
+	switch name {
+	case "kdtree":
+		return &kdtreeEngine{tree: NewKDTree(nil)}, nil
+	case "brute":
+		return &bruteEngine{}, nil
 	}
-	return s.New(cfg), nil
-}
-
-// HasEngine reports whether an engine is registered under name.
-func HasEngine(name string) bool {
-	engineMu.RLock()
-	defer engineMu.RUnlock()
-	_, ok := registry[name]
-	return ok
-}
-
-// EngineNames returns the registered engine names in sorted order.
-func EngineNames() []string {
-	engineMu.RLock()
-	names := make([]string, 0, len(registry))
-	//lint:allow nodeterm keys are sorted before being returned; the map range cannot leak iteration order
-	for name := range registry {
-		names = append(names, name)
-	}
-	engineMu.RUnlock()
-	sort.Strings(names)
-	return names
-}
-
-// EngineSpec returns the registered spec for name.
-func EngineSpec(name string) (Spec, bool) {
-	engineMu.RLock()
-	defer engineMu.RUnlock()
-	s, ok := registry[name]
-	return s, ok
-}
-
-func init() {
-	Register(Spec{Name: "kdtree", Exact: true, New: func(cfg Config) Engine {
-		return &kdtreeEngine{tree: NewKDTree(nil)}
-	}})
-	Register(Spec{Name: "brute", Exact: true, New: func(cfg Config) Engine {
-		return &bruteEngine{}
-	}})
-	Register(Spec{Name: "grid", Exact: true, New: func(cfg Config) Engine {
-		return &gridEngine{grid: NewGrid(1), k: cfg.K}
-	}})
-	Register(Spec{Name: "forest", Exact: false, New: func(cfg Config) Engine {
-		return newForest(cfg)
-	}})
+	return nil, fmt.Errorf("knn: unknown engine %q (want kdtree or brute)", name)
 }
 
 // marginals holds the per-axis sorted multisets every engine serves interval
@@ -177,47 +79,42 @@ func (m *marginals) CountX(x, d float64) int { return m.xs.CountWithin(x, d) }
 // CountY implements Engine.
 func (m *marginals) CountY(y, d float64) int { return m.ys.CountWithin(y, d) }
 
-// kdtreeEngine wraps the arena-backed static 2-d tree — the exact default.
+// kdtreeEngine wraps the bucketed static 2-d tree — the default.
 type kdtreeEngine struct {
 	marginals
 	tree *KDTree
-	pts  []Point
 	buf  []Neighbor
 }
 
 func (e *kdtreeEngine) Build(pts []Point, xs, ys []float64) {
-	e.pts = pts
 	e.tree.Reset(pts)
 	e.build(xs, ys)
 }
 
 func (e *kdtreeEngine) SelfKNearest(i, k int) []Neighbor {
-	nn := e.tree.KNearestInto(e.pts[i], k, i, e.buf)
+	nn := e.tree.KNearestInto(e.tree.pts[i], k, i, e.buf)
 	e.buf = nn[:0]
 	return nn
 }
 
-func (e *kdtreeEngine) Len() int     { return len(e.pts) }
-func (e *kdtreeEngine) Exact() bool  { return true }
-func (e *kdtreeEngine) Name() string { return "kdtree" }
+func (e *kdtreeEngine) Len() int { return e.tree.Len() }
 
-// bruteEngine scans the flat SoA coordinate arrays directly: no pointer
-// chasing, two sequential streams, and the same (distance, index) heap as
-// every other backend. The SoA views are the caller's xs/ys slices — the
-// flat layout costs nothing to adopt.
+// bruteEngine scans the caller's per-axis coordinate slices directly: no
+// pointer chasing, two sequential streams, and the same (distance, index)
+// heap as the tree.
 type bruteEngine struct {
 	marginals
-	soa SoA
-	buf []Neighbor
+	xs, ys []float64
+	buf    []Neighbor
 }
 
 func (e *bruteEngine) Build(pts []Point, xs, ys []float64) {
-	e.soa = SoA{Xs: xs, Ys: ys}
+	e.xs, e.ys = xs, ys
 	e.build(xs, ys)
 }
 
 func (e *bruteEngine) SelfKNearest(i, k int) []Neighbor {
-	nn := e.knearest(Point{X: e.soa.Xs[i], Y: e.soa.Ys[i]}, k, i, e.buf)
+	nn := e.knearest(Point{X: e.xs[i], Y: e.ys[i]}, k, i, e.buf)
 	e.buf = nn[:0]
 	return nn
 }
@@ -227,7 +124,7 @@ func (e *bruteEngine) knearest(q Point, k, exclude int, buf []Neighbor) []Neighb
 		return nil
 	}
 	h := maxHeap(buf[:0])
-	xs, ys := e.soa.Xs, e.soa.Ys
+	xs, ys := e.xs, e.ys
 	for i := range xs {
 		if i == exclude {
 			continue
@@ -238,35 +135,4 @@ func (e *bruteEngine) knearest(q Point, k, exclude int, buf []Neighbor) []Neighb
 	return h
 }
 
-func (e *bruteEngine) Len() int     { return e.soa.Len() }
-func (e *bruteEngine) Exact() bool  { return true }
-func (e *bruteEngine) Name() string { return "brute" }
-
-// gridEngine wraps the dynamic uniform grid, tuned per build with the same
-// GridCellFor heuristic the estimator used before the engine layer existed.
-type gridEngine struct {
-	marginals
-	grid *Grid
-	k    int
-	pts  []Point
-	buf  []Neighbor
-}
-
-func (e *gridEngine) Build(pts []Point, xs, ys []float64) {
-	e.pts = pts
-	e.grid.Reset(GridCellFor(pts, e.k))
-	for i, p := range pts {
-		e.grid.Insert(i, p)
-	}
-	e.build(xs, ys)
-}
-
-func (e *gridEngine) SelfKNearest(i, k int) []Neighbor {
-	nn := e.grid.KNearestInto(e.pts[i], k, i, e.buf)
-	e.buf = nn[:0]
-	return nn
-}
-
-func (e *gridEngine) Len() int     { return len(e.pts) }
-func (e *gridEngine) Exact() bool  { return true }
-func (e *gridEngine) Name() string { return "grid" }
+func (e *bruteEngine) Len() int { return len(e.xs) }

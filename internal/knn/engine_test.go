@@ -6,9 +6,8 @@ import (
 	"testing"
 )
 
-// engineReference computes the exact answer an Engine must (or, for
-// approximate engines under full budget, still must) produce: a brute-force
-// (distance, index) k-best plus exact marginal interval counts.
+// engineReference computes the exact answer an Engine must produce: the
+// brute-force (distance, index) k-best.
 func engineReference(pts []Point, q Point, k, exclude int) []Neighbor {
 	h := maxHeap(nil)
 	for i, p := range pts {
@@ -71,59 +70,78 @@ func adversarialSets(rng *rand.Rand, n int) map[string][]Point {
 	}
 }
 
+// engineNames lists every engine NewEngine constructs.
+var engineNames = []string{"kdtree", "brute"}
+
+// probePoints returns arbitrary (non-indexed) query points for a point set:
+// points displaced off every indexed point, midpoints between neighbours in
+// index order, and points far outside the set's range. They exercise the
+// tree's pruning on queries that are not themselves in the tree.
+func probePoints(rng *rand.Rand, pts []Point) []Point {
+	var qs []Point
+	for i, p := range pts {
+		qs = append(qs, Point{X: p.X + 0.3, Y: p.Y - 0.2})
+		if i > 0 {
+			o := pts[i-1]
+			qs = append(qs, Point{X: o.X/2 + p.X/2, Y: o.Y/2 + p.Y/2})
+		}
+	}
+	for i := 0; i < 4; i++ {
+		qs = append(qs, Point{X: (rng.Float64() - 0.5) * 1e6, Y: (rng.Float64() - 0.5) * 1e6})
+	}
+	return append(qs, Point{X: -1e308, Y: 1e308})
+}
+
 // TestEnginesMatchBruteDifferential is the cross-backend property test: on
-// every adversarial distribution, every exact engine must return the exact
-// (distance, index) k-best set bit-for-bit, and the approximate forest must
-// do the same once its candidate budget covers the point set. Marginal
-// counts must be exact on all engines, including the forest.
+// every adversarial distribution, every engine must return the exact
+// (distance, index) k-best set bit-for-bit and exact marginal counts. The
+// tree's arbitrary-point entry point (KNearestInto, used by KLJointEntropy)
+// is checked the same way on non-indexed query points and on indexed points
+// with nothing excluded.
 func TestEnginesMatchBruteDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for _, n := range []int{1, 2, 17, 120} {
 		for name, pts := range adversarialSets(rng, n) {
 			xs, ys := coordsOf(pts)
-			for _, eng := range EngineNames() {
-				spec, _ := EngineSpec(eng)
-				for _, k := range []int{1, 4, n, n + 3} {
-					cfgs := []Config{{K: k, Seed: 42}}
-					if !spec.Exact {
-						// Full budget makes both approximate paths exact —
-						// the answers must equal Brute's bit-for-bit. A
-						// single tree exercises the batched sweep, several
-						// trees the budgeted traversal with its cross-tree
-						// dedupe.
-						cfgs = []Config{
-							{K: k, Seed: 42, Trees: 1, Checks: n + 1},
-							{K: k, Seed: 42, Trees: 3, Checks: n + 1},
+			for _, k := range []int{1, 4, n, n + 3} {
+				for _, eng := range engineNames {
+					e, err := NewEngine(eng, Config{K: k})
+					if err != nil {
+						t.Fatalf("NewEngine(%q): %v", eng, err)
+					}
+					e.Build(pts, xs, ys)
+					if e.Len() != n {
+						t.Fatalf("%s/%s: Len=%d want %d", eng, name, e.Len(), n)
+					}
+					for i := range pts {
+						want := engineReference(pts, pts[i], k, i)
+						got := e.SelfKNearest(i, k)
+						if !neighborsEqual(want, got) {
+							t.Fatalf("%s/%s n=%d k=%d i=%d: got %v want %v",
+								eng, name, n, k, i, got, want)
+						}
+						d := math.Abs(pts[i].X) / 8
+						wantC := 0
+						for _, p := range pts {
+							if math.Abs(p.X-pts[i].X) <= d {
+								wantC++
+							}
+						}
+						if got := e.CountX(pts[i].X, d); got != wantC {
+							t.Fatalf("%s/%s: CountX=%d want %d", eng, name, got, wantC)
 						}
 					}
-					for _, cfg := range cfgs {
-						e, err := NewEngine(eng, cfg)
-						if err != nil {
-							t.Fatalf("NewEngine(%q): %v", eng, err)
-						}
-						e.Build(pts, xs, ys)
-						if e.Len() != n {
-							t.Fatalf("%s/%s: Len=%d want %d", eng, name, e.Len(), n)
-						}
-						for i := range pts {
-							want := engineReference(pts, pts[i], k, i)
-							got := e.SelfKNearest(i, k)
-							if !neighborsEqual(want, got) {
-								t.Fatalf("%s/%s n=%d k=%d i=%d: got %v want %v",
-									eng, name, n, k, i, got, want)
-							}
-							d := math.Abs(pts[i].X) / 8
-							wantC := 0
-							for _, p := range pts {
-								if math.Abs(p.X-pts[i].X) <= d {
-									wantC++
-								}
-							}
-							if got := e.CountX(pts[i].X, d); got != wantC {
-								t.Fatalf("%s/%s: CountX=%d want %d", eng, name, got, wantC)
-							}
-						}
+				}
+				tree := NewKDTree(pts)
+				var buf []Neighbor
+				for _, q := range append(probePoints(rng, pts), pts...) {
+					want := engineReference(pts, q, k, -1)
+					got := tree.KNearestInto(q, k, -1, buf)
+					if !neighborsEqual(want, got) {
+						t.Fatalf("kdtree/%s n=%d k=%d q=%v exclude=-1: got %v want %v",
+							name, n, k, q, got, want)
 					}
+					buf = got[:0]
 				}
 			}
 		}
@@ -142,13 +160,8 @@ func TestEngineTiedLatticeRounds(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	const k = 4
 	engines := map[string]Engine{}
-	for _, name := range EngineNames() {
-		cfg := Config{K: k, Seed: 11}
-		spec, _ := EngineSpec(name)
-		if !spec.Exact {
-			cfg.Checks = 1 << 20 // full budget: exactness required below
-		}
-		e, err := NewEngine(name, cfg)
+	for _, name := range engineNames {
+		e, err := NewEngine(name, Config{K: k})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -167,84 +180,6 @@ func TestEngineTiedLatticeRounds(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-// TestForestDeterministic pins the forest's determinism contract: equal
-// (points, Config) must produce equal answers across independent instances
-// and across rebuilds, including under the default (approximate) budget.
-func TestForestDeterministic(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	pts := reusePoints(rng, 300)
-	xs, ys := coordsOf(pts)
-	cfg := Config{K: 4, Seed: 1234}
-	a, _ := NewEngine("forest", cfg)
-	b, _ := NewEngine("forest", cfg)
-	a.Build(pts, xs, ys)
-	b.Build(pts, xs, ys)
-	b.Build(pts, xs, ys) // rebuild: arena reuse must not change answers
-	for i := range pts {
-		got, want := a.SelfKNearest(i, 4), b.SelfKNearest(i, 4)
-		if !neighborsEqual(want, got) {
-			t.Fatalf("i=%d: instances diverge: %v vs %v", i, got, want)
-		}
-	}
-	// A different seed must be allowed to shape different trees, but answers
-	// stay within the engine's own determinism: just assert it still returns
-	// k results in sorted (distance, index) order.
-	c, _ := NewEngine("forest", Config{K: 4, Seed: 77})
-	c.Build(pts, xs, ys)
-	for i := range pts {
-		nn := c.SelfKNearest(i, 4)
-		if len(nn) != 4 {
-			t.Fatalf("i=%d: got %d results, want 4", i, len(nn))
-		}
-		for j := 1; j < len(nn); j++ {
-			if neighborLess(nn[j], nn[j-1]) {
-				t.Fatalf("i=%d: results out of (distance, index) order: %v", i, nn)
-			}
-		}
-	}
-}
-
-// TestForestRecallUnderBudget sanity-checks the approximation quality the
-// drift harness depends on: with default parameters on a smooth
-// distribution, the forest must find the true nearest neighbour for most
-// queries and overlap heavily with the exact k-set.
-func TestForestRecallUnderBudget(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	n, k := 1000, 4
-	pts := make([]Point, n)
-	for i := range pts {
-		pts[i] = Point{X: rng.NormFloat64(), Y: rng.NormFloat64()}
-	}
-	xs, ys := coordsOf(pts)
-	e, _ := NewEngine("forest", Config{K: k, Seed: 9})
-	e.Build(pts, xs, ys)
-	overlap, total := 0, 0
-	for i := range pts {
-		want := engineReference(pts, pts[i], k, i)
-		got := e.SelfKNearest(i, k)
-		if len(got) != k {
-			t.Fatalf("i=%d: got %d results, want %d", i, len(got), k)
-		}
-		inWant := map[int]bool{}
-		for _, nb := range want {
-			inWant[nb.Index] = true
-		}
-		for _, nb := range got {
-			if inWant[nb.Index] {
-				overlap++
-			}
-		}
-		total += k
-	}
-	// The default configuration trades recall for throughput — the binding
-	// quality gate is MI drift (mi.NewBoundedKSG refuses configurations above
-	// the caller's ε), so this bar only guards against the batch sweep
-	// silently degenerating.
-	if recall := float64(overlap) / float64(total); recall < 0.85 {
-		t.Fatalf("forest recall %.3f under default budget, want ≥ 0.85", recall)
 	}
 }
 
@@ -342,19 +277,14 @@ func TestGridCellForNaN(t *testing.T) {
 }
 
 // TestEngineWarmAllocs pins the engine-layer reuse contract: once warm, a
-// Build + full SelfKNearest pass allocates nothing on any engine (grid gets
-// the same small slack its KSG backend has: map-internal churn).
+// Build + full SelfKNearest pass allocates nothing on any engine.
 func TestEngineWarmAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	pts := reusePoints(rng, 400)
 	xs, ys := coordsOf(pts)
 	const k = 4
-	// Grid keeps map-backed state whose delete/reinsert cycles occasionally
-	// allocate internally (see the mi hot-path budgets); ≤8 over a 400-query
-	// pass still pins "no per-query allocation growth" at 0.02/query.
-	budgets := map[string]float64{"kdtree": 0, "brute": 0, "forest": 0, "grid": 8}
-	for _, name := range EngineNames() {
-		e, err := NewEngine(name, Config{K: k, Seed: 42})
+	for _, name := range engineNames {
+		e, err := NewEngine(name, Config{K: k})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -367,35 +297,32 @@ func TestEngineWarmAllocs(t *testing.T) {
 			}
 		}
 		pass() // warm-up
-		budget, ok := budgets[name]
-		if !ok {
-			budget = 2
-		}
-		if avg := testing.AllocsPerRun(20, pass); avg > budget {
-			t.Errorf("%s: %.1f allocs per warm pass, budget %g", name, avg, budget)
+		if avg := testing.AllocsPerRun(20, pass); avg != 0 {
+			t.Errorf("%s: %.1f allocs per warm pass, want 0", name, avg)
 		}
 	}
 }
 
-// TestNewEngineUnknown pins the registry error path.
+// TestNewEngineUnknown pins NewEngine's name switch: the two engines build,
+// any other name is an error.
 func TestNewEngineUnknown(t *testing.T) {
-	if _, err := NewEngine("annoy", Config{}); err == nil {
-		t.Fatal("want error for unknown engine")
+	for _, name := range []string{"annoy", "grid", "forest", ""} {
+		if _, err := NewEngine(name, Config{}); err == nil {
+			t.Fatalf("NewEngine(%q): want error", name)
+		}
 	}
-	if HasEngine("annoy") {
-		t.Fatal("HasEngine(annoy) = true")
-	}
-	for _, name := range []string{"kdtree", "brute", "grid", "forest"} {
-		if !HasEngine(name) {
-			t.Fatalf("HasEngine(%q) = false", name)
+	for _, name := range engineNames {
+		if _, err := NewEngine(name, Config{}); err != nil {
+			t.Fatalf("NewEngine(%q): %v", name, err)
 		}
 	}
 }
 
 // FuzzEngineDifferential cross-checks every engine against the reference on
 // fuzzer-chosen point sets: bytes decode to a quantized point set (ties are
-// frequent by construction), and every engine must agree with Brute under a
-// full budget.
+// frequent by construction), and every engine must agree with Brute. The
+// tree's KNearestInto is also checked on non-indexed query points (each
+// point shifted by a quarter step) and on indexed points with exclude = −1.
 func FuzzEngineDifferential(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8}, uint8(3))
 	f.Add([]byte{0, 0, 0, 0}, uint8(1))
@@ -421,8 +348,8 @@ func FuzzEngineDifferential(f *testing.F) {
 		}
 		k := int(kb)%8 + 1
 		xs, ys := coordsOf(pts)
-		for _, name := range EngineNames() {
-			e, err := NewEngine(name, Config{K: k, Seed: 1, Checks: n + 1})
+		for _, name := range engineNames {
+			e, err := NewEngine(name, Config{K: k})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -431,6 +358,15 @@ func FuzzEngineDifferential(f *testing.F) {
 				want := engineReference(pts, pts[i], k, i)
 				if got := e.SelfKNearest(i, k); !neighborsEqual(want, got) {
 					t.Fatalf("%s i=%d k=%d: got %v want %v", name, i, k, got, want)
+				}
+			}
+		}
+		tree := NewKDTree(pts)
+		for i, p := range pts {
+			for _, q := range []Point{p, {X: p.X + 0.25, Y: p.Y - 0.25}} {
+				want := engineReference(pts, q, k, -1)
+				if got := tree.KNearestInto(q, k, -1, nil); !neighborsEqual(want, got) {
+					t.Fatalf("kdtree i=%d q=%v k=%d exclude=-1: got %v want %v", i, q, k, got, want)
 				}
 			}
 		}

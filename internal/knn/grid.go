@@ -1,6 +1,9 @@
 package knn
 
-import "math"
+import (
+	"math"
+	"math/bits"
+)
 
 // Grid is a dynamic uniform-grid index over 2-D points supporting insertion,
 // removal, kNN queries and rectangle scans. It is the backend of the
@@ -21,10 +24,16 @@ type Grid struct {
 	cell  float64
 	cells map[[2]int32][]cellEntry
 	pts   map[int]Point
-	// free holds the emptied cell buckets of removed or Reset cells; Insert
-	// drains it before allocating, so a warm grid cycles points (and whole
-	// window reloads) without heap growth.
-	free [][]cellEntry
+	// free holds the emptied cell buckets of removed or Reset cells, binned
+	// by capacity class (bits.Len of the capacity); freeMask has bit c set
+	// when class c is non-empty. Insert drains the largest class before
+	// allocating, so a warm grid cycles points (and whole window reloads)
+	// without heap growth: handing out the largest bucket first makes the
+	// bucket-to-cell matching depend on the cell creation order rather than
+	// on the map's drain order, and since capacities only grow, a repeated
+	// refill stops reallocating after a few rounds.
+	free     [freeClasses][][]cellEntry
+	freeMask uint32
 	// Occupied-cell bounding box, maintained on insert (conservatively kept
 	// on remove). It bounds the ring search in O(1) instead of scanning the
 	// cell map per query.
@@ -102,11 +111,11 @@ func (g *Grid) Reset(cellSize float64) {
 		cellSize = 1
 	}
 	g.cell = cellSize
-	//lint:allow nodeterm drain order only permutes interchangeable empty buckets in the free list; contents and counts are unaffected
-	for key, bucket := range g.cells {
-		g.free = append(g.free, bucket[:0])
-		delete(g.cells, key)
+	//lint:allow nodeterm drain order only permutes equal-capacity buckets within a free-list class; contents and counts are unaffected
+	for _, bucket := range g.cells {
+		g.release(bucket)
 	}
+	clear(g.cells)
 	clear(g.pts)
 	g.boundsValid = false
 }
@@ -157,9 +166,8 @@ func (g *Grid) Insert(id int, p Point) {
 	g.pts[id] = p
 	k := g.key(p)
 	bucket, ok := g.cells[k]
-	if !ok && len(g.free) > 0 {
-		bucket = g.free[len(g.free)-1]
-		g.free = g.free[:len(g.free)-1]
+	if !ok {
+		bucket = g.acquire()
 	}
 	g.cells[k] = append(bucket, cellEntry{id: id, p: p})
 	if !g.boundsValid {
@@ -205,11 +213,38 @@ func (g *Grid) removeFromCell(k [2]int32, id int) {
 		}
 	}
 	if len(bucket) == 0 {
-		g.free = append(g.free, bucket)
+		g.release(bucket)
 		delete(g.cells, k)
 	} else {
 		g.cells[k] = bucket
 	}
+}
+
+// freeClasses bounds the free-list capacity classes; buckets of capacity
+// 2^(freeClasses−2) and above share the top class.
+const freeClasses = 20
+
+// release pools an emptied cell bucket under its capacity class.
+func (g *Grid) release(bucket []cellEntry) {
+	c := min(bits.Len(uint(cap(bucket))), freeClasses-1)
+	g.free[c] = append(g.free[c], bucket[:0])
+	g.freeMask |= 1 << c
+}
+
+// acquire pops a bucket from the largest non-empty capacity class, or returns
+// nil when the pool is empty.
+func (g *Grid) acquire() []cellEntry {
+	if g.freeMask == 0 {
+		return nil
+	}
+	c := bits.Len32(g.freeMask) - 1
+	n := len(g.free[c]) - 1
+	bucket := g.free[c][n]
+	g.free[c] = g.free[c][:n]
+	if n == 0 {
+		g.freeMask &^= 1 << c
+	}
+	return bucket
 }
 
 // KNearest implements Index via an expanding ring search: candidates are

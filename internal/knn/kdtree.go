@@ -1,151 +1,173 @@
 package knn
 
-// KDTree is a static 2-d tree over a point set, built in O(n log n) expected
-// time and answering kNN queries in O(k log n) expected time. It is the
-// default backend for batch KSG estimation.
+import "math"
+
+// KDTree is a static, exact 2-d tree over a point set — the default backend
+// for batch KSG estimation. Internal nodes split at the median of the wider
+// axis; leaves hold up to kdLeafSize points stored as contiguous
+// structure-of-arrays runs, so the leaf scan that dominates query time reads
+// two sequential float64 streams instead of chasing one node per point.
 //
 // A tree is rebuilt in place with Reset, which reuses the node arena and the
-// build scratch of earlier builds — the KSG hot path rebuilds one tree per
+// leaf arrays of earlier builds — the KSG hot path rebuilds one tree per
 // window and must not allocate in steady state.
 //
 // The build partitions under the total order (axis coordinate, point index),
-// so the tree shape — and with it every query answer — is a pure function of
-// the point set, independent of the partitioning algorithm and of the
-// insertion history of equal coordinates.
+// so the tree shape is a pure function of the point set. Queries are exact
+// branch-and-bound searches under the (distance, index) total order, so their
+// answers equal Brute's bit for bit whatever the tree shape.
 type KDTree struct {
-	pts   []Point
-	nodes []kdNode
-	idx   []int // build scratch, retained across Reset for reuse
-	root  int
+	pts    []Point
+	nodes  []kdNode
+	ids    []int32 // leaf-ordered point indices (the build permutation)
+	xs, ys []float64
 }
 
+// kdLeafSize is the maximum number of points per leaf. A leaf scan is two
+// sequential float64 streams and costs far less per point than a traversal
+// step, so leaves are sized well above k.
+const kdLeafSize = 16
+
+// kdNode is an internal split (axis 0/1) or a leaf (axis −1, left/right
+// holding the [start, end) range into the tree's leaf-ordered arrays).
 type kdNode struct {
-	point       int // index into pts
-	axis        int // 0 = x, 1 = y
-	left, right int // node indices, −1 if absent
+	split       float64
+	left, right int32
+	axis        int8
 }
 
-// NewKDTree builds a balanced 2-d tree over pts. The slice is not copied;
-// the tree references points by their index in pts.
+// NewKDTree builds a 2-d tree over pts. The slice is not copied; the tree
+// references points by their index in pts.
 func NewKDTree(pts []Point) *KDTree {
-	t := &KDTree{root: -1}
+	t := &KDTree{}
 	t.Reset(pts)
 	return t
 }
 
-// Reset rebuilds the tree over pts in place. The node arena and build
-// scratch are reused, so a warm tree rebuilds with zero heap allocations
-// whenever pts is no larger than any earlier point set.
+// Reset rebuilds the tree over pts in place. The node arena and leaf arrays
+// are reused, so a warm tree rebuilds with zero heap allocations whenever pts
+// is no larger than any earlier point set.
 func (t *KDTree) Reset(pts []Point) {
+	n := len(pts)
 	t.pts = pts
 	t.nodes = t.nodes[:0]
-	t.root = -1
-	if len(pts) == 0 {
+	if cap(t.ids) < n {
+		t.ids = make([]int32, n)
+		t.xs = make([]float64, n)
+		t.ys = make([]float64, n)
+	}
+	t.ids, t.xs, t.ys = t.ids[:n], t.xs[:n], t.ys[:n]
+	if n == 0 {
 		return
 	}
-	if cap(t.idx) < len(pts) {
-		t.idx = make([]int, len(pts))
+	for i := range t.ids {
+		t.ids[i] = int32(i)
 	}
-	t.idx = t.idx[:len(pts)]
-	for i := range t.idx {
-		t.idx[i] = i
+	// Every leaf of a tree over more than kdLeafSize points holds at least
+	// kdLeafSize/2 of them, which bounds the node count.
+	if maxNodes := 2*(n/(kdLeafSize/2)) + 1; cap(t.nodes) < maxNodes {
+		t.nodes = make([]kdNode, 0, maxNodes)
 	}
-	if cap(t.nodes) < len(pts) {
-		t.nodes = make([]kdNode, 0, len(pts))
+	t.build(0, n)
+	for j, id := range t.ids {
+		t.xs[j], t.ys[j] = pts[id].X, pts[id].Y
 	}
-	t.root = t.build(t.idx, 0)
 }
 
-func (t *KDTree) build(idx []int, depth int) int {
-	if len(idx) == 0 {
-		return -1
+// build partitions ids[lo:hi) and appends the subtree's nodes to the arena in
+// preorder, returning the subtree root's node id.
+func (t *KDTree) build(lo, hi int) int32 {
+	id := int32(len(t.nodes))
+	if hi-lo <= kdLeafSize {
+		t.nodes = append(t.nodes, kdNode{axis: -1, left: int32(lo), right: int32(hi)})
+		return id
 	}
-	axis := depth % 2
-	mid := len(idx) / 2
-	// Median selection (not a full sort) is all a k-d tree build needs: the
-	// subtree point sets are determined by the partition alone.
-	t.selectMedian(idx, mid, axis)
-	node := kdNode{point: idx[mid], axis: axis}
-	id := len(t.nodes)
-	t.nodes = append(t.nodes, node)
-	left := t.build(idx[:mid], depth+1)
-	right := t.build(idx[mid+1:], depth+1)
+	axis := t.widerAxis(lo, hi)
+	mid := lo + (hi-lo)/2
+	t.selectMedian(t.ids[lo:hi], mid-lo, axis)
+	t.nodes = append(t.nodes, kdNode{axis: axis, split: t.coord(t.ids[mid], axis)})
+	left := t.build(lo, mid)
+	right := t.build(mid, hi)
 	t.nodes[id].left = left
 	t.nodes[id].right = right
 	return id
 }
 
-// axisLess orders point indices by their coordinate on the given axis with
-// the index as tie-break — a strict total order, so partitioning yields the
-// same median element as a full stable sort would.
-func (t *KDTree) axisLess(a, b, axis int) bool {
-	var va, vb float64
+func (t *KDTree) coord(id int32, axis int8) float64 {
 	if axis == 0 {
-		va, vb = t.pts[a].X, t.pts[b].X
-	} else {
-		va, vb = t.pts[a].Y, t.pts[b].Y
+		return t.pts[id].X
 	}
-	//lint:allow floateq exact compare feeds the index tie-break: a tolerant compare would break the strict total order the deterministic build relies on
-	if va != vb {
-		return va < vb
-	}
-	return a < b
+	return t.pts[id].Y
 }
 
-// selectMedian rearranges idx so idx[mid] holds the element a full sort
-// under axisLess would place there, with smaller elements before it and
-// larger ones after — an in-place quickselect with median-of-three pivots
-// and an insertion-sort base case, free of heap allocation.
-func (t *KDTree) selectMedian(idx []int, mid, axis int) {
+// widerAxis returns the axis along which ids[lo:hi) spans the wider range
+// (x on ties).
+func (t *KDTree) widerAxis(lo, hi int) int8 {
+	p := t.pts[t.ids[lo]]
+	minX, maxX, minY, maxY := p.X, p.X, p.Y, p.Y
+	for _, id := range t.ids[lo+1 : hi] {
+		p := t.pts[id]
+		minX, maxX = min(minX, p.X), max(maxX, p.X)
+		minY, maxY = min(minY, p.Y), max(maxY, p.Y)
+	}
+	if maxY-minY > maxX-minX {
+		return 1
+	}
+	return 0
+}
+
+// selectMedian rearranges idx so idx[mid] holds the element a full sort under
+// (coord, index) would place there, with smaller elements before it and
+// larger ones after — an in-place quickselect with median-of-three pivots and
+// an insertion-sort base case, free of heap allocation. The index tie-break
+// makes it a strict total order, so tied coordinates partition
+// deterministically.
+func (t *KDTree) selectMedian(idx []int32, mid int, axis int8) {
+	less := func(a, b int32) bool {
+		va, vb := t.coord(a, axis), t.coord(b, axis)
+		//lint:allow floateq exact compare feeds the index tie-break: a tolerant compare would break the strict total order the deterministic build relies on
+		if va != vb {
+			return va < vb
+		}
+		return a < b
+	}
 	lo, hi := 0, len(idx)-1
 	for lo < hi {
 		if hi-lo < 12 {
-			t.insertionSort(idx, lo, hi, axis)
+			for i := lo + 1; i <= hi; i++ {
+				for j := i; j > lo && less(idx[j], idx[j-1]); j-- {
+					idx[j], idx[j-1] = idx[j-1], idx[j]
+				}
+			}
 			return
 		}
-		p := t.partition(idx, lo, hi, axis)
+		m := lo + (hi-lo)/2
+		if less(idx[m], idx[lo]) {
+			idx[m], idx[lo] = idx[lo], idx[m]
+		}
+		if less(idx[hi], idx[lo]) {
+			idx[hi], idx[lo] = idx[lo], idx[hi]
+		}
+		if less(idx[hi], idx[m]) {
+			idx[hi], idx[m] = idx[m], idx[hi]
+		}
+		idx[m], idx[hi-1] = idx[hi-1], idx[m]
+		pivot := idx[hi-1]
+		i := lo
+		for j := lo; j < hi-1; j++ {
+			if less(idx[j], pivot) {
+				idx[i], idx[j] = idx[j], idx[i]
+				i++
+			}
+		}
+		idx[i], idx[hi-1] = idx[hi-1], idx[i]
 		switch {
-		case p == mid:
+		case i == mid:
 			return
-		case mid < p:
-			hi = p - 1
+		case mid < i:
+			hi = i - 1
 		default:
-			lo = p + 1
-		}
-	}
-}
-
-// partition picks a median-of-three pivot from idx[lo..hi], partitions the
-// range around it, and returns the pivot's final position.
-func (t *KDTree) partition(idx []int, lo, hi, axis int) int {
-	m := lo + (hi-lo)/2
-	if t.axisLess(idx[m], idx[lo], axis) {
-		idx[m], idx[lo] = idx[lo], idx[m]
-	}
-	if t.axisLess(idx[hi], idx[lo], axis) {
-		idx[hi], idx[lo] = idx[lo], idx[hi]
-	}
-	if t.axisLess(idx[hi], idx[m], axis) {
-		idx[hi], idx[m] = idx[m], idx[hi]
-	}
-	idx[m], idx[hi-1] = idx[hi-1], idx[m]
-	pivot := idx[hi-1]
-	i := lo
-	for j := lo; j < hi-1; j++ {
-		if t.axisLess(idx[j], pivot, axis) {
-			idx[i], idx[j] = idx[j], idx[i]
-			i++
-		}
-	}
-	idx[i], idx[hi-1] = idx[hi-1], idx[i]
-	return i
-}
-
-// insertionSort fully orders idx[lo..hi] under axisLess (inclusive bounds).
-func (t *KDTree) insertionSort(idx []int, lo, hi, axis int) {
-	for i := lo + 1; i <= hi; i++ {
-		for j := i; j > lo && t.axisLess(idx[j], idx[j-1], axis); j-- {
-			idx[j], idx[j-1] = idx[j-1], idx[j]
+			lo = i + 1
 		}
 	}
 }
@@ -161,43 +183,103 @@ func (t *KDTree) KNearest(q Point, k, exclude int) []Neighbor {
 // KNearestInto is KNearest reusing buf's backing array for the result,
 // letting hot loops run allocation-free.
 func (t *KDTree) KNearestInto(q Point, k, exclude int, buf []Neighbor) []Neighbor {
-	if k <= 0 || t.root < 0 {
+	n := len(t.pts)
+	if k <= 0 || n == 0 {
 		return nil
 	}
-	h := maxHeap(buf[:0])
-	t.search(t.root, q, k, exclude, &h)
+	avail := n
+	if exclude >= 0 && exclude < n {
+		avail--
+	}
+	s := kdSearch{t: t, q: q, want: min(k, avail), exclude: exclude, res: buf[:0]}
+	if s.want == 0 {
+		return nil
+	}
+	s.node(0, 0)
+	h := maxHeap(s.res)
 	h.sortInPlace()
 	return h
 }
 
-func (t *KDTree) search(id int, q Point, k, exclude int, h *maxHeap) {
-	if id < 0 {
+// kdSearch is one query's state, shared by the recursive search instead of
+// being passed down as arguments. The running k-best set (res)
+// is kept UNSORTED with its worst element tracked by index: every candidate
+// is admitted or rejected by inline compares in the leaf loop, and the final
+// (distance, index) sort happens once per query.
+type kdSearch struct {
+	t        *KDTree
+	q        Point
+	want     int
+	exclude  int
+	full     bool    // res holds want results
+	worst    float64 // res[worstIdx].Dist when full
+	worstIdx int
+	res      []Neighbor
+}
+
+// node is the branch-and-bound step: bound is the L∞ lower bound on the
+// distance from the query to any point under the node. Subtrees are descended
+// near side first; a subtree is pruned only when its bound strictly exceeds
+// the current worst, because a point AT the worst distance can still win on
+// index.
+func (s *kdSearch) node(id int32, bound float64) {
+	if s.full && bound > s.worst {
 		return
 	}
-	n := t.nodes[id]
-	p := t.pts[n.point]
-	if n.point != exclude {
-		h.push(Neighbor{Index: n.point, Dist: Chebyshev(q, p)}, k)
+	nd := &s.t.nodes[id]
+	if nd.axis >= 0 {
+		diff := s.q.X - nd.split
+		if nd.axis == 1 {
+			diff = s.q.Y - nd.split
+		}
+		near, far := nd.left, nd.right
+		if diff >= 0 {
+			near, far = far, near
+		}
+		s.node(near, bound)
+		s.node(far, max(bound, math.Abs(diff)))
+		return
 	}
-	var diff float64
-	if n.axis == 0 {
-		diff = q.X - p.X
-	} else {
-		diff = q.Y - p.Y
+	// Leaf scan over the SoA run. Everything stays inline: a candidate is
+	// rejected by one float compare against the tracked worst, and an
+	// admission replaces the worst element and re-scans the ≤k-element set —
+	// k−1 compares, no calls. The selection rule is maxHeap.push's: a
+	// candidate wins on (distance, index).
+	lo, hi := int(nd.left), int(nd.right)
+	ids := s.t.ids[lo:hi]
+	lxs := s.t.xs[lo:hi]
+	lys := s.t.ys[lo:hi]
+	qx, qy := s.q.X, s.q.Y
+	exclude, want := s.exclude, s.want
+	res := s.res
+	full, worst, worstIdx := s.full, s.worst, s.worstIdx
+	for j, id32 := range ids {
+		id := int(id32)
+		if id == exclude {
+			continue
+		}
+		d := chebyshevCoords(lxs[j], lys[j], qx, qy)
+		if full {
+			//lint:allow floateq exact distance ties break by index under the deterministic (distance, index) total order
+			if d > worst || (d == worst && id > res[worstIdx].Index) {
+				continue
+			}
+			res[worstIdx] = Neighbor{Index: id, Dist: d}
+		} else {
+			res = append(res, Neighbor{Index: id, Dist: d})
+			if len(res) < want {
+				continue
+			}
+			full = true
+		}
+		worstIdx = 0
+		for i := 1; i < len(res); i++ {
+			if neighborLess(res[worstIdx], res[i]) {
+				worstIdx = i
+			}
+		}
+		worst = res[worstIdx].Dist
 	}
-	near, far := n.left, n.right
-	if diff > 0 {
-		near, far = far, near
-	}
-	t.search(near, q, k, exclude, h)
-	// Under L∞ the splitting-plane distance is |diff|; the far subtree can
-	// only matter when |diff| is within the current worst distance (or the
-	// heap is not yet full).
-	abs := diff
-	if abs < 0 {
-		abs = -abs
-	}
-	if len(*h) < k || abs <= h.worst() {
-		t.search(far, q, k, exclude, h)
-	}
+	s.res = res
+	s.full, s.worst, s.worstIdx = full, worst, worstIdx
 }

@@ -8,22 +8,13 @@ import (
 )
 
 // TestKSGEstimateAllocs pins the tentpole guarantee: after the first call
-// warms the per-estimator scratch, KSG.Estimate runs allocation-free on the
-// kd-tree and brute backends. The grid backend keeps map-backed state whose
-// delete/reinsert cycles occasionally allocate internally; its budget is
-// pinned rather than zero.
+// warms the per-estimator scratch, KSG.Estimate runs allocation-free on both
+// backends.
 func TestKSGEstimateAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	x, y := gaussianPair(rng, 500, 0.6)
-	for _, tc := range []struct {
-		backend Backend
-		budget  float64
-	}{
-		{BackendKDTree, 0},
-		{BackendBrute, 0},
-		{BackendGrid, 2}, // map-internal churn, see TestResetAllocs in knn
-	} {
-		est := NewKSG(4, tc.backend)
+	for _, backend := range []Backend{BackendKDTree, BackendBrute} {
+		est := NewKSG(4, backend)
 		for warm := 0; warm < 16; warm++ {
 			if _, err := est.Estimate(x, y); err != nil {
 				t.Fatal(err)
@@ -34,8 +25,8 @@ func TestKSGEstimateAllocs(t *testing.T) {
 				t.Fatal(err)
 			}
 		})
-		if got > tc.budget {
-			t.Errorf("%s: Estimate allocates %v/op steady-state, budget %v", tc.backend, got, tc.budget)
+		if got != 0 {
+			t.Errorf("%s: Estimate allocates %v/op steady-state, want 0", backend, got)
 		}
 	}
 }
@@ -103,7 +94,7 @@ func TestIncrementalReloadAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	// Same pinned map-churn budget as the grid backend.
+	// Pinned map-churn budget: the grid's and the point-state pool's maps.
 	if got > 2 {
 		t.Errorf("warm Reload allocates %v/op, want ≤2", got)
 	}
@@ -142,7 +133,7 @@ func TestBatchIncrementalAgreeOnTies(t *testing.T) {
 			xs[i], ys[i] = gen(i)
 			ids[i] = i
 		}
-		for _, backend := range []Backend{BackendKDTree, BackendBrute, BackendGrid} {
+		for _, backend := range []Backend{BackendKDTree, BackendBrute} {
 			batch, err := NewKSG(4, backend).Estimate(xs, ys)
 			if err != nil {
 				t.Fatalf("%s/%s: %v", name, backend, err)
@@ -265,7 +256,7 @@ func TestReloadMatchesBulk(t *testing.T) {
 func BenchmarkKSGEstimate(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	x, y := gaussianPair(rng, 500, 0.6)
-	for _, backend := range []Backend{BackendKDTree, BackendBrute, BackendGrid} {
+	for _, backend := range []Backend{BackendKDTree, BackendBrute} {
 		est := NewKSG(4, backend)
 		b.Run(backend.String(), func(b *testing.B) {
 			b.ReportAllocs()

@@ -13,12 +13,12 @@ import (
 type Backend int
 
 const (
-	// BackendKDTree builds a k-d tree per estimate: O(m log m) expected.
+	// BackendKDTree builds a bucketed k-d tree per estimate: O(m log m)
+	// expected.
 	BackendKDTree Backend = iota
-	// BackendBrute scans linearly per query: O(m²) but allocation-free.
+	// BackendBrute scans linearly per query: O(m²), the exact reference the
+	// tree is validated against.
 	BackendBrute
-	// BackendGrid uses the uniform grid index.
-	BackendGrid
 )
 
 // String returns the backend's name.
@@ -28,26 +28,9 @@ func (b Backend) String() string {
 		return "kdtree"
 	case BackendBrute:
 		return "brute"
-	case BackendGrid:
-		return "grid"
 	default:
 		return fmt.Sprintf("Backend(%d)", int(b))
 	}
-}
-
-// EngineNames returns the registered k-NN engine names in sorted order —
-// re-exported so layers above (core option validation, CLI flag help) can
-// enumerate backends without importing internal/knn directly.
-func EngineNames() []string { return knn.EngineNames() }
-
-// HasEngine reports whether a k-NN engine is registered under name.
-func HasEngine(name string) bool { return knn.HasEngine(name) }
-
-// EngineExact reports whether the named engine answers queries exactly
-// (false for approximate backends, and for unknown names).
-func EngineExact(name string) bool {
-	s, ok := knn.EngineSpec(name)
-	return ok && s.Exact
 }
 
 // KSG is the Kraskov–Stögbauer–Grassberger estimator, algorithm 2 (the
@@ -75,11 +58,6 @@ func EngineExact(name string) bool {
 // (the point buffer and the engine's internal arenas persist across Estimate
 // calls, making the steady state allocation-free). It is therefore not safe
 // for concurrent use; every searcher owns its own instance.
-//
-// The k-NN structure behind Estimate is a knn.Engine selected by name; the
-// legacy Backend constants map onto the exact engines, and NewKSGNamed
-// selects any registered engine — including approximate ones, whose MI drift
-// the bounded-error constructor (NewBoundedKSG) quantifies and gates.
 type KSG struct {
 	k         int
 	display   string
@@ -96,37 +74,20 @@ const DefaultK = 4
 
 // NewKSG returns a KSG estimator with the given neighbour count (k ≥ 1;
 // values below 1 become DefaultK) and backend. Unknown Backend values fall
-// back to the kd-tree, as the pre-engine backend switch did.
+// back to the kd-tree.
 func NewKSG(k int, backend Backend) *KSG {
 	if k < 1 {
 		k = DefaultK
 	}
-	display := backend.String()
-	name := display
-	if !knn.HasEngine(name) {
-		name = "kdtree"
+	name := "kdtree"
+	if backend == BackendBrute {
+		name = "brute"
 	}
 	eng, err := knn.NewEngine(name, knn.Config{K: k})
 	if err != nil {
-		panic(err) // unreachable: name is registered
+		panic(err) // unreachable: both names are built in
 	}
-	return &KSG{k: k, display: display, engine: eng}
-}
-
-// NewKSGNamed returns a KSG estimator backed by the named k-NN engine from
-// the registry (mi.EngineNames lists them). seed drives randomized engines
-// (tree shapes in the kd-forest); exact engines ignore it. Unknown names
-// return an error rather than falling back — a caller selecting an engine
-// by name wants that engine or a loud failure.
-func NewKSGNamed(k int, engine string, seed int64) (*KSG, error) {
-	if k < 1 {
-		k = DefaultK
-	}
-	eng, err := knn.NewEngine(engine, knn.Config{K: k, Seed: seed})
-	if err != nil {
-		return nil, err
-	}
-	return &KSG{k: k, display: engine, engine: eng}, nil
+	return &KSG{k: k, display: backend.String(), engine: eng}
 }
 
 // Name implements Estimator.
@@ -134,13 +95,6 @@ func (e *KSG) Name() string { return fmt.Sprintf("ksg(k=%d,%s)", e.k, e.display)
 
 // K returns the configured neighbour count.
 func (e *KSG) K() int { return e.k }
-
-// EngineName returns the name of the k-NN engine answering the queries.
-func (e *KSG) EngineName() string { return e.engine.Name() }
-
-// Exact reports whether the underlying engine answers exactly (kd-tree,
-// brute, grid) or approximately (kd-forest under budget).
-func (e *KSG) Exact() bool { return e.engine.Exact() }
 
 // Estimate implements Estimator. It requires len(x) > k.
 func (e *KSG) Estimate(x, y []float64) (float64, error) {
@@ -158,9 +112,8 @@ func (e *KSG) Estimate(x, y []float64) (float64, error) {
 	pts := e.pts
 	// One Build per estimate: the engine re-indexes the window reusing its
 	// arenas (and its sorted marginals, which make the n_x, n_y interval
-	// counts O(log m)). The exact engines execute the same operations the
-	// pre-engine backend switch did, in the same order, so exact-path
-	// estimates are byte-identical to before the engine layer existed.
+	// counts O(log m)). Both engines return the same (distance, index)
+	// k-best sets, so the estimate does not depend on the backend.
 	e.engine.Build(pts, x, y)
 
 	var sum float64

@@ -99,7 +99,7 @@ func TestKSGBackendsAgree(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	x, y := gaussianPair(rng, 400, 0.7)
 	var results []float64
-	for _, b := range []Backend{BackendKDTree, BackendBrute, BackendGrid} {
+	for _, b := range []Backend{BackendKDTree, BackendBrute} {
 		got, err := NewKSG(4, b).Estimate(x, y)
 		if err != nil {
 			t.Fatalf("%v: %v", b, err)
@@ -197,7 +197,7 @@ func TestNormalize(t *testing.T) {
 func BenchmarkKSGBackends(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	x, y := gaussianPair(rng, 500, 0.6)
-	for _, backend := range []Backend{BackendKDTree, BackendBrute, BackendGrid} {
+	for _, backend := range []Backend{BackendKDTree, BackendBrute} {
 		est := NewKSG(4, backend)
 		b.Run(backend.String(), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
