@@ -1,41 +1,39 @@
 package core
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"tycos/internal/window"
 )
 
-// direction identifies an exploration direction that the noise theory can
-// prune (Section 6.2.2): extending the end forward in time or extending the
-// start backward in time grows the window by concatenating a data partition,
-// which is exactly the situation Definition 6.4 covers.
-type direction int
-
-const (
-	dirEndForward direction = iota
-	dirStartBackward
-)
+// pruneFlags records which exploration directions the noise theory pruned
+// (Section 6.2.2): extending the end forward in time or extending the start
+// backward in time grows the window by concatenating a data partition, which
+// is exactly the situation Definition 6.4 covers.
+type pruneFlags struct {
+	endForward, startBackward bool
+}
 
 // neighborhood generates the δ-neighbourhood N_level of w (Definitions
 // 5.1–5.2): all windows whose start, end and delay each differ from w's by
 // −δ, 0 or +δ with δ = base·level, excluding w itself and infeasible
-// windows. Directions present in pruned are omitted: a pruned dirEndForward
-// drops every neighbour with a larger end index, a pruned dirStartBackward
-// drops every neighbour with a smaller start index.
-func neighborhood(w window.Window, base, level int, cons window.Constraints, pruned map[direction]bool) []window.Window {
+// windows. A pruned endForward drops every neighbour with a larger end index,
+// a pruned startBackward drops every neighbour with a smaller start index.
+// The windows are appended to buf[:0], whose backing array the result reuses.
+func neighborhood(w window.Window, base, level int, cons window.Constraints, pruned pruneFlags, buf []window.Window) []window.Window {
 	delta := base * level
-	var out []window.Window
+	out := buf[:0]
 	for _, ds := range [3]int{-delta, 0, delta} {
 		for _, de := range [3]int{-delta, 0, delta} {
 			for _, dt := range [3]int{-delta, 0, delta} {
 				if ds == 0 && de == 0 && dt == 0 {
 					continue
 				}
-				if pruned[dirEndForward] && de > 0 {
+				if pruned.endForward && de > 0 {
 					continue
 				}
-				if pruned[dirStartBackward] && ds < 0 {
+				if pruned.startBackward && ds < 0 {
 					continue
 				}
 				n := window.Window{Start: w.Start + ds, End: w.End + de, Delay: w.Delay + dt}
@@ -46,15 +44,16 @@ func neighborhood(w window.Window, base, level int, cons window.Constraints, pru
 		}
 	}
 	// Order by delay so the incremental scorer batches same-delay moves
-	// (each delay change forces a rebuild).
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Delay != out[j].Delay {
-			return out[i].Delay < out[j].Delay
+	// (each delay change forces a rebuild). The order is total on distinct
+	// windows, so the sort's stability does not matter.
+	slices.SortFunc(out, func(a, b window.Window) int {
+		if c := cmp.Compare(a.Delay, b.Delay); c != 0 {
+			return c
 		}
-		if out[i].Start != out[j].Start {
-			return out[i].Start < out[j].Start
+		if c := cmp.Compare(a.Start, b.Start); c != 0 {
+			return c
 		}
-		return out[i].End < out[j].End
+		return cmp.Compare(a.End, b.End)
 	})
 	return out
 }

@@ -60,25 +60,25 @@ func (s *searcher) partitionLen() int {
 // whether the partitions that forward-end and backward-start exploration
 // would concatenate are noise; pruned directions are skipped when generating
 // neighbourhoods until the search moves.
-func (s *searcher) prunedDirections(w window.Window) map[direction]bool {
+func (s *searcher) prunedDirections(w window.Window) pruneFlags {
+	var pruned pruneFlags
 	rawW, _, err := s.scorer.both(w)
 	if err != nil {
-		return nil
+		return pruned
 	}
 	s.stats.WindowsEvaluated++
-	pruned := make(map[direction]bool, 2)
 	p := s.partitionLen()
 	fwd := window.Window{Start: w.End + 1, End: w.End + p, Delay: w.Delay}
 	if s.cons.Feasible(window.Window{Start: w.Start, End: w.End + p, Delay: w.Delay}) &&
 		s.noiseVerdict(w, rawW, fwd, true) {
-		pruned[dirEndForward] = true
+		pruned.endForward = true
 		s.stats.PrunedDirections++
 		s.emit(obs.DirectionPruned{Pair: s.pairName, Window: obsWindow(w), Direction: "end-forward"})
 	}
 	back := window.Window{Start: w.Start - p, End: w.Start - 1, Delay: w.Delay}
 	if s.cons.Feasible(window.Window{Start: w.Start - p, End: w.End, Delay: w.Delay}) &&
 		s.noiseVerdict(w, rawW, back, false) {
-		pruned[dirStartBackward] = true
+		pruned.startBackward = true
 		s.stats.PrunedDirections++
 		s.emit(obs.DirectionPruned{Pair: s.pairName, Window: obsWindow(w), Direction: "start-backward"})
 	}

@@ -25,11 +25,14 @@ type searcher struct {
 	cons   window.Constraints
 	scorer scorer
 	null   *nullModel
-	rng    *rand.Rand // current restart's acceptor RNG, re-seeded per restart
-	stats  Stats
-	ctx    context.Context
-	stop   StopReason // first triggered stop condition ("" while running)
-	seg    segment
+	// rng is the acceptor RNG, created by the first restart and re-seeded by
+	// each later one: Seed resets the stream exactly as a fresh source would,
+	// without a new source's allocation.
+	rng   *rand.Rand
+	stats Stats
+	ctx   context.Context
+	stop  StopReason // first triggered stop condition ("" while running)
+	seg   segment
 
 	// evalBase is the evaluation count charged by earlier segments; the
 	// deterministic MaxEvaluations budget compares against evalBase plus this
@@ -40,8 +43,9 @@ type searcher struct {
 	observing bool        // Options.Observer != nil: buffer events for replay
 	events    []obs.Event // worker-local buffer, replayed in merge order
 	cands     []window.Scored
-	pairName  string // "x/y" event label, "" for unnamed series
-	clockTick int    // deadline clock sampling counter (checkStop)
+	nbuf      []window.Window // neighbourhood scratch, reused by every climb step
+	pairName  string          // "x/y" event label, "" for unnamed series
+	clockTick int             // deadline clock sampling counter (checkStop)
 }
 
 // obsWindow converts a search window into its observability mirror.
@@ -282,7 +286,11 @@ func (s *searcher) run() {
 			break
 		}
 		restart := s.stats.Restarts
-		s.rng = rand.New(rand.NewSource(restartSeed(s.opts.Seed, s.seg.index, restart)))
+		if s.rng == nil {
+			s.rng = rand.New(rand.NewSource(restartSeed(s.opts.Seed, s.seg.index, restart)))
+		} else {
+			s.rng.Seed(restartSeed(s.opts.Seed, s.seg.index, restart))
+		}
 		s.emit(obs.RestartStarted{Pair: s.pairName, Restart: restart, ScanFrom: scanFrom})
 		evalsBefore := s.stats.WindowsEvaluated
 		w0, ok := s.initialWindow(scanFrom)
@@ -396,7 +404,7 @@ func (s *searcher) climb(w0 window.Window) (best window.Window, bestScore float6
 	acceptor := lahc.New(s.opts.HistoryLength, curScore, s.rng)
 	idle := 0
 	level := 1
-	var pruned map[direction]bool
+	var pruned pruneFlags
 	if s.opts.Variant.noise() {
 		pruned = s.prunedDirections(cur)
 	}
@@ -410,7 +418,8 @@ func (s *searcher) climb(w0 window.Window) (best window.Window, bestScore float6
 		if s.checkStop() {
 			return best, bestScore, iters, false
 		}
-		neighbors := neighborhood(cur, s.opts.Delta, level, s.cons, pruned)
+		neighbors := neighborhood(cur, s.opts.Delta, level, s.cons, pruned, s.nbuf)
+		s.nbuf = neighbors
 		if len(neighbors) == 0 {
 			idle++
 			level++

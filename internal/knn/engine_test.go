@@ -216,7 +216,7 @@ func TestGridExtremeMagnitudeRegression(t *testing.T) {
 			}
 		}
 		// Removal keeps the (conservative) bounds usable.
-		g.Remove(0)
+		g.Remove(0, pts[0])
 		want := engineReference(pts[1:], pts[1], 3, 0)
 		for j := range want {
 			want[j].Index++ // reference indexes the slice shifted by one

@@ -1,58 +1,59 @@
 package knn
 
-import (
-	"math"
-	"math/bits"
-)
+import "math"
 
 // Grid is a dynamic uniform-grid index over 2-D points supporting insertion,
-// removal, kNN queries and rectangle scans. It is the backend of the
-// incremental MI computation (Section 7): when a window slides, only a few
-// points enter or leave, and the grid keeps neighbourhood queries local.
+// removal and kNN queries. It is the backend of the incremental MI
+// computation (Section 7): when a window slides, only a few points enter or
+// leave, and the grid keeps neighbourhood queries local.
 //
-// Points are identified by caller-chosen non-negative ids. The cell size
-// should be on the order of the typical kth-neighbour distance; NewGridFor
-// derives one from a sample of the data.
-// cellEntry stores a point inline with its id so ring scans touch one map
-// bucket per cell instead of one per candidate point.
+// Points are identified by caller-chosen ids, unique among the stored points;
+// the grid does not check uniqueness. The cell size should be on the order of
+// the typical kth-neighbour distance; NewGridFor derives one from a sample of
+// the data.
+//
+// The cells live in one flat row-major slice over a box of cell coordinates
+// sized from the data. A point whose cell falls outside the box grows the box
+// (every stored point is re-laid, with slack so growth amortizes) until the
+// box holds the cell budget for the current point count; past that, cell
+// coordinates clamp into the border cells. Clamping is monotone and
+// 1-Lipschitz in cell units — the property cellCoord's int32 saturation
+// already relies on — so the ring search's termination bound still holds:
+// far-flung points cost locality, never correctness.
+type Grid struct {
+	cell float64
+	// The box covers cell coordinates [x0, x0+w) × [y0, y0+h); the cell at
+	// box offset (cx, cy) is cells[cy·w + cx]. Buckets past w·h are empty and
+	// keep their capacity for later layouts.
+	x0, y0 int64
+	w, h   int
+	cells  [][]cellEntry
+	n      int
+	// relay is the scratch a box growth re-lays the stored points through.
+	relay []cellEntry
+}
+
+// cellEntry stores a point inline with its id so a ring scan reads one
+// contiguous bucket per cell.
 type cellEntry struct {
 	id int
 	p  Point
 }
 
-type Grid struct {
-	cell  float64
-	cells map[[2]int32][]cellEntry
-	pts   map[int]Point
-	// free holds the emptied cell buckets of removed or Reset cells, binned
-	// by capacity class (bits.Len of the capacity); freeMask has bit c set
-	// when class c is non-empty. Insert drains the largest class before
-	// allocating, so a warm grid cycles points (and whole window reloads)
-	// without heap growth: handing out the largest bucket first makes the
-	// bucket-to-cell matching depend on the cell creation order rather than
-	// on the map's drain order, and since capacities only grow, a repeated
-	// refill stops reallocating after a few rounds.
-	free     [freeClasses][][]cellEntry
-	freeMask uint32
-	// Occupied-cell bounding box, maintained on insert (conservatively kept
-	// on remove). It bounds the ring search in O(1) instead of scanning the
-	// cell map per query.
-	boundsValid  bool
-	minCx, maxCx int32
-	minCy, maxCy int32
-}
+// The cell budget caps the box at max(gridMinCells, gridCellsPerPoint·n)
+// cells for n points, so empty cells stay O(points) however far apart the
+// points are.
+const (
+	gridMinCells      = 256
+	gridCellsPerPoint = 4
+)
 
 // NewGrid returns an empty grid with the given cell size (must be positive;
 // non-positive values fall back to 1).
 func NewGrid(cellSize float64) *Grid {
-	if !(cellSize > 0) || math.IsInf(cellSize, 1) {
-		cellSize = 1
-	}
-	return &Grid{
-		cell:  cellSize,
-		cells: make(map[[2]int32][]cellEntry),
-		pts:   make(map[int]Point),
-	}
+	g := &Grid{}
+	g.Reset(cellSize)
+	return g
 }
 
 // NewGridFor returns an empty grid whose cell size is tuned for the given
@@ -102,36 +103,28 @@ func GridCellFor(sample []Point, k int) float64 {
 func (g *Grid) Cell() float64 { return g.cell }
 
 // Reset empties the grid in place and adopts the given cell size (values
-// that NewGrid would reject fall back to 1 the same way). The cell map, its
-// buckets and the point map keep their capacity: a warm grid refills a
-// comparable point set without heap allocation, which is what lets the KSG
-// grid backend and the incremental estimator reload whole windows for free.
+// that NewGrid would reject fall back to 1 the same way). The cell slice and
+// its buckets keep their capacity, and so does the box when the cell size is
+// unchanged: a warm grid refills a comparable point set without heap
+// allocation, which is what lets the incremental estimator reload whole
+// windows for free.
 func (g *Grid) Reset(cellSize float64) {
 	if !(cellSize > 0) || math.IsInf(cellSize, 1) {
 		cellSize = 1
 	}
-	g.cell = cellSize
-	//lint:allow nodeterm drain order only permutes equal-capacity buckets within a free-list class; contents and counts are unaffected
-	for _, bucket := range g.cells {
-		g.release(bucket)
+	for i := range g.cells[:g.w*g.h] {
+		g.cells[i] = g.cells[i][:0]
 	}
-	clear(g.cells)
-	clear(g.pts)
-	g.boundsValid = false
+	g.n = 0
+	//lint:allow floateq the box is measured in cells of exactly this size; any other size invalidates it
+	if cellSize != g.cell {
+		g.cell = cellSize
+		g.w, g.h = 0, 0
+	}
 }
 
 // Len returns the number of points currently in the grid.
-func (g *Grid) Len() int { return len(g.pts) }
-
-// Point returns the point stored under id and whether it exists.
-func (g *Grid) Point(id int) (Point, bool) {
-	p, ok := g.pts[id]
-	return p, ok
-}
-
-func (g *Grid) key(p Point) [2]int32 {
-	return [2]int32{cellCoord(p.X, g.cell), cellCoord(p.Y, g.cell)}
-}
+func (g *Grid) Len() int { return g.n }
 
 // cellCoord maps a coordinate to its cell index, saturating at the int32
 // range. A plain int32(math.Floor(v / cell)) is implementation-specific for
@@ -157,94 +150,115 @@ func cellCoord(v, cell float64) int32 {
 	return int32(f)
 }
 
-// Insert adds the point under id. Inserting an existing id replaces its
-// point.
-func (g *Grid) Insert(id int, p Point) {
-	if old, ok := g.pts[id]; ok {
-		g.removeFromCell(g.key(old), id)
-	}
-	g.pts[id] = p
-	k := g.key(p)
-	bucket, ok := g.cells[k]
-	if !ok {
-		bucket = g.acquire()
-	}
-	g.cells[k] = append(bucket, cellEntry{id: id, p: p})
-	if !g.boundsValid {
-		g.minCx, g.maxCx, g.minCy, g.maxCy = k[0], k[0], k[1], k[1]
-		g.boundsValid = true
-		return
-	}
-	if k[0] < g.minCx {
-		g.minCx = k[0]
-	}
-	if k[0] > g.maxCx {
-		g.maxCx = k[0]
-	}
-	if k[1] < g.minCy {
-		g.minCy = k[1]
-	}
-	if k[1] > g.maxCy {
-		g.maxCy = k[1]
-	}
+// rawCell returns p's cell coordinates before clamping into the box.
+func (g *Grid) rawCell(p Point) (int64, int64) {
+	return int64(cellCoord(p.X, g.cell)), int64(cellCoord(p.Y, g.cell))
 }
 
-// Remove deletes the point under id, reporting whether it existed.
-func (g *Grid) Remove(id int) bool {
-	p, ok := g.pts[id]
-	if !ok {
+// boxCell returns p's cell as box offsets, clamped into the box.
+func (g *Grid) boxCell(p Point) (int, int) {
+	cx, cy := g.rawCell(p)
+	return clampAxis(cx-g.x0, g.w), clampAxis(cy-g.y0, g.h)
+}
+
+func clampAxis(v int64, n int) int {
+	if v < 0 {
+		return 0
+	}
+	if v >= int64(n) {
+		return n - 1
+	}
+	return int(v)
+}
+
+// Insert adds the point under id, which must not be stored already.
+func (g *Grid) Insert(id int, p Point) {
+	cx, cy := g.rawCell(p)
+	outside := cx < g.x0 || cx >= g.x0+int64(g.w) || cy < g.y0 || cy >= g.y0+int64(g.h)
+	// Grow only while the box is under half the budget: a box that already
+	// spends the budget clamps outliers instead of re-laying every point on
+	// each of them. The budget rises with the point count, so growth stays
+	// amortized.
+	if outside && 2*g.w*g.h <= cellBudget(g.n+1) {
+		g.grow(cx, cy)
+	}
+	x, y := g.boxCell(p)
+	i := y*g.w + x
+	g.cells[i] = append(g.cells[i], cellEntry{id: id, p: p})
+	g.n++
+}
+
+// Remove deletes the point stored under id at p (the point it was inserted
+// with), reporting whether it was found.
+func (g *Grid) Remove(id int, p Point) bool {
+	if g.n == 0 {
 		return false
 	}
-	g.removeFromCell(g.key(p), id)
-	delete(g.pts, id)
-	if len(g.pts) == 0 {
-		g.boundsValid = false
-	}
-	return true
-}
-
-func (g *Grid) removeFromCell(k [2]int32, id int) {
-	bucket := g.cells[k]
-	for i := range bucket {
-		if bucket[i].id == id {
-			bucket[i] = bucket[len(bucket)-1]
-			bucket = bucket[:len(bucket)-1]
-			break
+	x, y := g.boxCell(p)
+	i := y*g.w + x
+	bucket := g.cells[i]
+	for j := range bucket {
+		if bucket[j].id == id {
+			bucket[j] = bucket[len(bucket)-1]
+			g.cells[i] = bucket[:len(bucket)-1]
+			g.n--
+			return true
 		}
 	}
-	if len(bucket) == 0 {
-		g.release(bucket)
-		delete(g.cells, k)
-	} else {
-		g.cells[k] = bucket
+	return false
+}
+
+func cellBudget(n int) int {
+	return max(gridMinCells, gridCellsPerPoint*n)
+}
+
+// grow re-sizes the box around the raw cells of every stored point and of
+// (cx, cy) — a quarter of each extent as slack on both sides, capped at the
+// cell budget — and re-lays the stored points into it.
+func (g *Grid) grow(cx, cy int64) {
+	minX, maxX, minY, maxY := cx, cx, cy, cy
+	g.relay = g.relay[:0]
+	for i := range g.cells[:g.w*g.h] {
+		for _, e := range g.cells[i] {
+			ex, ey := g.rawCell(e.p)
+			minX, maxX = min(minX, ex), max(maxX, ex)
+			minY, maxY = min(minY, ey), max(maxY, ey)
+			g.relay = append(g.relay, e)
+		}
+		g.cells[i] = g.cells[i][:0]
+	}
+	limit := int64(cellBudget(g.n + 1))
+	x0, w := paddedAxis(minX, maxX)
+	y0, h := paddedAxis(minY, maxY)
+	w, h = min(w, limit), min(h, limit)
+	if w*h > limit {
+		side := int64(math.Sqrt(float64(limit)))
+		switch {
+		case w <= side:
+			h = limit / w
+		case h <= side:
+			w = limit / h
+		default:
+			w, h = side, side
+		}
+	}
+	g.x0, g.y0, g.w, g.h = x0, y0, int(w), int(h)
+	if n := g.w * g.h; len(g.cells) < n {
+		g.cells = append(g.cells, make([][]cellEntry, n-len(g.cells))...)
+	}
+	for _, e := range g.relay {
+		x, y := g.boxCell(e.p)
+		i := y*g.w + x
+		g.cells[i] = append(g.cells[i], e)
 	}
 }
 
-// freeClasses bounds the free-list capacity classes; buckets of capacity
-// 2^(freeClasses−2) and above share the top class.
-const freeClasses = 20
-
-// release pools an emptied cell bucket under its capacity class.
-func (g *Grid) release(bucket []cellEntry) {
-	c := min(bits.Len(uint(cap(bucket))), freeClasses-1)
-	g.free[c] = append(g.free[c], bucket[:0])
-	g.freeMask |= 1 << c
-}
-
-// acquire pops a bucket from the largest non-empty capacity class, or returns
-// nil when the pool is empty.
-func (g *Grid) acquire() []cellEntry {
-	if g.freeMask == 0 {
-		return nil
-	}
-	c := bits.Len32(g.freeMask) - 1
-	n := len(g.free[c]) - 1
-	bucket := g.free[c][n]
-	g.free[c] = g.free[c][:n]
-	if n == 0 {
-		g.freeMask &^= 1 << c
-	}
-	return bucket
+// paddedAxis returns the start and length of the cell range [lo, hi] widened
+// by a quarter of its extent (at least one cell) on each side.
+func paddedAxis(lo, hi int64) (int64, int64) {
+	ext := hi - lo + 1
+	pad := max(ext/4, 1)
+	return lo - pad, ext + 2*pad
 }
 
 // KNearest implements Index via an expanding ring search: candidates are
@@ -257,44 +271,16 @@ func (g *Grid) KNearest(q Point, k, exclude int) []Neighbor {
 // KNearestInto is KNearest reusing buf's backing array for the result,
 // letting hot loops (the incremental MI refreshes) run allocation-free.
 func (g *Grid) KNearestInto(q Point, k, exclude int, buf []Neighbor) []Neighbor {
-	if k <= 0 || len(g.pts) == 0 {
+	if k <= 0 || g.n == 0 {
 		return nil
 	}
 	h := maxHeap(buf[:0])
-	center := [2]int64{int64(cellCoord(q.X, g.cell)), int64(cellCoord(q.Y, g.cell))}
-	// The bounding box of occupied cells caps the ring search; the box is
-	// conservative after removals, but empty rings cost only their perimeter
-	// lookups. The distances are computed in int64: the saturated box can
-	// legitimately span the whole int32 range, where an int32 subtraction
-	// would wrap.
-	maxRing := int64(0)
-	for _, d := range [4]int64{
-		center[0] - int64(g.minCx), int64(g.maxCx) - center[0],
-		center[1] - int64(g.minCy), int64(g.maxCy) - center[1],
-	} {
-		if d > maxRing {
-			maxRing = d
-		}
-	}
-	// A ring sweep costs at least one perimeter visit per ring; when the box
-	// spans more rings than there are points (extreme-magnitude outliers,
-	// tiny cells), a linear scan is strictly cheaper than even the empty
-	// rings. k-best under the strict (distance, index) total order is
-	// insertion-order independent, so scanning the point map directly returns
-	// the same neighbour set the rings would.
-	if maxRing > int64(len(g.pts)) {
-		//lint:allow nodeterm bounded (distance, index) selection is a commutative fold; map iteration order cannot change the selected set
-		for id, p := range g.pts {
-			if id == exclude {
-				continue
-			}
-			h.push(Neighbor{Index: id, Dist: Chebyshev(q, p)}, k)
-		}
-		h.sortInPlace()
-		return h
-	}
-	for r := int64(0); r <= maxRing; r++ {
-		g.scanRing(center, r, q, k, exclude, &h)
+	cx, cy := g.boxCell(q)
+	// Rings are clipped to the box, so the sweep visits each cell at most
+	// once and costs at most the box's O(points) cells.
+	maxRing := max(cx, g.w-1-cx, cy, g.h-1-cy)
+	for r := 0; r <= maxRing; r++ {
+		g.scanRing(cx, cy, r, q, k, exclude, &h)
 		// Any point in a ring > r is at least r·cell away (the query point
 		// sits somewhere inside the centre cell, so ring r+1 cells start at
 		// L∞ distance ≥ r·cell).
@@ -306,137 +292,37 @@ func (g *Grid) KNearestInto(q Point, k, exclude int, buf []Neighbor) []Neighbor 
 	return h
 }
 
-func (g *Grid) scanRing(center [2]int64, r int64, q Point, k, exclude int, h *maxHeap) {
-	// Ring coordinates are computed in int64 and clipped to the occupied box
-	// before narrowing to a map key: center ± r can exceed the int32 range
-	// near the saturation boundary, and an unclipped wraparound would
-	// re-visit occupied cells and push duplicate candidates.
-	visit := func(cx, cy int64) {
-		if cx < int64(g.minCx) || cx > int64(g.maxCx) || cy < int64(g.minCy) || cy > int64(g.maxCy) {
-			return
-		}
-		for _, e := range g.cells[[2]int32{int32(cx), int32(cy)}] {
+// scanRing pushes the points of the box cells at ring distance r from the
+// box cell (cx, cy).
+func (g *Grid) scanRing(cx, cy, r int, q Point, k, exclude int, h *maxHeap) {
+	xlo, xhi := max(cx-r, 0), min(cx+r, g.w-1)
+	if cy-r >= 0 {
+		g.scanCells((cy-r)*g.w, xlo, xhi, 1, q, k, exclude, h)
+	}
+	if r == 0 {
+		return
+	}
+	if cy+r < g.h {
+		g.scanCells((cy+r)*g.w, xlo, xhi, 1, q, k, exclude, h)
+	}
+	ylo, yhi := max(cy-r+1, 0), min(cy+r-1, g.h-1)
+	if cx-r >= 0 {
+		g.scanCells(cx-r, ylo, yhi, g.w, q, k, exclude, h)
+	}
+	if cx+r < g.w {
+		g.scanCells(cx+r, ylo, yhi, g.w, q, k, exclude, h)
+	}
+}
+
+// scanCells pushes the points of the cells origin + i·stride for i in
+// [lo, hi].
+func (g *Grid) scanCells(origin, lo, hi, stride int, q Point, k, exclude int, h *maxHeap) {
+	for i := lo; i <= hi; i++ {
+		for _, e := range g.cells[origin+i*stride] {
 			if e.id == exclude {
 				continue
 			}
 			h.push(Neighbor{Index: e.id, Dist: Chebyshev(q, e.p)}, k)
 		}
 	}
-	if r == 0 {
-		visit(center[0], center[1])
-		return
-	}
-	for dx := -r; dx <= r; dx++ {
-		visit(center[0]+dx, center[1]-r)
-		visit(center[0]+dx, center[1]+r)
-	}
-	for dy := -r + 1; dy <= r-1; dy++ {
-		visit(center[0]-r, center[1]+dy)
-		visit(center[0]+r, center[1]+dy)
-	}
-}
-
-// VisitRect calls fn for every point id whose coordinates fall inside the
-// closed rectangle [xlo,xhi]×[ylo,yhi]. The visit order is unspecified:
-// callers needing a reproducible result must fold commutatively (counting,
-// max) or sort what they collect.
-func (g *Grid) VisitRect(xlo, xhi, ylo, yhi float64, fn func(id int, p Point)) {
-	if xlo > xhi || ylo > yhi {
-		return
-	}
-	cx0 := cellCoord(xlo, g.cell)
-	cx1 := cellCoord(xhi, g.cell)
-	cy0 := cellCoord(ylo, g.cell)
-	cy1 := cellCoord(yhi, g.cell)
-	// When the rectangle spans more cells than there are points, iterating
-	// the point map directly is cheaper. The extents are checked individually
-	// before multiplying: each can reach 2³², so their product can overflow
-	// even int64.
-	w := int64(cx1) - int64(cx0) + 1
-	ht := int64(cy1) - int64(cy0) + 1
-	n := int64(len(g.pts))
-	if w > n || ht > n || w*ht > n {
-		// Visit order is unspecified either way (cell-scan order is not id
-		// order), so callers must fold commutatively; CountRect, the only
-		// non-test caller, counts.
-		//lint:allow nodeterm VisitRect documents unspecified visit order; its callers are commutative counting folds
-		for id, p := range g.pts {
-			if p.X >= xlo && p.X <= xhi && p.Y >= ylo && p.Y <= yhi {
-				fn(id, p)
-			}
-		}
-		return
-	}
-	for cx := cx0; cx <= cx1; cx++ {
-		for cy := cy0; cy <= cy1; cy++ {
-			for _, e := range g.cells[[2]int32{cx, cy}] {
-				if e.p.X >= xlo && e.p.X <= xhi && e.p.Y >= ylo && e.p.Y <= yhi {
-					fn(e.id, e.p)
-				}
-			}
-		}
-	}
-}
-
-// CountRect returns the number of points inside the closed rectangle.
-func (g *Grid) CountRect(xlo, xhi, ylo, yhi float64) int {
-	n := 0
-	g.VisitRect(xlo, xhi, ylo, yhi, func(int, Point) { n++ })
-	return n
-}
-
-// VisitSquare calls fn for every point within L∞ distance d of q (a closed
-// square query).
-func (g *Grid) VisitSquare(q Point, d float64, fn func(id int, p Point)) {
-	g.VisitRect(q.X-d, q.X+d, q.Y-d, q.Y+d, fn)
-}
-
-// VisitStripX calls fn for every point whose X coordinate lies in the closed
-// interval [xlo, xhi], regardless of Y. The scan is bounded by the occupied
-// cell box.
-func (g *Grid) VisitStripX(xlo, xhi float64, fn func(id int, p Point)) {
-	if !g.boundsValid || xlo > xhi {
-		return
-	}
-	cx0 := clampCell(int64(floorDiv(xlo, g.cell)), g.minCx, g.maxCx)
-	cx1 := clampCell(int64(floorDiv(xhi, g.cell)), g.minCx, g.maxCx)
-	for cx := cx0; cx <= cx1; cx++ {
-		for cy := g.minCy; cy <= g.maxCy; cy++ {
-			for _, e := range g.cells[[2]int32{cx, cy}] {
-				if e.p.X >= xlo && e.p.X <= xhi {
-					fn(e.id, e.p)
-				}
-			}
-		}
-	}
-}
-
-// VisitStripY is VisitStripX for the Y dimension.
-func (g *Grid) VisitStripY(ylo, yhi float64, fn func(id int, p Point)) {
-	if !g.boundsValid || ylo > yhi {
-		return
-	}
-	cy0 := clampCell(int64(floorDiv(ylo, g.cell)), g.minCy, g.maxCy)
-	cy1 := clampCell(int64(floorDiv(yhi, g.cell)), g.minCy, g.maxCy)
-	for cy := cy0; cy <= cy1; cy++ {
-		for cx := g.minCx; cx <= g.maxCx; cx++ {
-			for _, e := range g.cells[[2]int32{cx, cy}] {
-				if e.p.Y >= ylo && e.p.Y <= yhi {
-					fn(e.id, e.p)
-				}
-			}
-		}
-	}
-}
-
-func floorDiv(v, cell float64) float64 { return math.Floor(v / cell) }
-
-func clampCell(v int64, lo, hi int32) int32 {
-	if v < int64(lo) {
-		return lo
-	}
-	if v > int64(hi) {
-		return hi
-	}
-	return int32(v)
 }

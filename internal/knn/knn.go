@@ -3,8 +3,10 @@
 // (Bentley 1975) with bucketed structure-of-arrays leaves that backs every
 // batch estimate, the brute-force scanner it is validated against, sorted
 // multisets for the marginal counts, and a dynamic uniform grid index
-// (Vejmelka & Hlaváčková-Schindler 2007) supporting insertion and removal,
-// which backs the incremental MI computation of Section 7 of the paper.
+// (Vejmelka & Hlaváčková-Schindler 2007) over one flat slice of cells,
+// supporting insertion and removal, which answers the per-point refreshes of
+// the incremental MI computation of Section 7 of the paper (its bulk
+// recomputes use the k-d tree).
 //
 // All distances are the Chebyshev (L∞) metric, as required by the KSG
 // estimator (paper footnote 1). Every index selects neighbours under the

@@ -126,24 +126,25 @@ func TestGridInsertRemove(t *testing.T) {
 	if g.Len() != 3 {
 		t.Fatal("len after inserts")
 	}
-	if !g.Remove(2) {
+	if !g.Remove(2, Point{0.5, 0.5}) {
 		t.Fatal("remove existing failed")
 	}
-	if g.Remove(2) {
+	if g.Remove(2, Point{0.5, 0.5}) {
 		t.Fatal("double remove succeeded")
 	}
 	nn := g.KNearest(Point{0, 0}, 1, 0)
 	if len(nn) != 1 || nn[0].Index != 1 {
 		t.Errorf("after removal expected neighbour 1, got %+v", nn)
 	}
-	// Replacing an id moves the point.
+	// Moving an id is a remove plus an insert.
+	g.Remove(1, Point{2, 2})
 	g.Insert(1, Point{10, 10})
 	if g.Len() != 2 {
-		t.Errorf("len after replace = %d", g.Len())
+		t.Errorf("len after move = %d", g.Len())
 	}
-	p, ok := g.Point(1)
-	if !ok || p.X != 10 {
-		t.Errorf("replaced point = %+v %v", p, ok)
+	nn = g.KNearest(Point{0, 0}, 1, 0)
+	if len(nn) != 1 || nn[0].Index != 1 || nn[0].Dist != 10 {
+		t.Errorf("moved point = %+v", nn)
 	}
 }
 
@@ -162,8 +163,8 @@ func TestGridDynamicConsistencyProperty(t *testing.T) {
 				live[nextID] = p
 				nextID++
 			} else {
-				for id := range live {
-					g.Remove(id)
+				for id, p := range live {
+					g.Remove(id, p)
 					delete(live, id)
 					break
 				}
@@ -192,22 +193,61 @@ func TestGridDynamicConsistencyProperty(t *testing.T) {
 	}
 }
 
-func TestGridVisitRectAndCount(t *testing.T) {
-	g := NewGrid(1)
-	pts := []Point{{0, 0}, {1, 1}, {2, 2}, {3, 3}, {-1, 2}}
-	for i, p := range pts {
-		g.Insert(i, p)
+// TestGridClampedBoxMatchesBrute drives the grid past its cell budget: a
+// tight cluster at a small cell size plus outliers a million cells away, so
+// the box cannot grow to cover them and they clamp into its border cells.
+// Under interleaved inserts and removes every query must still return the
+// exact (distance, id) k-best set.
+func TestGridClampedBoxMatchesBrute(t *testing.T) {
+	rng := rand.New(rand.NewSource(53))
+	g := NewGrid(0.01)
+	var pts []Point
+	var live []bool
+	check := func(op int) {
+		t.Helper()
+		var ids []int
+		var sub []Point
+		for id, ok := range live {
+			if ok {
+				ids = append(ids, id)
+				sub = append(sub, pts[id])
+			}
+		}
+		for j, id := range ids {
+			for _, k := range []int{1, 4} {
+				// Ascending ids keep the reference's index tie-break aligned
+				// with the grid's.
+				want := engineReference(sub, sub[j], k, j)
+				for i := range want {
+					want[i].Index = ids[want[i].Index]
+				}
+				if got := g.KNearest(sub[j], k, id); !neighborsEqual(want, got) {
+					t.Fatalf("op %d id %d k=%d: got %v want %v", op, id, k, got, want)
+				}
+			}
+		}
 	}
-	if got := g.CountRect(0, 2, 0, 2); got != 3 {
-		t.Errorf("CountRect = %d, want 3", got)
-	}
-	// Inverted rectangle counts nothing.
-	if got := g.CountRect(2, 0, 0, 2); got != 0 {
-		t.Errorf("inverted rect count = %d", got)
-	}
-	// Huge rectangle falls back to map iteration and still counts all.
-	if got := g.CountRect(-1e9, 1e9, -1e9, 1e9); got != len(pts) {
-		t.Errorf("huge rect count = %d", got)
+	for op := 0; op < 600; op++ {
+		if op%4 == 3 {
+			if id := rng.Intn(len(pts)); live[id] {
+				if !g.Remove(id, pts[id]) {
+					t.Fatalf("op %d: remove %d failed", op, id)
+				}
+				live[id] = false
+			}
+		} else {
+			p := Point{X: rng.NormFloat64(), Y: rng.NormFloat64()}
+			if rng.Intn(10) == 0 {
+				p.X += float64(rng.Intn(3)-1) * 1e4
+				p.Y -= float64(rng.Intn(3)-1) * 1e4
+			}
+			g.Insert(len(pts), p)
+			pts = append(pts, p)
+			live = append(live, true)
+		}
+		if op%100 == 99 {
+			check(op)
+		}
 	}
 }
 
@@ -283,39 +323,6 @@ func TestOrderedMultisetMatchesBruteProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestGridSquareAndStripVisitors(t *testing.T) {
-	g := NewGrid(1)
-	pts := []Point{{0, 0}, {0.4, 0.4}, {2, 0}, {0, 2}, {-3, -3}, {5, 5}}
-	for i, p := range pts {
-		g.Insert(i, p)
-	}
-	count := func(visit func(fn func(id int, p Point))) int {
-		n := 0
-		visit(func(int, Point) { n++ })
-		return n
-	}
-	if got := count(func(fn func(int, Point)) { g.VisitSquare(Point{0, 0}, 0.5, fn) }); got != 2 {
-		t.Errorf("square(0.5) visited %d, want 2", got)
-	}
-	if got := count(func(fn func(int, Point)) { g.VisitSquare(Point{0, 0}, 2, fn) }); got != 4 {
-		t.Errorf("square(2) visited %d, want 4", got)
-	}
-	if got := count(func(fn func(int, Point)) { g.VisitStripX(-0.1, 0.5, fn) }); got != 3 {
-		t.Errorf("stripX visited %d, want 3 (x=0, 0.4, 0)", got)
-	}
-	if got := count(func(fn func(int, Point)) { g.VisitStripY(1.9, 5.1, fn) }); got != 2 {
-		t.Errorf("stripY visited %d, want 2 (y=2, 5)", got)
-	}
-	// Inverted and empty cases.
-	if got := count(func(fn func(int, Point)) { g.VisitStripX(1, 0, fn) }); got != 0 {
-		t.Errorf("inverted strip visited %d", got)
-	}
-	empty := NewGrid(1)
-	if got := count(func(fn func(int, Point)) { empty.VisitStripX(-10, 10, fn) }); got != 0 {
-		t.Errorf("empty grid strip visited %d", got)
 	}
 }
 

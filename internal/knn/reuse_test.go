@@ -138,29 +138,23 @@ func TestResetAllocs(t *testing.T) {
 		t.Errorf("multiset Reset+count allocates %v/run, want 0", got)
 	}
 
-	// Warm the cell map and free list. Recycled buckets are handed out
-	// largest first, so the bucket-to-cell matching follows the cell creation
-	// order, not the map's drain order; a bucket that lands on a fuller cell
-	// grows, but capacities only ever grow, so after a few rounds refills
-	// stop allocating. (With drain-order matching this budget failed a few
-	// runs in a hundred.)
+	// Warm the cell slice: the box is sized on the first fill and kept by a
+	// same-cell Reset, and every bucket keeps its capacity at its slot, so
+	// refills of the same point set stop allocating once warm.
 	grid := NewGridFor(pts, 4)
-	for rep := 0; rep < 16; rep++ {
+	for rep := 0; rep < 2; rep++ {
 		grid.Reset(GridCellFor(pts, 4))
 		for i, p := range pts {
 			grid.Insert(i, p)
 		}
 	}
-	// Pinned budget: ≤1 amortized alloc per full reload. The buckets and both
-	// maps are recycled; the slack covers map-internal growth that no
-	// caller-side pooling can suppress.
 	if got := testing.AllocsPerRun(20, func() {
 		grid.Reset(GridCellFor(pts, 4))
 		for i, p := range pts {
 			grid.Insert(i, p)
 		}
-	}); got > 1 {
-		t.Errorf("grid Reset+refill allocates %v/run, want ≤1", got)
+	}); got != 0 {
+		t.Errorf("grid Reset+refill allocates %v/run, want 0", got)
 	}
 }
 

@@ -17,9 +17,10 @@ var seedflowScope = map[string]bool{
 }
 
 // SeedFlow extends nodeterm from "no global RNG" to seed provenance: every
-// rand source constructed in the deterministic packages must be seeded with
-// a value that went through the SplitMix64 derivation idiom (restartSeed,
-// CandidateSeed, or any function that calls the mixer). Raw seeds and
+// rand source constructed — or re-seeded through (*rand.Rand).Seed — in the
+// deterministic packages must be seeded with a value that went through the
+// SplitMix64 derivation idiom (restartSeed, CandidateSeed, or any function
+// that calls the mixer). Raw seeds and
 // additive offsets (seed+k) produce streams whose low bits are correlated
 // across nearby coordinates — exactly the failure AMIC-style estimator
 // comparisons punish — and make two call sites that pick the same offset
@@ -49,7 +50,7 @@ func runSeedFlow(pass *Pass) {
 				return true
 			}
 			fn := calleeFunc(info, call)
-			if fn == nil || fn.Pkg() == nil || !seedSourceCtors[fn.Name()] {
+			if fn == nil || fn.Pkg() == nil || !(seedSourceCtors[fn.Name()] || isRandReseed(fn)) {
 				return true
 			}
 			switch fn.Pkg().Path() {
@@ -68,6 +69,21 @@ func runSeedFlow(pass *Pass) {
 			return true
 		})
 	})
+}
+
+// isRandReseed reports whether fn is the (*rand.Rand).Seed method, which
+// restarts a generator's stream from its argument just as a new source would.
+func isRandReseed(fn *types.Func) bool {
+	sig, ok := fn.Type().(*types.Signature)
+	if !ok || sig.Recv() == nil || fn.Name() != "Seed" {
+		return false
+	}
+	recv := sig.Recv().Type()
+	if p, ok := recv.(*types.Pointer); ok {
+		recv = p.Elem()
+	}
+	named, ok := recv.(*types.Named)
+	return ok && named.Obj().Name() == "Rand"
 }
 
 // seedDerived reports whether the seed expression is the result of a

@@ -46,3 +46,10 @@ func allowedRNG(seed int64) *rand.Rand {
 	//lint:allow seedflow fixture: domain offset pinned by committed goldens
 	return rand.New(rand.NewSource(seed + 1))
 }
+
+// reseed re-seeds one generator per restart: the (*rand.Rand).Seed argument
+// is checked like a source constructor's.
+func reseed(r *rand.Rand, root int64, seg, restart int) {
+	r.Seed(restartSeed(root, seg, restart)) // derived: no finding
+	r.Seed(root + int64(restart))           // want "not derived through the SplitMix64 idiom"
+}

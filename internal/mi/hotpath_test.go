@@ -32,7 +32,7 @@ func TestKSGEstimateAllocs(t *testing.T) {
 }
 
 // TestIncrementalSlideAllocs pins the steady-state sliding cost: once the
-// point-state pool and scratch are warm, a remove+insert+MI step stays off
+// state slab, grid and scratch are warm, a remove+insert+MI step stays off
 // the heap.
 func TestIncrementalSlideAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
@@ -59,16 +59,14 @@ func TestIncrementalSlideAllocs(t *testing.T) {
 	for warm := 0; warm < 200; warm++ {
 		slide()
 	}
-	// Pinned budget ≤1: the ordered-multiset Insert and the grid's cell map
-	// are warm, but map-internal churn can surface an occasional allocation.
-	if got := testing.AllocsPerRun(100, slide); got > 1 {
-		t.Errorf("steady-state slide allocates %v/op, want ≤1", got)
+	if got := testing.AllocsPerRun(100, slide); got != 0 {
+		t.Errorf("steady-state slide allocates %v/op, want 0", got)
 	}
 }
 
 // TestIncrementalReloadAllocs pins the warm whole-window Reload: repositioning
-// an estimator on a same-sized window reuses the grid, multisets, id list and
-// pooled point states.
+// an estimator on a same-sized window reuses the grid, multisets, id list,
+// state slab and k-d tree.
 func TestIncrementalReloadAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	m := 300
@@ -94,9 +92,8 @@ func TestIncrementalReloadAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	// Pinned map-churn budget: the grid's and the point-state pool's maps.
-	if got > 2 {
-		t.Errorf("warm Reload allocates %v/op, want ≤2", got)
+	if got != 0 {
+		t.Errorf("warm Reload allocates %v/op, want 0", got)
 	}
 }
 

@@ -3,6 +3,7 @@ package mi
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"tycos/internal/knn"
@@ -33,12 +34,17 @@ type Incremental struct {
 	xs   *knn.OrderedMultiset
 	ys   *knn.OrderedMultiset
 
-	state map[int]*pointState
+	// slab holds the point states: the state of id sits at slab[id−base],
+	// with live marking occupied slots. Ids are time indices, so a window's
+	// ids span little more than its size and the slab stays dense; place
+	// re-bases or grows it when an id falls outside.
+	slab []pointState
+	base int
 
 	// ids keeps the maintained ids sorted. MI() folds the per-point digamma
 	// terms in this order: floating-point addition is not associative, so
-	// summing in map-iteration order would make the estimate — and hence
-	// entire search trajectories — vary from run to run at the ulp level.
+	// the fold order must be a function of the point set alone for the
+	// estimate — and hence entire search trajectories — to be reproducible.
 	ids []int
 
 	// scratch is reused across kNN refresh queries to avoid allocation in
@@ -46,10 +52,10 @@ type Incremental struct {
 	scratch []knn.Neighbor
 	// refreshBuf is reused for the per-update refresh candidate list.
 	refreshBuf []int
-	// statePool recycles pointState records freed by Remove and Reload, so
-	// steady-state sliding (remove+insert pairs) and whole-window reloads
-	// stay off the heap.
-	statePool []*pointState
+	// tree and pts serve the bulk recompute (rebuildAll): the live points in
+	// ascending-id order, indexed by the batch estimator's k-d tree.
+	tree *knn.KDTree
+	pts  []knn.Point
 
 	ops       IncrementalOps
 	estimates int
@@ -82,6 +88,7 @@ type pointState struct {
 	// and the classify cascade floor them at 1 defensively against fp
 	// boundary rounding.
 	nx, ny int
+	live   bool
 }
 
 func (s *pointState) digammas() float64 {
@@ -101,11 +108,10 @@ func NewIncremental(k int, cellSize float64) *Incremental {
 		cellSize = 1
 	}
 	return &Incremental{
-		k:     k,
-		grid:  knn.NewGrid(cellSize),
-		xs:    knn.NewOrderedMultiset(nil),
-		ys:    knn.NewOrderedMultiset(nil),
-		state: make(map[int]*pointState),
+		k:    k,
+		grid: knn.NewGrid(cellSize),
+		xs:   knn.NewOrderedMultiset(nil),
+		ys:   knn.NewOrderedMultiset(nil),
 	}
 }
 
@@ -127,11 +133,10 @@ func NewIncrementalFrom(x, y []float64, k int) (*Incremental, error) {
 	// Recover the chosen cell size by inserting into a fresh grid of the
 	// same tuning: NewGridFor only depends on the sample, so reuse it.
 	inc := &Incremental{
-		k:     k,
-		grid:  probe,
-		xs:    knn.NewOrderedMultiset(nil),
-		ys:    knn.NewOrderedMultiset(nil),
-		state: make(map[int]*pointState),
+		k:    k,
+		grid: probe,
+		xs:   knn.NewOrderedMultiset(nil),
+		ys:   knn.NewOrderedMultiset(nil),
 	}
 	for i, p := range pts {
 		inc.Insert(i, p.X, p.Y)
@@ -154,40 +159,46 @@ func NewIncrementalBulk(k int, cellSize float64, ids []int, xs, ys []float64) *I
 // exactly as NewIncrementalBulk would — same one-pass state computation,
 // same counter semantics (Ops and Estimates restart from zero, as on a
 // fresh estimator). Unlike a fresh build it keeps the grid, the marginal
-// multisets, the id list and the pointState records, so a warm estimator
-// reloads a comparable window without heap allocation. The grid cell size
-// is retained.
+// multisets, the state slab, the id list and the k-d tree, so a warm
+// estimator reloads a comparable window without heap allocation. The ids
+// need not be sorted or contiguous. The grid cell size is retained.
 func (inc *Incremental) Reload(ids []int, xs, ys []float64) {
 	inc.grid.Reset(inc.grid.Cell())
-	//lint:allow nodeterm drain order only permutes interchangeable freed records in the pool; the map ends empty either way
-	for id, st := range inc.state {
-		inc.statePool = append(inc.statePool, st)
-		delete(inc.state, id)
-	}
-	inc.ids = inc.ids[:0]
+	inc.clearStates()
 	inc.ops = IncrementalOps{}
 	inc.estimates = 0
+	if len(ids) > 0 {
+		lo, hi := slices.Min(ids), slices.Max(ids)
+		if need := hi - lo + 1; 2*need > len(inc.slab) {
+			inc.slab = make([]pointState, max(2*need, minSlab))
+		}
+		inc.base = lo
+	}
 	for i, id := range ids {
+		st := &inc.slab[id-inc.base]
+		if st.live {
+			panic(fmt.Sprintf("mi: duplicate insert of id %d", id))
+		}
 		o := knn.Point{X: xs[i], Y: ys[i]}
+		*st = pointState{p: o, live: true}
 		inc.ops.Inserts++
 		inc.grid.Insert(id, o)
-		inc.state[id] = inc.takeState(o)
 		inc.ids = append(inc.ids, id)
 	}
 	// Bulk Reset sorts once; the result is identical to element-wise Insert.
 	inc.xs.Reset(xs)
 	inc.ys.Reset(ys)
-	sort.Ints(inc.ids)
+	slices.Sort(inc.ids)
 	inc.rebuildAll()
 }
 
 // Reconfigure empties the estimator and re-tunes it to a new neighbour count
 // and grid cell size, exactly as NewIncremental(k, cellSize) would — but
-// reusing the grid, the multisets, the scratch buffers and the pooled
-// pointState records. It is the cross-window counterpart of Reload: Reload
-// repositions a warm estimator within one pair (same cell), Reconfigure
-// retargets it at a different pair whose value span calls for a different
-// cell. Counters restart from zero, as on a fresh estimator.
+// reusing the grid, the multisets, the scratch buffers and the state slab.
+// It is the cross-window counterpart of Reload: Reload repositions a warm
+// estimator within one pair (same cell), Reconfigure retargets it at a
+// different pair whose value span calls for a different cell. Counters
+// restart from zero, as on a fresh estimator.
 func (inc *Incremental) Reconfigure(k int, cellSize float64) {
 	if k < 1 {
 		k = DefaultK
@@ -197,28 +208,75 @@ func (inc *Incremental) Reconfigure(k int, cellSize float64) {
 	}
 	inc.k = k
 	inc.grid.Reset(cellSize)
-	//lint:allow nodeterm drain order only permutes interchangeable freed records in the pool; the map ends empty either way
-	for id, st := range inc.state {
-		inc.statePool = append(inc.statePool, st)
-		delete(inc.state, id)
-	}
-	inc.ids = inc.ids[:0]
+	inc.clearStates()
 	inc.xs.Reset(nil)
 	inc.ys.Reset(nil)
 	inc.ops = IncrementalOps{}
 	inc.estimates = 0
 }
 
-// takeState returns a zeroed pointState positioned at o, recycling a pooled
-// record when one is available.
-func (inc *Incremental) takeState(o knn.Point) *pointState {
-	if n := len(inc.statePool); n > 0 {
-		st := inc.statePool[n-1]
-		inc.statePool = inc.statePool[:n-1]
-		*st = pointState{p: o}
-		return st
+// minSlab is the smallest state slab allocated.
+const minSlab = 64
+
+// clearStates frees every maintained point's slab slot and empties the id
+// list.
+func (inc *Incremental) clearStates() {
+	for _, id := range inc.ids {
+		inc.slab[id-inc.base].live = false
 	}
-	return &pointState{p: o}
+	inc.ids = inc.ids[:0]
+}
+
+// state returns the state of id, or nil when id is not maintained.
+func (inc *Incremental) state(id int) *pointState {
+	i := id - inc.base
+	if i < 0 || i >= len(inc.slab) || !inc.slab[i].live {
+		return nil
+	}
+	return &inc.slab[i]
+}
+
+// place returns the slab slot of a new id, re-basing the slab first when id
+// falls outside it. The slot pointer stays valid until the next place.
+func (inc *Incremental) place(id int) *pointState {
+	if i := id - inc.base; i < 0 || i >= len(inc.slab) {
+		inc.rebase(id)
+	}
+	return &inc.slab[id-inc.base]
+}
+
+// rebase moves the live states so the slab covers id too. The slab is grown
+// to twice the needed span whenever less than half of it would be free, and
+// its free room is put on the side id arrived from, so a window sliding
+// steadily one way re-bases once per half slab of travel and the copying
+// amortizes to O(1) per insert.
+func (inc *Incremental) rebase(id int) {
+	n := len(inc.ids)
+	if n == 0 {
+		if len(inc.slab) == 0 {
+			inc.slab = make([]pointState, minSlab)
+		}
+		inc.base = id
+		return
+	}
+	lo, hi := inc.ids[0], inc.ids[n-1]
+	run := inc.slab[lo-inc.base : hi-inc.base+1]
+	need := max(hi, id) - min(lo, id) + 1
+	dst := inc.slab
+	if 2*need > len(dst) {
+		dst = make([]pointState, max(2*need, minSlab))
+	}
+	base := min(lo, id)
+	if id < lo {
+		base = hi - len(dst) + 1
+	}
+	off := lo - base
+	copy(dst[off:off+len(run)], run)
+	if &dst[0] == &inc.slab[0] {
+		clear(dst[:off])
+		clear(dst[off+len(run):])
+	}
+	inc.slab, inc.base = dst, base
 }
 
 // insertID adds id to the sorted id list.
@@ -238,7 +296,7 @@ func (inc *Incremental) removeID(id int) {
 }
 
 // Len returns the number of points currently maintained.
-func (inc *Incremental) Len() int { return len(inc.state) }
+func (inc *Incremental) Len() int { return len(inc.ids) }
 
 // K returns the neighbour count.
 func (inc *Incremental) K() int { return inc.k }
@@ -246,14 +304,14 @@ func (inc *Incremental) K() int { return inc.k }
 // Insert adds the sample (x, y) under id. Inserting an existing id is an
 // error (remove it first); ids are typically the time index of the sample.
 func (inc *Incremental) Insert(id int, x, y float64) {
-	if _, dup := inc.state[id]; dup {
+	if inc.state(id) != nil {
 		panic(fmt.Sprintf("mi: duplicate insert of id %d", id))
 	}
 	o := knn.Point{X: x, Y: y}
 	inc.ops.Inserts++
 	// With k or fewer pre-existing points, no cached kNN state is
 	// meaningful; commit and rebuild.
-	small := len(inc.state) <= inc.k
+	small := len(inc.ids) <= inc.k
 
 	var refresh []int
 	if !small {
@@ -269,8 +327,8 @@ func (inc *Incremental) Insert(id int, x, y float64) {
 	inc.grid.Insert(id, o)
 	inc.xs.Insert(x)
 	inc.ys.Insert(y)
-	st := inc.takeState(o)
-	inc.state[id] = st
+	st := inc.place(id)
+	*st = pointState{p: o, live: true}
 	inc.insertID(id)
 
 	if small {
@@ -286,21 +344,20 @@ func (inc *Incremental) Insert(id int, x, y float64) {
 
 // Remove deletes the sample under id, reporting whether it existed.
 func (inc *Incremental) Remove(id int) bool {
-	st, ok := inc.state[id]
-	if !ok {
+	st := inc.state(id)
+	if st == nil {
 		return false
 	}
 	o := st.p
 	inc.ops.Removes++
-	valid := len(inc.state) > inc.k // pre-removal cached state is meaningful
-	inc.grid.Remove(id)
+	valid := len(inc.ids) > inc.k // pre-removal cached state is meaningful
+	inc.grid.Remove(id, o)
 	inc.xs.Remove(o.X)
 	inc.ys.Remove(o.Y)
-	delete(inc.state, id)
-	inc.statePool = append(inc.statePool, st)
+	st.live = false
 	inc.removeID(id)
 
-	if !valid || len(inc.state) <= inc.k {
+	if !valid || len(inc.ids) <= inc.k {
 		inc.rebuildAll()
 		return true
 	}
@@ -320,8 +377,8 @@ func (inc *Incremental) Remove(id int) bool {
 // the candidate sets approach the whole window anyway.
 func (inc *Incremental) classify(o knn.Point, sign int) []int {
 	refresh := inc.refreshBuf[:0]
-	//lint:allow nodeterm order-insensitive: the integer count adjustments commute, and the refresh set's members (not order) determine the recomputed states
-	for pid, st := range inc.state {
+	for _, pid := range inc.ids {
+		st := &inc.slab[pid-inc.base]
 		if knn.Chebyshev(o, st.p) <= st.d {
 			refresh = append(refresh, pid)
 			continue
@@ -350,17 +407,22 @@ func (inc *Incremental) classify(o knn.Point, sign int) []int {
 // refreshPoint recomputes the cached state of an existing point after its
 // neighbourhood changed.
 func (inc *Incremental) refreshPoint(id int) {
-	inc.computePoint(id, inc.state[id])
+	inc.computePoint(id, &inc.slab[id-inc.base])
 }
 
-// computePoint fills st with a fresh k-NN search and marginal counts.
+// computePoint fills st with a fresh grid k-NN search and marginal counts.
 func (inc *Incremental) computePoint(id int, st *pointState) {
-	inc.ops.Refreshes++
-	nn := inc.grid.KNearestInto(st.p, inc.k, id, inc.scratch)
+	inc.settle(st, inc.grid.KNearestInto(st.p, inc.k, id, inc.scratch))
+}
+
+// settle stores the neighbourhood radii of st's k nearest neighbours nn
+// (indexed by id) and its marginal counts, counting one refresh. nn's
+// backing array becomes the next query's scratch.
+func (inc *Incremental) settle(st *pointState, nn []knn.Neighbor) {
 	inc.scratch = nn[:0]
 	var dx, dy, d float64
 	for _, nb := range nn {
-		q, _ := inc.grid.Point(nb.Index)
+		q := inc.slab[nb.Index-inc.base].p
 		if v := math.Abs(q.X - st.p.X); v > dx {
 			dx = v
 		}
@@ -371,6 +433,7 @@ func (inc *Incremental) computePoint(id int, st *pointState) {
 			d = nb.Dist
 		}
 	}
+	inc.ops.Refreshes++
 	st.dx, st.dy, st.d = dx, dy, d
 	// The interval counts include the point's own coordinate; subtracting it
 	// yields Kraskov's n_x, n_y (counts excluding self, as in the batch
@@ -385,15 +448,32 @@ func (inc *Incremental) computePoint(id int, st *pointState) {
 	}
 }
 
-// rebuildAll recomputes every point's state from scratch. Called when the
-// population crosses the k threshold where incremental state is undefined.
+// rebuildAll recomputes every point's state in one bulk pass. Called by
+// Reload and when the population crosses the k threshold where incremental
+// state is undefined. The live points, gathered in ascending-id order, are
+// indexed by a k-d tree and each is queried once. The tree breaks distance
+// ties on the local index, and ascending-id order makes that agree with the
+// grid's id tie-break, so it selects the same k-best set and every state is
+// bit-identical to a computePoint refresh.
 func (inc *Incremental) rebuildAll() {
-	if len(inc.state) <= inc.k {
+	if len(inc.ids) <= inc.k {
 		return
 	}
-	//lint:allow nodeterm order-insensitive: each computePoint rebuilds one point's state from the (fixed) grid, independent of the others
-	for id, st := range inc.state {
-		inc.computePoint(id, st)
+	inc.pts = inc.pts[:0]
+	for _, id := range inc.ids {
+		inc.pts = append(inc.pts, inc.slab[id-inc.base].p)
+	}
+	if inc.tree == nil {
+		inc.tree = knn.NewKDTree(nil)
+	}
+	inc.tree.Reset(inc.pts)
+	for j, id := range inc.ids {
+		st := &inc.slab[id-inc.base]
+		nn := inc.tree.KNearestInto(st.p, inc.k, j, inc.scratch)
+		for i := range nn {
+			nn[i].Index = inc.ids[nn[i].Index]
+		}
+		inc.settle(st, nn)
 	}
 }
 
@@ -403,13 +483,13 @@ func (inc *Incremental) rebuildAll() {
 // price for estimates (and search trajectories) that are bit-for-bit
 // reproducible no matter in which order the influence updates ran.
 func (inc *Incremental) MI() (float64, error) {
-	m := len(inc.state)
+	m := len(inc.ids)
 	if m <= inc.k {
 		return 0, fmt.Errorf("%w: m=%d, k=%d", ErrTooFewSamples, m, inc.k)
 	}
 	var digammaSum float64
 	for _, id := range inc.ids {
-		digammaSum += inc.state[id].digammas()
+		digammaSum += inc.slab[id-inc.base].digammas()
 	}
 	k := float64(inc.k)
 	inc.estimates++

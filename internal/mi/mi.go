@@ -3,7 +3,9 @@
 // Eq. (2)/(3) of the paper, a histogram (plug-in) estimator, entropy
 // estimators, the normalized MI of Section 6.3.1, the top-K adaptive
 // threshold of Section 6.3.2, and the incremental estimator of Section 7
-// that reuses k-NN and marginal-count state across overlapping windows.
+// that reuses k-NN and marginal-count state across overlapping windows. The
+// incremental estimator keeps its per-point state in an id-indexed slab, not
+// a map, and recomputes whole windows with the batch estimator's k-d tree.
 //
 // All information quantities are expressed in nats.
 package mi
