@@ -20,7 +20,7 @@
 // Observability: -trace streams every search event as JSONL (with
 // -trace-sample R the run carries a deterministic trace ID stamped onto
 // every line), -progress renders a live pair/ETA line on stderr during -all
-// sweeps, -pprof serves net/http/pprof and live expvar counters, and
+// sweeps, -pprof serves net/http/pprof and the live counters on /metrics, and
 // -cpuprofile/-memprofile write pprof-loadable profiles of the run.
 //
 // Exit status: 0 on a complete run, 1 when the search or input loading
@@ -96,7 +96,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		traceOut    = fs.String("trace", "", "stream search events to this JSONL trace file")
 		traceSample = fs.Float64("trace-sample", 0, "probability the run is trace-stamped (0..1; deterministic in -seed, stamps -trace lines with trace/span IDs)")
 		progress    = fs.Bool("progress", false, "render a live progress/ETA line on stderr (with -all)")
-		pprofSrv    = fs.String("pprof", "", "serve net/http/pprof and expvar counters on this address (e.g. localhost:6060)")
+		pprofSrv    = fs.String("pprof", "", "serve net/http/pprof and Prometheus counters on /metrics at this address (e.g. localhost:6060)")
 		cpuProf     = fs.String("cpuprofile", "", "write a CPU profile of the run to this file")
 		memProf     = fs.String("memprofile", "", "write an end-of-run heap profile to this file")
 		version     = fs.Bool("version", false, "print build information and exit")
@@ -192,13 +192,21 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return exitFailure
 		}
 		defer ln.Close()
-		// DefaultServeMux carries net/http/pprof (imported above) and expvar
-		// (imported by the observability layer), so one server exposes both
-		// /debug/pprof/ and the live /debug/vars counters.
+		// net/http/pprof (imported above) registers on DefaultServeMux; the
+		// run's registry gets a per-run mux, because registering /metrics on
+		// DefaultServeMux would panic the second time run executes in one
+		// process.
+		metrics := tycos.NewMetrics()
+		mux := http.NewServeMux()
+		mux.Handle("/debug/pprof/", http.DefaultServeMux)
+		mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
+			w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+			metrics.WritePrometheus(w)
+		})
 		//lint:allow gopanic net/http recovers per-connection handler panics itself; Serve only returns when the deferred ln.Close fires
-		go http.Serve(ln, nil)
-		fmt.Fprintf(stderr, "tycos: profiling on http://%s/debug/pprof/ (counters on /debug/vars)\n", ln.Addr())
-		observers = append(observers, tycos.NewExpvarObserver("tycos"))
+		go http.Serve(ln, mux)
+		fmt.Fprintf(stderr, "tycos: profiling on http://%s/debug/pprof/ (counters on /metrics)\n", ln.Addr())
+		observers = append(observers, metrics)
 	}
 	opts.Observer = tycos.MultiObserver(observers...)
 

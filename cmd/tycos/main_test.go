@@ -201,14 +201,14 @@ func TestProfileFlagsWriteLoadableProfiles(t *testing.T) {
 }
 
 // TestPprofFlagServesEndpoints checks the -pprof listener announcement; the
-// handlers themselves are stdlib.
+// handlers themselves are stdlib and the registry's renderer.
 func TestPprofFlagServesEndpoints(t *testing.T) {
 	in := writeCSV(t)
 	code, _, stderr := runCLI(t, "-in", in, "-x", "a", "-y", "b", "-pprof", "127.0.0.1:0", "-smin", "10", "-smax", "60", "-tdmax", "5", "-sigma", "0.3")
 	if code != exitOK {
 		t.Fatalf("exit %d, want %d\nstderr:\n%s", code, exitOK, stderr)
 	}
-	if !strings.Contains(stderr, "/debug/pprof/") || !strings.Contains(stderr, "/debug/vars") {
+	if !strings.Contains(stderr, "/debug/pprof/") || !strings.Contains(stderr, "/metrics") {
 		t.Errorf("pprof announcement missing:\n%s", stderr)
 	}
 }

@@ -12,8 +12,8 @@
 //
 // -quick trims the measurement time for CI smoke runs; the checked-in
 // baseline is produced without it. -obs switches to the observer-overhead
-// suite: one end-to-end search measured under a nil sink, the Metrics
-// aggregator, a discarded JSONL trace, and a trace with span stamping — the
+// suite: one end-to-end search measured under a nil sink, the registry
+// aggregator (tycos.NewMetrics), a discarded JSONL trace, and a trace with span stamping — the
 // numbers behind the README's "observability is ≤ a few percent" claim,
 // written to BENCH_OBS.json. -discovery measures the anchor→fleet pipeline
 // over a 200-candidate fleet, screened against unscreened, written to
@@ -84,7 +84,7 @@ func main() {
 	var (
 		quick    = flag.Bool("quick", false, "smoke run: only the per-estimate and slide workloads (with -discovery: a 40-candidate fleet)")
 		out      = flag.String("out", "", "output file (default BENCH_HOTPATH.json, BENCH_OBS.json with -obs, BENCH_DISCOVERY.json with -discovery)")
-		obsMode  = flag.Bool("obs", false, "measure observer overhead (nil sink vs Metrics vs trace vs trace+spans) instead of the MI hot path")
+		obsMode  = flag.Bool("obs", false, "measure observer overhead (nil sink vs registry vs trace vs trace+spans) instead of the MI hot path")
 		discMode = flag.Bool("discovery", false, "measure the anchor→fleet discovery pipeline, screened vs unscreened")
 	)
 	flag.Parse()
@@ -277,9 +277,9 @@ func runObs(out string) {
 	rep := report{
 		Benchmark: "tycosbench -obs (observer overhead)",
 		Description: "End-to-end Search (synth.CorrelatedAR n=1200, SMin=10 SMax=150 TDMax=10, sigma=0.3, " +
-			"variant=LMN, seed=1) under: nil sink (the free default), the Metrics aggregator, a JSONL " +
-			"TraceWriter to io.Discard, and the same TraceWriter with a span in the context so every event " +
-			"is trace-stamped. note carries overhead vs the nil row.",
+			"variant=LMN, seed=1) under: nil sink (the free default), the registry aggregator that " +
+			"tycos.NewMetrics returns, a JSONL TraceWriter to io.Discard, and the same TraceWriter with a " +
+			"span in the context so every event is trace-stamped. note carries overhead vs the nil row.",
 		Date: time.Now().Format("2006-01-02"),
 		Runner: runner{
 			CPU:        "see go test -bench output on this host",

@@ -84,7 +84,7 @@ func TestTraceMatchesStats(t *testing.T) {
 	p := testPair(43, 400, 100, 180, 0)
 	var buf bytes.Buffer
 	tw := obs.NewTraceWriter(&buf)
-	metrics := obs.NewMetrics()
+	metrics := obs.NewRegistry()
 
 	opts := defaultOpts()
 	opts.Variant = VariantLMN
@@ -163,11 +163,11 @@ func TestTraceMatchesStats(t *testing.T) {
 		}
 	}
 
-	// The Metrics sink agrees with the trace.
-	if got := metrics.EventCount("ClimbFinished"); got != int64(res.Stats.Restarts) {
+	// The registry agrees with the trace.
+	snap := metrics.Snapshot()
+	if got := snap.Events["ClimbFinished"]; got != int64(res.Stats.Restarts) {
 		t.Errorf("metrics ClimbFinished = %d, want %d", got, res.Stats.Restarts)
 	}
-	snap := metrics.Snapshot()
 	if snap.Phases[obs.PhaseClimb].Count != 1 {
 		t.Errorf("climb phase sampled %d times, want 1", snap.Phases[obs.PhaseClimb].Count)
 	}
@@ -192,7 +192,7 @@ func TestObserverDoesNotAlterSearch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts.Observer = obs.Multi(obs.NewMetrics(), obs.NewTraceWriter(io.Discard))
+	opts.Observer = obs.Multi(obs.NewRegistry(), obs.NewTraceWriter(io.Discard))
 	observed, err := Search(p, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -384,7 +384,7 @@ func TestDeadlineSampledClockStillStops(t *testing.T) {
 }
 
 // BenchmarkSearchObserver quantifies the observability overhead: nil sink
-// (the default), an aggregating Metrics sink, and a discard-backed JSONL
+// (the default), the aggregating registry, and a discard-backed JSONL
 // trace. DESIGN.md records the measured nil-vs-baseline delta.
 func BenchmarkSearchObserver(b *testing.B) {
 	p := testPair(43, 400, 100, 180, 0)
@@ -393,7 +393,7 @@ func BenchmarkSearchObserver(b *testing.B) {
 		sink func() obs.Sink
 	}{
 		{"nil", func() obs.Sink { return nil }},
-		{"metrics", func() obs.Sink { return obs.NewMetrics() }},
+		{"registry", func() obs.Sink { return obs.NewRegistry() }},
 		{"trace_discard", func() obs.Sink { return obs.NewTraceWriter(io.Discard) }},
 	}
 	for _, c := range cases {

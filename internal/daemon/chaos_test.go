@@ -35,10 +35,10 @@ func TestWorkerSurvivesSearchPanic(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("search after panic = %d, want 200 (worker must survive)", resp.StatusCode)
 	}
-	if got := s.Metrics().CounterTotal("daemon.search_failed"); got != 1 {
+	if got := s.registry.Snapshot().Counters["daemon.search_failed"]; got != 1 {
 		t.Errorf("search_failed counter = %d, want 1", got)
 	}
-	if got := s.Metrics().CounterTotal("daemon.worker_lost"); got != 0 {
+	if got := s.registry.Snapshot().Counters["daemon.worker_lost"]; got != 0 {
 		t.Errorf("worker_lost counter = %d, want 0 (panic recovered per task)", got)
 	}
 }
@@ -70,7 +70,7 @@ func TestJournalDegradationAndRecovery(t *testing.T) {
 	if r.StatusCode != http.StatusServiceUnavailable {
 		t.Errorf("readyz with degraded journal = %d, want 503", r.StatusCode)
 	}
-	if got := s.Metrics().CounterTotal("daemon.journal_degraded"); got != 1 {
+	if got := s.registry.Snapshot().Counters["daemon.journal_degraded"]; got != 1 {
 		t.Errorf("journal_degraded counter = %d, want 1", got)
 	}
 
@@ -112,7 +112,7 @@ func TestTransientJournalErrorIsAbsorbed(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("search = %d, want 200", resp.StatusCode)
 	}
-	if got := s.Metrics().CounterTotal("daemon.journal_degraded"); got != 0 {
+	if got := s.registry.Snapshot().Counters["daemon.journal_degraded"]; got != 0 {
 		t.Errorf("journal_degraded = %d, want 0 (one blip is inside the retry budget)", got)
 	}
 	if s.journal.Len() != 1 {

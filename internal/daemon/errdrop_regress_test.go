@@ -35,12 +35,12 @@ func TestSlowLogWriteFailureCounted(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("search status = %d", resp.StatusCode)
 	}
-	if got := s.Metrics().CounterTotal("daemon.slowlog_failed"); got != 1 {
+	if got := s.registry.Snapshot().Counters["daemon.slowlog_failed"]; got != 1 {
 		t.Errorf("daemon.slowlog_failed = %d, want 1", got)
 	}
 	// The search itself still counts as slow: the failure counter is an
 	// addition, not a replacement.
-	if got := s.Metrics().CounterTotal("daemon.slow_searches"); got != 1 {
+	if got := s.registry.Snapshot().Counters["daemon.slow_searches"]; got != 1 {
 		t.Errorf("daemon.slow_searches = %d, want 1", got)
 	}
 }

@@ -99,7 +99,7 @@ type statusResponse struct {
 }
 
 func (s *Server) handleStatusz(w http.ResponseWriter, r *http.Request) {
-	snap := s.metrics.Snapshot()
+	snap := s.registry.Snapshot()
 	resp := statusResponse{
 		Draining:   s.draining.Load(),
 		Workers:    s.cfg.Workers,

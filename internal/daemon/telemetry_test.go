@@ -6,6 +6,8 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
+	"net/http/httptest"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync"
@@ -363,13 +365,47 @@ func TestStatuszGauges(t *testing.T) {
 	}
 }
 
+// TestStatuszCostFlatUnderTraffic: one /statusz call costs about the same
+// after 60 000 phase observations as after 10, because what it reads is a
+// fixed-size histogram per phase, not a log of every sample.
+func TestStatuszCostFlatUnderTraffic(t *testing.T) {
+	s, _ := newTestServer(t, Config{Workers: 1, SampleInterval: -1})
+	// statuszBytes returns the heap bytes one /statusz call allocates,
+	// averaged over a few calls.
+	statuszBytes := func() uint64 {
+		const calls = 10
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < calls; i++ {
+			rec := httptest.NewRecorder()
+			s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/statusz", nil))
+			if rec.Code != http.StatusOK {
+				t.Fatalf("/statusz status = %d", rec.Code)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		return (after.TotalAlloc - before.TotalAlloc) / calls
+	}
+	observe := func(n int) {
+		for i := 0; i < n; i++ {
+			s.sink.PhaseEnd(obs.PhaseClimb, time.Duration(i%1000)*time.Microsecond)
+		}
+	}
+	observe(10)
+	small := statuszBytes()
+	observe(60000 - 10)
+	if large := statuszBytes(); large > 2*small {
+		t.Fatalf("/statusz allocates %d B after 60000 phase observations, %d B after 10; want within 2x", large, small)
+	}
+}
+
 // TestSamplerTicks: a fast sampler interval refreshes gauges continuously
 // and Drain stops the ticker cleanly.
 func TestSamplerTicks(t *testing.T) {
 	s, _ := newTestServer(t, Config{Workers: 1, SampleInterval: time.Millisecond})
 	deadline := time.Now().Add(5 * time.Second)
 	for time.Now().Before(deadline) {
-		if s.metrics.GaugeValue("runtime.goroutines") > 0 {
+		if s.registry.Snapshot().Gauges["runtime.goroutines"] > 0 {
 			break
 		}
 		time.Sleep(time.Millisecond)

@@ -10,10 +10,12 @@
 // uninstrumented one (see BenchmarkSearchObserver in internal/core and the
 // recorded numbers in DESIGN.md).
 //
-// Concrete sinks: TraceWriter (JSONL event trace), Metrics (in-memory
-// aggregation with per-phase min/p50/p99/max), ExpvarSink (live counters on
-// /debug/vars) — composable with Multi. All sinks are safe for concurrent
-// use, which a multi-pair sweep's workers require.
+// Concrete sinks: TraceWriter (JSONL event trace) and Registry (the one
+// in-memory aggregator: event, counter and gauge totals plus a fixed-bucket
+// duration histogram per phase, read back with Snapshot or rendered for a
+// Prometheus /metrics scrape, in memory bounded by the number of names
+// rather than by traffic) — composable with Multi. All sinks are safe for
+// concurrent use, which a multi-pair sweep's workers require.
 package obs
 
 import "time"

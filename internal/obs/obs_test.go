@@ -5,8 +5,8 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
-	"expvar"
 	"io"
+	"math"
 	"strings"
 	"sync"
 	"testing"
@@ -117,7 +117,7 @@ func TestTraceWriterStickyError(t *testing.T) {
 }
 
 func TestMetricsAggregation(t *testing.T) {
-	m := NewMetrics()
+	m := NewRegistry()
 	for i := 0; i < 3; i++ {
 		m.Event(RestartStarted{})
 	}
@@ -128,25 +128,27 @@ func TestMetricsAggregation(t *testing.T) {
 		m.PhaseEnd(PhaseClimb, d*time.Millisecond)
 	}
 
-	if got := m.EventCount("RestartStarted"); got != 3 {
-		t.Errorf("EventCount(RestartStarted) = %d", got)
-	}
 	s := m.Snapshot()
+	if got := s.Events["RestartStarted"]; got != 3 {
+		t.Errorf("Events[RestartStarted] = %d", got)
+	}
 	if s.Events["ClimbFinished"] != 1 || s.Counters["evals"] != 42 {
 		t.Errorf("snapshot = %+v", s)
 	}
 	ph := s.Phases[PhaseClimb]
-	if ph.Count != 5 || ph.Min != 1*time.Millisecond || ph.Max != 9*time.Millisecond {
-		t.Errorf("phase stats = %+v", ph)
+	if ph.Count != 5 {
+		t.Errorf("phase count = %d, want 5", ph.Count)
 	}
-	if ph.P50 != 5*time.Millisecond {
-		t.Errorf("p50 = %v, want 5ms", ph.P50)
+	if math.Abs(ph.Sum-0.025) > 1e-12 {
+		t.Errorf("phase sum = %vs, want 0.025s", ph.Sum)
 	}
-	if ph.P99 != 9*time.Millisecond {
-		t.Errorf("p99 = %v, want 9ms", ph.P99)
+	// The samples land in the buckets of 1ms, 3ms, 5ms, 7ms and 9ms.
+	var want [HistogramBuckets]int64
+	for _, d := range []time.Duration{5, 1, 9, 3, 7} {
+		want[bucketIndex((d*time.Millisecond).Seconds())]++
 	}
-	if ph.Total != 25*time.Millisecond {
-		t.Errorf("total = %v, want 25ms", ph.Total)
+	if ph.Buckets != want {
+		t.Errorf("phase buckets = %v, want %v", ph.Buckets, want)
 	}
 	// The snapshot is detached from further aggregation.
 	m.Count("evals", 100)
@@ -156,7 +158,7 @@ func TestMetricsAggregation(t *testing.T) {
 }
 
 func TestMetricsConcurrent(t *testing.T) {
-	m := NewMetrics()
+	m := NewRegistry()
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
@@ -180,52 +182,20 @@ func TestMultiComposition(t *testing.T) {
 	if Multi() != nil || Multi(nil, nil) != nil {
 		t.Error("empty composition must be nil")
 	}
-	m := NewMetrics()
+	m := NewRegistry()
 	if Multi(nil, m) != Sink(m) {
 		t.Error("single sink must be returned unwrapped")
 	}
-	m2 := NewMetrics()
+	m2 := NewRegistry()
 	both := Multi(m, m2)
 	both.Event(RestartStarted{})
 	both.Count("c", 2)
 	both.PhaseEnd(PhaseFinalize, time.Millisecond)
-	for i, sink := range []*Metrics{m, m2} {
+	for i, sink := range []*Registry{m, m2} {
 		s := sink.Snapshot()
 		if s.Events["RestartStarted"] != 1 || s.Counters["c"] != 2 || s.Phases[PhaseFinalize].Count != 1 {
 			t.Errorf("sink %d missed fan-out: %+v", i, s)
 		}
-	}
-}
-
-func TestExpvarSink(t *testing.T) {
-	s := NewExpvarSink("tycos_test")
-	s.Event(ClimbFinished{})
-	s.Event(ClimbFinished{})
-	s.Count("evals", 5)
-	s.PhaseEnd(PhaseClimb, 3*time.Millisecond)
-	// Re-attaching must not panic and must accumulate into the same map.
-	s2 := NewExpvarSink("tycos_test")
-	s2.Count("evals", 1)
-
-	m, ok := expvar.Get("tycos_test").(*expvar.Map)
-	if !ok {
-		t.Fatal("map not published")
-	}
-	get := func(k string) int64 {
-		v, ok := m.Get(k).(*expvar.Int)
-		if !ok {
-			t.Fatalf("missing expvar key %q", k)
-		}
-		return v.Value()
-	}
-	if get("events.ClimbFinished") != 2 {
-		t.Errorf("events.ClimbFinished = %d", get("events.ClimbFinished"))
-	}
-	if get("counters.evals") != 6 {
-		t.Errorf("counters.evals = %d", get("counters.evals"))
-	}
-	if get("phase.climb.count") != 1 || get("phase.climb.ns") != int64(3*time.Millisecond) {
-		t.Errorf("phase totals wrong: count=%d ns=%d", get("phase.climb.count"), get("phase.climb.ns"))
 	}
 }
 
@@ -261,26 +231,19 @@ func TestTraceWriterFlushDrainsBuffer(t *testing.T) {
 }
 
 func TestGauges(t *testing.T) {
-	m := NewMetrics()
+	m := NewRegistry()
 	var s Sink = Multi(m, NewTraceWriter(io.Discard))
 	SetGauge(s, "queue_depth", 3)
 	SetGauge(s, "queue_depth", 7) // replaces, does not add
 	SetGauge(s, "inflight", 1)
-	if got := m.GaugeValue("queue_depth"); got != 7 {
+	snap := m.Snapshot()
+	if got := snap.Gauges["queue_depth"]; got != 7 {
 		t.Errorf("queue_depth = %d, want 7 (gauges replace)", got)
 	}
-	snap := m.Snapshot()
-	if snap.Gauges["inflight"] != 1 || snap.Gauges["queue_depth"] != 7 {
+	if snap.Gauges["inflight"] != 1 || len(snap.Gauges) != 2 {
 		t.Errorf("snapshot gauges = %v", snap.Gauges)
 	}
 	// A sink with no gauge support (and nil) must be ignored, not panic.
 	SetGauge(NewTraceWriter(io.Discard), "x", 1)
 	SetGauge(nil, "x", 1)
-
-	ev := NewExpvarSink("gauge_test")
-	ev.Gauge("depth", 5)
-	ev.Gauge("depth", 2)
-	if got := expvar.Get("gauge_test").(*expvar.Map).Get("gauges.depth").String(); got != "2" {
-		t.Errorf("expvar gauge = %s, want 2", got)
-	}
 }

@@ -25,16 +25,22 @@ import (
 //	phase timings  → tycos_search_phase_duration_seconds{phase="climb"}
 //	gauges         → tycos_<name>
 //
+// Snapshot reads the same aggregate back keyed the way the Sink received it,
+// which is what tycosd's /statusz serves. Memory is bounded by the number of
+// distinct names, kinds and phases, never by traffic.
+//
 // Hot-path behaviour: after a family/series exists, every update is a
 // read-locked map lookup plus an atomic op — no allocation. Creating a
-// series (first sight of a label value) takes the write lock once.
+// series (first sight of a name or label value) takes the write lock once.
 type Registry struct {
 	mu       sync.RWMutex
 	families map[string]*family
-	// sanitized caches metric-name sanitization for dynamic counter/gauge
-	// names arriving through the Sink interface, so repeated emissions of
-	// the same name never re-allocate.
-	sanitized map[string]string
+	// counters and gauges map each name emitted through the Sink interface
+	// ("daemon.search_requests") to its series, resolved on first sight, so
+	// warm emissions neither sanitize nor register again, and Snapshot can
+	// key its totals by the emitted name.
+	counters map[string]*Series
+	gauges   map[string]*Series
 
 	events *Vec // tycos_search_events_total{kind}
 	phases *Vec // tycos_search_phase_duration_seconds{phase}
@@ -149,8 +155,9 @@ func (v *Vec) With(values ...string) *Series {
 // search-phase families the Sink implementation feeds.
 func NewRegistry() *Registry {
 	r := &Registry{
-		families:  make(map[string]*family),
-		sanitized: make(map[string]string),
+		families: make(map[string]*family),
+		counters: make(map[string]*Series),
+		gauges:   make(map[string]*Series),
 	}
 	r.events = r.CounterVec("tycos_search_events_total",
 		"Search events observed, by event kind.", "kind")
@@ -216,33 +223,21 @@ func (r *Registry) HistogramVec(name, help string, labels ...string) *Vec {
 	return r.register(name, help, kindHistogram, labels...)
 }
 
+// NewMetrics returns a new Registry.
+//
+// Deprecated: use NewRegistry. The registry is the one in-memory aggregator.
+func NewMetrics() *Registry { return NewRegistry() }
+
 // sanitizeName maps an arbitrary counter/gauge name onto the Prometheus
-// metric-name alphabet [a-zA-Z0-9_] (dots and dashes become underscores),
-// caching the result so steady-state emission never allocates.
-func (r *Registry) sanitizeName(name string) string {
-	r.mu.RLock()
-	s, ok := r.sanitized[name]
-	r.mu.RUnlock()
-	if ok {
-		return s
-	}
-	var b strings.Builder
-	b.Grow(len(name))
-	for i := 0; i < len(name); i++ {
-		c := name[i]
-		switch {
-		case c >= 'a' && c <= 'z', c >= 'A' && c <= 'Z', c == '_',
-			c >= '0' && c <= '9' && i > 0:
-			b.WriteByte(c)
-		default:
-			b.WriteByte('_')
+// metric-name alphabet [a-zA-Z0-9_]: dots and dashes become underscores.
+func sanitizeName(name string) string {
+	b := []byte(name)
+	for i, c := range b {
+		if !(c >= 'a' && c <= 'z' || c >= 'A' && c <= 'Z' || c == '_' || c >= '0' && c <= '9' && i > 0) {
+			b[i] = '_'
 		}
 	}
-	s = b.String()
-	r.mu.Lock()
-	r.sanitized[name] = s
-	r.mu.Unlock()
-	return s
+	return string(b)
 }
 
 // Event implements Sink: one counter increment per event, keyed by kind.
@@ -253,8 +248,7 @@ func (r *Registry) Event(e Event) { r.events.With(e.Kind()).Inc() }
 // Count implements Sink: dynamic counters surface as
 // tycos_<sanitized name>_total.
 func (r *Registry) Count(name string, delta int64) {
-	r.Counter("tycos_"+r.sanitizeName(name)+"_total",
-		"Cumulative total of the "+name+" search counter.").Add(delta)
+	r.emitted(r.counters, name, kindCounter).Add(delta)
 }
 
 // PhaseEnd implements Sink: phase durations land in the per-phase histogram.
@@ -264,7 +258,75 @@ func (r *Registry) PhaseEnd(p Phase, d time.Duration) {
 
 // Gauge implements GaugeSink: levels surface as tycos_<sanitized name>.
 func (r *Registry) Gauge(name string, value int64) {
-	r.register("tycos_"+r.sanitizeName(name), "Current level of the "+name+" gauge.", kindGauge).With().Set(value)
+	r.emitted(r.gauges, name, kindGauge).Set(value)
+}
+
+// emitted returns the series behind a counter or gauge name emitted through
+// the Sink interface, registering its family on first sight.
+func (r *Registry) emitted(byName map[string]*Series, name string, kind metricKind) *Series {
+	r.mu.RLock()
+	s, ok := byName[name]
+	r.mu.RUnlock()
+	if ok {
+		return s
+	}
+	if kind == kindCounter {
+		s = r.Counter("tycos_"+sanitizeName(name)+"_total",
+			"Cumulative total of the "+name+" search counter.")
+	} else {
+		s = r.GaugeSeries("tycos_"+sanitizeName(name), "Current level of the "+name+" gauge.")
+	}
+	// A racing first sight resolves to the same series, so either store wins.
+	r.mu.Lock()
+	byName[name] = s
+	r.mu.Unlock()
+	return s
+}
+
+// Snapshot is a detached, point-in-time copy of what a Registry aggregated
+// through its Sink interface. Families registered directly (the daemon's
+// HTTP and queue instruments) are left out; /metrics serves those.
+type Snapshot struct {
+	// Events maps event kind → occurrences.
+	Events map[string]int64
+	// Counters maps emitted counter name → total. Names that sanitize to
+	// the same Prometheus name share one series, and so one total.
+	Counters map[string]int64
+	// Gauges maps emitted gauge name → last level set.
+	Gauges map[string]int64
+	// Phases maps phase → its duration histogram in seconds, the resolution
+	// /metrics serves.
+	Phases map[Phase]HistogramSnapshot
+}
+
+// Snapshot returns a copy of the aggregate. Each value is read atomically,
+// so a snapshot taken during emission is approximately — not
+// transactionally — consistent; the registry keeps aggregating.
+func (r *Registry) Snapshot() Snapshot {
+	r.mu.RLock()
+	s := Snapshot{Counters: values(r.counters), Gauges: values(r.gauges)}
+	r.mu.RUnlock()
+	// Both families have one label, so a series key is its label value.
+	r.events.fam.mu.RLock()
+	s.Events = values(r.events.fam.series)
+	r.events.fam.mu.RUnlock()
+	r.phases.fam.mu.RLock()
+	s.Phases = make(map[Phase]HistogramSnapshot, len(r.phases.fam.series))
+	for p, se := range r.phases.fam.series {
+		s.Phases[Phase(p)] = se.hist.Snapshot()
+	}
+	r.phases.fam.mu.RUnlock()
+	return s
+}
+
+// values copies the current value of each counter or gauge series; the
+// caller holds the lock guarding byKey.
+func values(byKey map[string]*Series) map[string]int64 {
+	out := make(map[string]int64, len(byKey))
+	for k, se := range byKey {
+		out[k] = se.Value()
+	}
+	return out
 }
 
 // escapeLabel escapes a label value for the text exposition format.

@@ -82,6 +82,11 @@ func TestRegistrySinkMapping(t *testing.T) {
 	if got := r.events.With("ClimbFinished").Value(); got != 2 {
 		t.Fatalf("event counter = %d, want 2", got)
 	}
+	// Snapshot keys counters and gauges by the name the Sink received.
+	snap := r.Snapshot()
+	if snap.Counters["climb.steps"] != 5 || snap.Gauges["queue.depth"] != 9 || snap.Events["ClimbFinished"] != 2 {
+		t.Fatalf("snapshot = %+v", snap)
+	}
 	var buf bytes.Buffer
 	if err := r.WritePrometheus(&buf); err != nil {
 		t.Fatalf("WritePrometheus: %v", err)
@@ -146,15 +151,33 @@ func assertPanics(t *testing.T, name string, f func()) {
 }
 
 func TestSanitizeName(t *testing.T) {
-	r := NewRegistry()
 	for in, want := range map[string]string{
 		"climb.steps":   "climb_steps",
 		"queue-depth":   "queue_depth",
 		"ok_name9":      "ok_name9",
 		"9starts.digit": "_starts_digit",
 	} {
-		if got := r.sanitizeName(in); got != want {
+		if got := sanitizeName(in); got != want {
 			t.Errorf("sanitizeName(%q) = %q, want %q", in, got, want)
+		}
+	}
+}
+
+// TestRegistryWarmSinkAllocs pins the Sink hot path: once a counter or gauge
+// name, event kind or phase has been seen, emitting it again allocates
+// nothing.
+func TestRegistryWarmSinkAllocs(t *testing.T) {
+	r := NewRegistry()
+	var ev Event = ClimbFinished{} // boxed once, as an emitter holds it
+	for name, emit := range map[string]func(){
+		"Count":    func() { r.Count("daemon.search_requests", 1) },
+		"Gauge":    func() { r.Gauge("runtime.heap_bytes", 3) },
+		"PhaseEnd": func() { r.PhaseEnd(PhaseClimb, time.Millisecond) },
+		"Event":    func() { r.Event(ev) },
+	} {
+		emit() // first sight registers the series
+		if n := testing.AllocsPerRun(100, emit); n != 0 {
+			t.Errorf("warm %s allocates %v times per call, want 0", name, n)
 		}
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"encoding/json"
 	"io"
-	"sort"
 	"strconv"
 	"sync"
 	"time"
@@ -157,18 +156,8 @@ func (t *TraceWriter) Close() error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if len(t.counts) > 0 {
-		// json.Marshal sorts map keys, but an ordered copy keeps the line
-		// deterministic even if the totals are mutated concurrently.
-		names := make([]string, 0, len(t.counts))
-		for name := range t.counts {
-			names = append(names, name)
-		}
-		sort.Strings(names)
-		ordered := make(map[string]int64, len(names))
-		for _, name := range names {
-			ordered[name] = t.counts[name]
-		}
-		t.write("Counters", ordered)
+		// json.Marshal sorts map keys; t.mu keeps Count out meanwhile.
+		t.write("Counters", t.counts)
 		t.counts = make(map[string]int64)
 	}
 	return t.flushLocked()

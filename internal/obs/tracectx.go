@@ -119,8 +119,8 @@ func SpanFromContext(ctx context.Context) (SpanContext, bool) {
 }
 
 // Traced wraps an event with the span that caused it. Kind delegates to the
-// wrapped event, so kind-keyed sinks (Metrics, Registry) aggregate traced
-// and untraced emissions identically; span-aware sinks type-assert for the
+// wrapped event, so kind-keyed sinks (Registry) aggregate traced and
+// untraced emissions identically; span-aware sinks type-assert for the
 // wrapper. Use Base to unwrap before type-switching on concrete event types.
 type Traced struct {
 	Span  SpanContext

@@ -273,12 +273,14 @@ type TraceWriter = obs.TraceWriter
 // call Close (or Flush) to drain. It does not close w.
 func NewTraceWriter(w io.Writer) *TraceWriter { return obs.NewTraceWriter(w) }
 
-// Metrics aggregates observations in memory: event and counter totals plus
-// min/p50/p99/max per phase. Safe for concurrent use.
-type Metrics = obs.Metrics
+// Metrics aggregates observations in memory: event, counter and gauge
+// totals plus a fixed-bucket duration histogram per phase, in memory bounded
+// by the number of names rather than by traffic. Snapshot reads it back;
+// WritePrometheus renders it for a /metrics scrape. Safe for concurrent use.
+type Metrics = obs.Registry
 
 // NewMetrics returns an empty Metrics aggregator.
-func NewMetrics() *Metrics { return obs.NewMetrics() }
+func NewMetrics() *Metrics { return obs.NewRegistry() }
 
 // MetricsSnapshot is a detached copy of a Metrics aggregator's state.
 type MetricsSnapshot = obs.Snapshot
@@ -316,11 +318,6 @@ type Sampler = obs.Sampler
 // NewSampler returns a sampler accepting approximately ratio of all trace
 // IDs (≤0 none, ≥1 all).
 func NewSampler(ratio float64) Sampler { return obs.NewSampler(ratio) }
-
-// NewExpvarObserver publishes live totals under the named expvar map —
-// visible at /debug/vars wherever an HTTP server mounts expvar (the
-// tycos CLI's -pprof flag does).
-func NewExpvarObserver(name string) Observer { return obs.NewExpvarSink(name) }
 
 // Checkpoint is a JSONL-backed journal of completed pair results; plug it
 // into SweepOptions.Checkpoint to make a multi-pair sweep survive kills and
