@@ -17,7 +17,7 @@ import (
 // The byte layout is pinned by TestHashOptionsGolden: it reproduces the
 // pre-refactor discovery serialization exactly, so journals and goldens
 // written before the dedupe keep replaying. The result-invariant fields —
-// Deadline, RestartWorkers, EstimatorCache, Observer — are deliberately
+// RestartWorkers, EstimatorCache, Observer — are deliberately
 // absent: each carries a dynamic test pinning that it cannot change results,
 // and the fingerprintcov analyzer's allow-list mirrors this set.
 func HashOptions(w io.Writer, o core.Options) {

@@ -23,15 +23,15 @@ func BruteForce(p series.Pair, opts Options) (Result, error) {
 
 // BruteForceContext is BruteForce with cooperative cancellation — essential
 // for an enumeration whose uninterrupted running time is measured in hours.
-// The stop conditions (context cancellation, Options.MaxEvaluations,
-// Options.Deadline) are checked once per evaluated window; on a stop the
+// The stop conditions (context cancellation or deadline,
+// Options.MaxEvaluations) are checked once per evaluated window; on a stop the
 // windows aggregated so far are returned with Result.Partial set and
 // Stats.StopReason recording the cause, mirroring SearchContext's contract.
 func BruteForceContext(ctx context.Context, p series.Pair, opts Options) (Result, error) {
-	opts = opts.withDefaults()
-	if err := opts.validate(p.Len()); err != nil {
+	if err := opts.Validate(p.Len()); err != nil {
 		return Result{}, err
 	}
+	opts = opts.withDefaults()
 	p = jitterPair(p, opts.Jitter, opts.Seed)
 	s := &searcher{
 		pair: p,
@@ -52,10 +52,8 @@ func BruteForceContext(ctx context.Context, p series.Pair, opts Options) (Result
 	n := p.Len()
 scan:
 	for start := 0; start+opts.SMin-1 < n; start++ {
-		maxEnd := start + opts.SMax - 1
-		if maxEnd > n-1 {
-			maxEnd = n - 1
-		}
+		// min(SMax, n) keeps start+SMax from overflowing for a huge SMax.
+		maxEnd := min(start+min(opts.SMax, n)-1, n-1)
 		for end := start + opts.SMin - 1; end <= maxEnd; end++ {
 			for tau := -opts.TDMax; tau <= opts.TDMax; tau++ {
 				// Per-window stop check: each evaluation is an O(m log m)

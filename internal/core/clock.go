@@ -8,10 +8,8 @@ import "time"
 // search computes. Routing every timing read through these two helpers keeps
 // the nodeterm allowlist to a single site per form, so any new clock read
 // that creeps into search logic surfaces as a tycoslint finding instead of
-// hiding among the timings. The other sanctioned clock is the throttled
-// Options.Deadline sample in (*searcher).checkStop, allowlisted where it
-// happens because there the clock deliberately does affect when the search
-// stops.
+// hiding among the timings. Wall-clock budgets never read the clock here:
+// they arrive as context deadlines, which (*searcher).checkStop polls.
 
 // clockNow returns the current wall time for observability timings.
 func clockNow() time.Time {

@@ -360,18 +360,19 @@ func (c *mapCheckpoint) Record(x, y string, r Result) error {
 	return nil
 }
 
-// TestDeadlineSampledClockStillStops pins the checkStop clock throttling: a
-// mid-search Options.Deadline must still cut the search short even though
-// the clock is only sampled every deadlineCheckPeriod calls.
-func TestDeadlineSampledClockStillStops(t *testing.T) {
+// TestContextDeadlineStopsMidSearch pins that a context deadline expiring
+// while the search runs cuts it short at the next climb-iteration boundary
+// with StopDeadline, not only a deadline that expired before the start.
+func TestContextDeadlineStopsMidSearch(t *testing.T) {
 	// Big enough that an unbounded search takes far longer than the deadline.
 	p := testPair(5, 4000, 500, 900, 0)
 	opts := defaultOpts()
 	opts.SMax = 200
 	opts.Variant = VariantL
-	opts.Deadline = time.Now().Add(50 * time.Millisecond)
+	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	defer cancel()
 	start := time.Now()
-	res, err := Search(p, opts)
+	res, err := SearchContext(ctx, p, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -383,26 +384,36 @@ func TestDeadlineSampledClockStillStops(t *testing.T) {
 	}
 }
 
-// BenchmarkSearchObserver quantifies the observability overhead: nil sink
-// (the default), the aggregating registry, and a discard-backed JSONL
-// trace. DESIGN.md records the measured nil-vs-baseline delta.
+// BenchmarkSearchObserver prices observability on one LMN search: the nil
+// sink (the default), the aggregating registry, a JSONL trace to io.Discard,
+// and that trace with a span in the context so every event is trace-stamped.
+// Each sink is built once per sub-benchmark, so the timed loop holds only
+// searches. CI's obs-bench job runs the benchmark five times, so the cases
+// interleave, and gates the medians against the nil case's (registry 25%,
+// trace_span 60%).
 func BenchmarkSearchObserver(b *testing.B) {
 	p := testPair(43, 400, 100, 180, 0)
 	cases := []struct {
 		name string
 		sink func() obs.Sink
+		span bool
 	}{
-		{"nil", func() obs.Sink { return nil }},
-		{"registry", func() obs.Sink { return obs.NewRegistry() }},
-		{"trace_discard", func() obs.Sink { return obs.NewTraceWriter(io.Discard) }},
+		{"nil", func() obs.Sink { return nil }, false},
+		{"registry", func() obs.Sink { return obs.NewRegistry() }, false},
+		{"trace_discard", func() obs.Sink { return obs.NewTraceWriter(io.Discard) }, false},
+		{"trace_span", func() obs.Sink { return obs.NewTraceWriter(io.Discard) }, true},
 	}
 	for _, c := range cases {
 		b.Run(c.name, func(b *testing.B) {
 			opts := defaultOpts()
 			opts.Variant = VariantLMN
+			opts.Observer = c.sink()
+			ctx := context.Background()
+			if c.span {
+				ctx = obs.ContextWithSpan(ctx, obs.NewTrace(1, 1))
+			}
 			for i := 0; i < b.N; i++ {
-				opts.Observer = c.sink()
-				if _, err := Search(p, opts); err != nil {
+				if _, err := SearchContext(ctx, p, opts); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -99,11 +99,9 @@ type Options struct {
 	// search stops deterministically at the first restart or climb-iteration
 	// boundary at or past the budget, returning the windows accepted so far
 	// with Partial set and StopReason = StopBudget. 0 disables the budget.
+	// Wall-clock budgets are context deadlines (SearchContext), which stop
+	// the search with StopReason = StopDeadline.
 	MaxEvaluations int
-	// Deadline, when non-zero, bounds the search's wall-clock time the same
-	// way (StopReason = StopDeadline). Context cancellation (SearchContext)
-	// is independent of — and composes with — both budgets.
-	Deadline time.Time
 	// SignificanceLevel, when positive, subtracts a calibrated null level
 	// (mean + SignificanceLevel·std of the KSG estimate on shuffled data of
 	// the same window size) from every raw MI before normalization. This
@@ -177,9 +175,12 @@ func (o Options) constraints(n int) window.Constraints {
 	return window.Constraints{N: n, SMin: o.SMin, SMax: o.SMax, TDMax: o.TDMax}
 }
 
-// validate reports an error for inconsistent options over a series of
-// length n. It expects defaults to be applied already.
-func (o Options) validate(n int) error {
+// Validate reports an error when the options, with the defaults Search
+// applies, are inconsistent for a pair of length n. It is the one options
+// check: SearchContext and BruteForceContext run it before any work, and a
+// server runs it to reject a request before queueing the search.
+func (o Options) Validate(n int) error {
+	o = o.withDefaults()
 	if err := o.constraints(n).Validate(); err != nil {
 		return err
 	}
@@ -203,8 +204,8 @@ const (
 	StopCompleted StopReason = "completed"
 	// StopCancelled marks a search cut short by context cancellation.
 	StopCancelled StopReason = "cancelled"
-	// StopDeadline marks a search cut short by Options.Deadline or a
-	// context/pair deadline expiring.
+	// StopDeadline marks a search cut short by a context or pair deadline
+	// expiring.
 	StopDeadline StopReason = "deadline"
 	// StopBudget marks a search cut short by Options.MaxEvaluations.
 	StopBudget StopReason = "budget"

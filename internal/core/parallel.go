@@ -59,9 +59,11 @@ const segmentSpanFactor = 4
 // segments. The plan depends only on n and the options — never on the worker
 // count — so every RestartWorkers value walks the identical restart
 // decomposition. A single segment (small inputs) degenerates to the paper's
-// fully sequential restart chain.
+// fully sequential restart chain. The span uses min(SMax, n), which no
+// window exceeds, so a huge SMax cannot overflow it into a loop that never
+// advances.
 func planSegments(n int, opts Options) []segment {
-	span := segmentSpanFactor * opts.SMax
+	span := segmentSpanFactor * min(opts.SMax, n)
 	lastStart := n - opts.SMin
 	var segs []segment
 	for from := 0; from <= lastStart; from += span {

@@ -3,11 +3,13 @@ package core
 import (
 	"context"
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"tycos/internal/faultinject"
 	"tycos/internal/series"
@@ -324,5 +326,83 @@ func TestBudgetedSearchStaysSequentialAndPrefixConsistent(t *testing.T) {
 		if got[i] != full[i] {
 			t.Fatalf("candidate %d diverges:\n got: %s\nwant: %s", i, got[i], full[i])
 		}
+	}
+}
+
+// finishWithin runs f and fails the test binary if f has not returned after
+// d. A stuck goroutine cannot be stopped, and an overflowed segment plan
+// keeps appending segments, so the binary panics instead of letting later
+// tests run beside a goroutine whose memory grows without bound.
+func finishWithin(d time.Duration, what string, f func()) {
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		f()
+	}()
+	select {
+	case <-done:
+	case <-time.After(d):
+		panic(fmt.Sprintf("%s did not return within %v", what, d))
+	}
+}
+
+// TestHugeSMaxPlansAndSearchesLikeN pins that an SMax past the series length
+// behaves like SMax = n. From SMax = 2^61 the product 4·SMax wraps to a
+// negative value or zero, which would leave planSegments in a loop that
+// never advances, and 100·MaxIdle + 2·SMax/Delta wraps negative, which
+// would skip every climb.
+func TestHugeSMaxPlansAndSearchesLikeN(t *testing.T) {
+	const n = 200
+	base := Options{SMin: 6, SMax: n}.withDefaults()
+	want := planSegments(n, base)
+	for _, sMax := range []int{n + 1, 1 << 61, 1 << 62, math.MaxInt} {
+		opts := base
+		opts.SMax = sMax
+		var got []segment
+		finishWithin(2*time.Second, fmt.Sprintf("planSegments(SMax=%d)", sMax), func() { got = planSegments(n, opts) })
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("SMax=%d: plan %+v, want the SMax=n plan %+v", sMax, got, want)
+		}
+	}
+
+	p := testPair(7, n, 60, 140, 0)
+	for _, v := range []Variant{VariantL, VariantLN, VariantLM, VariantLMN} {
+		opts := defaultOpts()
+		opts.Variant = v
+		opts.SMax = n
+		ref, err := Search(p, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(ref.Windows) == 0 {
+			t.Fatalf("%v: the SMax=n search found no windows to compare", v)
+		}
+		opts.SMax = 1 << 62
+		var got Result
+		finishWithin(10*time.Second, fmt.Sprintf("Search(%v, SMax=1<<62)", v), func() { got, err = Search(p, opts) })
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref.Stats.Timing, got.Stats.Timing = Timing{}, Timing{}
+		if !reflect.DeepEqual(got, ref) {
+			t.Errorf("%v: SMax=1<<62 gave %+v, want the SMax=n result %+v", v, got, ref)
+		}
+	}
+
+	// BruteForce's start+SMax wraps negative at SMax = MaxInt, which would
+	// skip every window from the third start on.
+	small := testPair(7, 50, 15, 40, 0)
+	opts := Options{SMin: 8, SMax: small.Len(), TDMax: 2, Sigma: 0.3, Seed: 1}
+	ref, err := BruteForce(small, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts.SMax = math.MaxInt
+	got, err := BruteForce(small, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, ref) {
+		t.Errorf("BruteForce with SMax=MaxInt gave %+v, want the SMax=n result %+v", got, ref)
 	}
 }

@@ -56,16 +56,6 @@ func TestSearchContextDeadlineExceeded(t *testing.T) {
 	if !res.Partial || res.Stats.StopReason != StopDeadline {
 		t.Errorf("expired context: Partial=%v StopReason=%q, want partial deadline", res.Partial, res.Stats.StopReason)
 	}
-
-	opts := defaultOpts()
-	opts.Deadline = time.Now().Add(-time.Second)
-	res, err = Search(p, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Partial || res.Stats.StopReason != StopDeadline {
-		t.Errorf("past Options.Deadline: Partial=%v StopReason=%q, want partial deadline", res.Partial, res.Stats.StopReason)
-	}
 }
 
 func TestMaxEvaluationsPrefixConsistent(t *testing.T) {

@@ -3,9 +3,9 @@ package core
 import (
 	"context"
 	"errors"
+	"math"
 	"math/rand"
 	"sort"
-	"time"
 
 	"tycos/internal/lahc"
 	"tycos/internal/mi"
@@ -45,7 +45,6 @@ type searcher struct {
 	cands     []window.Scored
 	nbuf      []window.Window // neighbourhood scratch, reused by every climb step
 	pairName  string          // "x/y" event label, "" for unnamed series
-	clockTick int             // deadline clock sampling counter (checkStop)
 }
 
 // obsWindow converts a search window into its observability mirror.
@@ -94,10 +93,10 @@ func Search(p series.Pair, opts Options) (Result, error) {
 // stopped segment is discarded to keep it so).
 func SearchContext(ctx context.Context, p series.Pair, opts Options) (Result, error) {
 	start := clockNow()
-	opts = opts.withDefaults()
-	if err := opts.validate(p.Len()); err != nil {
+	if err := opts.Validate(p.Len()); err != nil {
 		return Result{}, err
 	}
+	opts = opts.withDefaults()
 	if err := p.CheckFinite(); err != nil {
 		return Result{}, errors.New("core: " + err.Error() + " (clean the input with series.FillMissing)")
 	}
@@ -330,13 +329,6 @@ func (s *searcher) run() {
 	s.stats.MIBatch, s.stats.MIIncremental = s.scorer.stats()
 }
 
-// deadlineCheckPeriod is how many checkStop calls pass between samples of
-// the wall clock for the Options.Deadline test. A climb's checkStop runs per
-// iteration, so on fast workloads an every-call time.Now() is the hottest
-// non-MI syscall in the loop; sampling every N calls bounds the overshoot to
-// N climb iterations while keeping the common path clock-free.
-const deadlineCheckPeriod = 32
-
 // checkStop records the first exceeded budget or cancellation and reports
 // whether the search must stop. It is called at restart and climb-iteration
 // boundaries only, so a stop never interrupts a neighbourhood evaluation —
@@ -345,12 +337,8 @@ const deadlineCheckPeriod = 32
 // context so that a run configured with both stops identically whether or
 // not the context also fired; it counts evalBase (earlier segments' work) on
 // top of this segment's own, which is only meaningful because a budgeted
-// search runs its segments sequentially. The Options.Deadline clock is only
-// sampled every deadlineCheckPeriod calls (the first call included, so an
-// already expired deadline stops the search before any work): wall-clock
-// stops are inherently non-deterministic, so coarser sampling costs nothing,
-// while the deterministic MaxEvaluations budget above is still checked every
-// call.
+// search runs its segments sequentially. Wall-clock budgets arrive as context
+// deadlines and stop the search with StopDeadline.
 func (s *searcher) checkStop() bool {
 	if s.stop != "" {
 		return true
@@ -368,15 +356,6 @@ func (s *searcher) checkStop() bool {
 		}
 		return true
 	default:
-	}
-	if !s.opts.Deadline.IsZero() {
-		sample := s.clockTick%deadlineCheckPeriod == 0
-		s.clockTick++
-		//lint:allow nodeterm Options.Deadline is an explicitly wall-clock budget; sampling is throttled to every deadlineCheckPeriod calls
-		if sample && !time.Now().Before(s.opts.Deadline) {
-			s.stop = StopDeadline
-			return true
-		}
 	}
 	return false
 }
@@ -410,8 +389,10 @@ func (s *searcher) climb(w0 window.Window) (best window.Window, bestScore float6
 	}
 
 	// Hard ceiling against pathological wandering; in practice the idle
-	// budget stops the climb long before this.
-	maxIters := 100*s.opts.MaxIdle + 2*s.opts.SMax/s.opts.Delta
+	// budget stops the climb long before this. Saturating arithmetic keeps a
+	// huge MaxIdle or SMax from wrapping the ceiling negative, which would
+	// skip the climb.
+	maxIters := satAdd(satMul(100, s.opts.MaxIdle), satMul(2, s.opts.SMax)/s.opts.Delta)
 
 	for iter := 0; idle < s.opts.MaxIdle && iter < maxIters; iter++ {
 		iters = iter + 1
@@ -459,6 +440,22 @@ func (s *searcher) climb(w0 window.Window) (best window.Window, bestScore float6
 		}
 	}
 	return best, bestScore, iters, true
+}
+
+// satMul returns a·b for non-negative a and b, saturated at math.MaxInt.
+func satMul(a, b int) int {
+	if a != 0 && b > math.MaxInt/a {
+		return math.MaxInt
+	}
+	return a * b
+}
+
+// satAdd returns a+b for non-negative a and b, saturated at math.MaxInt.
+func satAdd(a, b int) int {
+	if a > math.MaxInt-b {
+		return math.MaxInt
+	}
+	return a + b
 }
 
 // mustScore scores a window, mapping estimation failures (degenerate or

@@ -164,6 +164,75 @@ func TestSearchValidation(t *testing.T) {
 	}
 }
 
+// TestInvalidOptionsAnswer400 pins that options the search would reject are
+// refused with 400 on both routes before admission: no queue slot, no
+// worker and no failed-search count.
+func TestInvalidOptionsAnswer400(t *testing.T) {
+	s, ts := newTestServer(t, Config{Workers: 1})
+	x, y := testSeries(200, 0)
+	ingest(t, ts.URL, "x", x)
+	ingest(t, ts.URL, "y", y)
+
+	cases := []struct {
+		name string
+		opts map[string]any
+	}{
+		{"smax below smin", map[string]any{"smin": 50, "smax": 10}},
+		{"negative sigma", map[string]any{"sigma": -1}},
+		{"smin not above k", map[string]any{"smin": 3}},
+		{"epsilon not below sigma", map[string]any{"epsilon": 0.5, "sigma": 0.25}},
+	}
+	routes := []struct {
+		path  string
+		names map[string]any
+	}{
+		{"/v1/search", map[string]any{"x": "x", "y": "y"}},
+		{"/v1/discover", map[string]any{"anchor": "x"}},
+	}
+	for _, tc := range cases {
+		for _, route := range routes {
+			t.Run(tc.name+route.path, func(t *testing.T) {
+				body := map[string]any{}
+				for k, v := range route.names {
+					body[k] = v
+				}
+				for k, v := range tc.opts {
+					body[k] = v
+				}
+				resp := postJSON(t, ts.URL+route.path, body)
+				defer resp.Body.Close()
+				if resp.StatusCode != http.StatusBadRequest {
+					t.Errorf("status = %d, want 400", resp.StatusCode)
+				}
+			})
+		}
+	}
+	counters := s.registry.Snapshot().Counters
+	for _, name := range []string{"daemon.search_failed", "daemon.discover_failed"} {
+		if got := counters[name]; got != 0 {
+			t.Errorf("%s = %d, want 0", name, got)
+		}
+	}
+
+	// Discovery validates against the anchor: a candidate too short for
+	// valid options stays a per-candidate error in a 200 answer.
+	ingest(t, ts.URL, "stub", x[:20])
+	resp := postJSON(t, ts.URL+"/v1/discover", map[string]any{
+		"anchor": "x", "candidates": []string{"y", "stub"}, "smin": 30, "smax": 60,
+	})
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("short candidate: status = %d, want 200", resp.StatusCode)
+	}
+	var out discoverResponse
+	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+		t.Fatal(err)
+	}
+	if out.Failed != 1 || len(out.Errors) != 1 || out.Errors[0].Name != "stub" {
+		t.Errorf("short candidate: failed %d, errors %+v; want one error for stub", out.Failed, out.Errors)
+	}
+}
+
 func TestHealthAndStatusEndpoints(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 2, JournalPath: filepath.Join(t.TempDir(), "j.tycos")})
 	for _, ep := range []string{"/healthz", "/readyz"} {

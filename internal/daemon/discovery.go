@@ -126,6 +126,12 @@ func (s *Server) handleDiscover(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusNotFound, "discover: unknown series %q", req.Anchor)
 		return
 	}
+	// Options are checked against the anchor; a candidate too short for
+	// them stays a per-candidate error in the response.
+	if err := sOpts.Validate(len(av)); err != nil {
+		httpError(w, http.StatusBadRequest, "discover: %v", err)
+		return
+	}
 	anchor := series.New(req.Anchor, av)
 	names := req.Candidates
 	if len(names) == 0 {

@@ -258,8 +258,9 @@ func (req *searchRequest) options() (core.Options, error) {
 // canonical enumeration shared with the discovery engine, so a new
 // result-affecting option cannot be threaded into one journal key and
 // forgotten in the other. Wall-clock timeouts are excluded by construction:
-// HashOptions skips Deadline, and a timeout either leaves the result
-// untouched or makes it partial, and partial results are never journaled.
+// they are context deadlines, not Options fields, and a timeout either
+// leaves the result untouched or makes it partial, and partial results are
+// never journaled.
 func (req *searchRequest) fingerprint(n int, opts core.Options) string {
 	h := fnv.New64a()
 	fmt.Fprintf(h, "%s\x00%s\x00%d\x00", req.X, req.Y, n)
@@ -349,6 +350,12 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	pair, err := series.NewPair(series.New(req.X, xv[:n]), series.New(req.Y, yv[:n]))
 	if err != nil {
 		httpError(w, http.StatusUnprocessableEntity, "search: %v", err)
+		return
+	}
+	// Options the search would reject are the client's error: answer 400
+	// here instead of spending a queue slot and a worker on a failure.
+	if err := opts.Validate(n); err != nil {
+		httpError(w, http.StatusBadRequest, "search: %v", err)
 		return
 	}
 

@@ -47,10 +47,10 @@ type funcFacts struct {
 	callees []*types.Func
 
 	// resolved memoization for the transitive queries.
-	blocksResolved, blocksValue           bool
-	derivesResolved, derivesValue         bool
-	coverageResolved                      bool
-	coverageValue                         map[string]bool
+	blocksResolved, blocksValue                       bool
+	derivesResolved, derivesValue                     bool
+	coverageResolved                                  bool
+	coverageValue                                     map[string]bool
 	blocksVisiting, derivesVisiting, coverageVisiting bool
 }
 

@@ -24,9 +24,6 @@ var fingerprintInvariant = map[string]string{
 	// Observers only watch: TestObserverDoesNotAlterSearch pins that results
 	// are identical with and without one attached.
 	"Observer": "observability must not alter results",
-	// A deadline truncates the walk but truncation is surfaced to the caller
-	// and partial runs are re-run, not replayed, after a crash.
-	"Deadline": "wall-clock budget; expiry surfaces as an explicit error",
 }
 
 // FingerprintCov cross-references the fields of core.Options against what

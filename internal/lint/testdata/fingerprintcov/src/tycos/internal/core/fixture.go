@@ -3,15 +3,13 @@
 // suffix, so this tree exercises it without loading the live module.
 package core
 
-import "time"
-
 // Cache stands in for the estimator cache.
 type Cache struct{}
 
 // Options mirrors the shape of the real search options: four
-// result-affecting fields, three result-invariant fields that are on the
-// analyzer's in-source allow-list (RestartWorkers, EstimatorCache,
-// Deadline), and one unexported field callers cannot set.
+// result-affecting fields, two result-invariant fields that are on the
+// analyzer's in-source allow-list (RestartWorkers, EstimatorCache), and one
+// unexported field callers cannot set.
 type Options struct {
 	SMin  int
 	SMax  int
@@ -20,7 +18,6 @@ type Options struct {
 
 	RestartWorkers int
 	EstimatorCache *Cache
-	Deadline       time.Time
 
 	onCandidate func(string)
 }

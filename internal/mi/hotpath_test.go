@@ -247,9 +247,10 @@ func TestReloadMatchesBulk(t *testing.T) {
 	}
 }
 
-// BenchmarkKSGEstimate is the canonical hot-path benchmark: one warm
-// estimator per backend, 500-sample windows — the workload tycosbench
-// records into BENCH_HOTPATH.json.
+// BenchmarkKSGEstimate times one warm estimator per backend on a 500-sample
+// window, the kernel a batch search spends its time in. CI's hotpath-bench
+// job runs it as a smoke; perfsuite's mi.ksg_estimate_us probes time the
+// k-d tree backend at m = 32, 128 and 512.
 func BenchmarkKSGEstimate(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	x, y := gaussianPair(rng, 500, 0.6)

@@ -123,10 +123,8 @@ func (c Constraints) Feasible(w Window) bool {
 func (c Constraints) SearchSpaceSize() int64 {
 	var total int64
 	for start := 0; start+c.SMin-1 < c.N; start++ {
-		maxEnd := start + c.SMax - 1
-		if maxEnd > c.N-1 {
-			maxEnd = c.N - 1
-		}
+		// min(SMax, N) keeps start+SMax from overflowing for a huge SMax.
+		maxEnd := min(start+min(c.SMax, c.N)-1, c.N-1)
 		for end := start + c.SMin - 1; end <= maxEnd; end++ {
 			// Delay must keep [start+τ, end+τ] within [0, N).
 			loTau := -start

@@ -1,6 +1,7 @@
 package window
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -103,19 +104,21 @@ func TestFeasible(t *testing.T) {
 }
 
 func TestSearchSpaceSizeMatchesEnumeration(t *testing.T) {
-	c := Constraints{N: 40, SMin: 3, SMax: 8, TDMax: 5}
-	var brute int64
-	for s := 0; s < c.N; s++ {
-		for e := s; e < c.N; e++ {
-			for tau := -c.TDMax; tau <= c.TDMax; tau++ {
-				if c.Feasible(Window{s, e, tau}) {
-					brute++
+	for _, sMax := range []int{8, 40, math.MaxInt} {
+		c := Constraints{N: 40, SMin: 3, SMax: sMax, TDMax: 5}
+		var brute int64
+		for s := 0; s < c.N; s++ {
+			for e := s; e < c.N; e++ {
+				for tau := -c.TDMax; tau <= c.TDMax; tau++ {
+					if c.Feasible(Window{s, e, tau}) {
+						brute++
+					}
 				}
 			}
 		}
-	}
-	if got := c.SearchSpaceSize(); got != brute {
-		t.Errorf("SearchSpaceSize = %d, brute enumeration = %d", got, brute)
+		if got := c.SearchSpaceSize(); got != brute {
+			t.Errorf("SMax=%d: SearchSpaceSize = %d, brute enumeration = %d", sMax, got, brute)
+		}
 	}
 }
 

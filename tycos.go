@@ -126,11 +126,11 @@ func LoadAllCSV(path string) ([]Series, error) {
 // results are byte-identical for every worker count and the same seed.
 func Search(p Pair, opts Options) (Result, error) { return core.Search(p, opts) }
 
-// SearchContext is Search with cooperative cancellation: cancelling ctx (or
-// exhausting Options.MaxEvaluations / Options.Deadline) stops the search at
-// the next climb-iteration or restart boundary and returns the windows
-// accepted so far with Result.Partial set and Stats.StopReason recording the
-// cause — not an error. Partial results are prefix-consistent: they match
+// SearchContext is Search with cooperative cancellation: cancelling ctx,
+// its deadline expiring or exhausting Options.MaxEvaluations stops the
+// search at the next climb-iteration or restart boundary and returns the
+// windows accepted so far with Result.Partial set and Stats.StopReason
+// recording the cause — not an error. Partial results are prefix-consistent: they match
 // what the uninterrupted run would have produced over the scanned region.
 func SearchContext(ctx context.Context, p Pair, opts Options) (Result, error) {
 	return core.SearchContext(ctx, p, opts)
@@ -156,8 +156,8 @@ const (
 func BruteForce(p Pair, opts Options) (Result, error) { return core.BruteForce(p, opts) }
 
 // BruteForceContext is BruteForce with the same cooperative cancellation
-// contract as SearchContext: cancellation, Options.MaxEvaluations and
-// Options.Deadline stop the enumeration between windows, returning the
+// contract as SearchContext: cancellation, a context deadline and
+// Options.MaxEvaluations stop the enumeration between windows, returning the
 // windows accepted so far with Result.Partial set and Stats.StopReason
 // recording the cause — not an error.
 func BruteForceContext(ctx context.Context, p Pair, opts Options) (Result, error) {
