@@ -30,15 +30,17 @@ func TestMain(m *testing.M) {
 	os.Exit(m.Run())
 }
 
-// writeHeavyCSV builds a pair large enough that the full search runs for
-// many seconds — long enough that a signal sent shortly after startup is
-// guaranteed to land mid-search.
+// writeHeavyCSV builds a 40 000-sample pair. The full -variant l search over
+// it runs for several seconds (3.6 s on a 2-vCPU x86-64 VM), several times
+// the half second the signal test waits before signalling, so the signal
+// lands mid-search. A 4 000-sample pair is not enough: its search finishes
+// in about 0.35 s.
 func writeHeavyCSV(t *testing.T) string {
 	t.Helper()
 	rng := rand.New(rand.NewSource(11))
 	var sb strings.Builder
 	sb.WriteString("a,b\n")
-	const n = 4000
+	const n = 40000
 	for i := 0; i < n; i++ {
 		a := rng.NormFloat64()
 		b := 0.8*a + 0.2*rng.NormFloat64()
@@ -85,7 +87,7 @@ func TestSIGTERMPrintsPartialAndExits3(t *testing.T) {
 
 	// Give the child time to install its signal handler and enter the
 	// search (handler installation is microseconds into run; the search
-	// itself runs for minutes uninterrupted).
+	// itself runs for seconds uninterrupted).
 	time.Sleep(500 * time.Millisecond)
 	if err := cmd.Process.Signal(syscall.SIGTERM); err != nil {
 		t.Fatal(err)

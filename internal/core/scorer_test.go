@@ -44,8 +44,8 @@ func TestBatchAndIncrementalScorersAgree(t *testing.T) {
 		if errB != nil {
 			continue
 		}
-		if math.Abs(b-i) > 1e-9 {
-			t.Errorf("%v: batch %.12f != incremental %.12f", w, b, i)
+		if !sameBits(b, i) {
+			t.Errorf("%v: batch %.17g != incremental %.17g", w, b, i)
 		}
 		rb, nb, err := batch.both(w)
 		if err != nil {
@@ -55,7 +55,7 @@ func TestBatchAndIncrementalScorersAgree(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if math.Abs(rb-ri) > 1e-9 || math.Abs(nb-ni) > 1e-9 {
+		if !sameBits(rb, ri) || !sameBits(nb, ni) {
 			t.Errorf("%v: both() mismatch (%v,%v) vs (%v,%v)", w, rb, nb, ri, ni)
 		}
 	}
@@ -83,7 +83,7 @@ func TestIncScorerLRUEviction(t *testing.T) {
 	// Evicted delays still score correctly (through a rebuild).
 	b, _ := newBatchScorer(p, 4, mi.NormMaxEntropy).score(window.Window{Start: 50, End: 100, Delay: -5})
 	i, err := inc.score(window.Window{Start: 50, End: 100, Delay: -5})
-	if err != nil || math.Abs(b-i) > 1e-9 {
+	if err != nil || !sameBits(b, i) {
 		t.Errorf("evicted delay rescores wrong: %v vs %v (%v)", b, i, err)
 	}
 }

@@ -2,6 +2,7 @@ package mi
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -9,24 +10,27 @@ import (
 
 // TestKSGEstimateAllocs pins the tentpole guarantee: after the first call
 // warms the per-estimator scratch, KSG.Estimate runs allocation-free on both
-// backends.
+// backends, on a window the all-pairs kernel serves and on one the engine
+// serves.
 func TestKSGEstimateAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
-	x, y := gaussianPair(rng, 500, 0.6)
-	for _, backend := range []Backend{BackendKDTree, BackendBrute} {
-		est := NewKSG(4, backend)
-		for warm := 0; warm < 16; warm++ {
-			if _, err := est.Estimate(x, y); err != nil {
-				t.Fatal(err)
+	for _, m := range []int{allPairsMax, 500} {
+		x, y := gaussianPair(rng, m, 0.6)
+		for _, backend := range []Backend{BackendKDTree, BackendBrute} {
+			est := NewKSG(4, backend)
+			for warm := 0; warm < 16; warm++ {
+				if _, err := est.Estimate(x, y); err != nil {
+					t.Fatal(err)
+				}
 			}
-		}
-		got := testing.AllocsPerRun(10, func() {
-			if _, err := est.Estimate(x, y); err != nil {
-				t.Fatal(err)
+			got := testing.AllocsPerRun(10, func() {
+				if _, err := est.Estimate(x, y); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if got != 0 {
+				t.Errorf("m=%d/%s: Estimate allocates %v/op steady-state, want 0", m, backend, got)
 			}
-		})
-		if got != 0 {
-			t.Errorf("%s: Estimate allocates %v/op steady-state, want 0", backend, got)
 		}
 	}
 }
@@ -66,41 +70,43 @@ func TestIncrementalSlideAllocs(t *testing.T) {
 
 // TestIncrementalReloadAllocs pins the warm whole-window Reload: repositioning
 // an estimator on a same-sized window reuses the grid, multisets, id list,
-// state slab and k-d tree.
+// state slab and k-d tree — on a window the all-pairs kernel serves and on
+// one the tree serves.
 func TestIncrementalReloadAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
-	m := 300
-	ids := make([]int, m)
-	xs := make([]float64, m)
-	ys := make([]float64, m)
-	fill := func(base int) {
-		for i := 0; i < m; i++ {
-			ids[i] = base + i
-			xs[i] = rng.NormFloat64()
-			ys[i] = 0.5*xs[i] + 0.5*rng.NormFloat64()
+	for _, m := range []int{allPairsMax, 300} {
+		ids := make([]int, m)
+		xs := make([]float64, m)
+		ys := make([]float64, m)
+		fill := func(base int) {
+			for i := 0; i < m; i++ {
+				ids[i] = base + i
+				xs[i] = rng.NormFloat64()
+				ys[i] = 0.5*xs[i] + 0.5*rng.NormFloat64()
+			}
 		}
-	}
-	fill(0)
-	inc := NewIncrementalBulk(4, 0.3, ids, xs, ys)
-	for warm := 0; warm < 16; warm++ {
-		fill(warm * m)
-		inc.Reload(ids, xs, ys)
-	}
-	got := testing.AllocsPerRun(10, func() {
-		inc.Reload(ids, xs, ys)
-		if _, err := inc.MI(); err != nil {
-			t.Fatal(err)
+		fill(0)
+		inc := NewIncrementalBulk(4, 0.3, ids, xs, ys)
+		for warm := 0; warm < 16; warm++ {
+			fill(warm * m)
+			inc.Reload(ids, xs, ys)
 		}
-	})
-	if got != 0 {
-		t.Errorf("warm Reload allocates %v/op, want 0", got)
+		got := testing.AllocsPerRun(10, func() {
+			inc.Reload(ids, xs, ys)
+			if _, err := inc.MI(); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if got != 0 {
+			t.Errorf("m=%d: warm Reload allocates %v/op, want 0", m, got)
+		}
 	}
 }
 
 // TestBatchIncrementalAgreeOnTies is the formula-alignment regression test:
-// the batch and incremental estimators must agree to 1e-9 under the shared
-// algorithm-2 convention (ψ(n_x), counts excluding self, floored at 1) — on
-// continuous data AND on data with heavy coordinate ties, where any
+// the batch and incremental estimators must agree to the last bit under the
+// shared algorithm-2 convention (ψ(n_x), counts excluding self, floored at
+// 1) — on continuous data AND on data with heavy coordinate ties, where any
 // divergence in marginal-count or tie-break conventions surfaces immediately.
 func TestBatchIncrementalAgreeOnTies(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
@@ -140,8 +146,8 @@ func TestBatchIncrementalAgreeOnTies(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}
-			if math.Abs(batch-incremental) > 1e-9 {
-				t.Errorf("%s/%s: batch %.12f vs incremental %.12f (Δ %.3g)",
+			if !sameBits(batch, incremental) {
+				t.Errorf("%s/%s: batch %.17g vs incremental %.17g (Δ %.3g)",
 					name, backend, batch, incremental, math.Abs(batch-incremental))
 			}
 		}
@@ -247,23 +253,27 @@ func TestReloadMatchesBulk(t *testing.T) {
 	}
 }
 
-// BenchmarkKSGEstimate times one warm estimator per backend on a 500-sample
-// window, the kernel a batch search spends its time in. CI's hotpath-bench
-// job runs it as a smoke; perfsuite's mi.ksg_estimate_us probes time the
-// k-d tree backend at m = 32, 128 and 512.
+// BenchmarkKSGEstimate times one warm estimator per backend on windows of
+// 16 and 64 samples, which the all-pairs kernel serves, and of 500, which
+// the engine serves — the kernels a batch search spends its time in. CI's
+// hotpath-bench job runs it as a smoke; perfsuite's mi.ksg_estimate_us
+// probes time Estimate at m = 32 and 128, which the kernel serves, and at
+// m = 512.
 func BenchmarkKSGEstimate(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	x, y := gaussianPair(rng, 500, 0.6)
-	for _, backend := range []Backend{BackendKDTree, BackendBrute} {
-		est := NewKSG(4, backend)
-		b.Run(backend.String(), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := est.Estimate(x, y); err != nil {
-					b.Fatal(err)
+	for _, m := range []int{16, 64, 500} {
+		for _, backend := range []Backend{BackendKDTree, BackendBrute} {
+			est := NewKSG(4, backend)
+			b.Run(fmt.Sprintf("m=%d/%s", m, backend), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if _, err := est.Estimate(x[:m], y[:m]); err != nil {
+						b.Fatal(err)
+					}
 				}
-			}
-		})
+			})
+		}
 	}
 }
 

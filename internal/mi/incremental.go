@@ -7,7 +7,6 @@ import (
 	"sort"
 
 	"tycos/internal/knn"
-	"tycos/internal/mathx"
 )
 
 // Incremental maintains the KSG estimate of a point set under insertions and
@@ -27,7 +26,9 @@ import (
 //
 // This turns the per-window cost of a δ-step LAHC move from a full
 // re-estimation into work proportional to the few points whose
-// neighbourhoods actually changed.
+// neighbourhoods actually changed. Its estimate equals KSG.Estimate over
+// the maintained samples in ascending-id order to the last bit; like
+// Estimate, it needs finite samples.
 type Incremental struct {
 	k    int
 	grid *knn.Grid
@@ -78,21 +79,13 @@ type IncrementalOps struct {
 func (inc *Incremental) Ops() IncrementalOps { return inc.ops }
 
 type pointState struct {
-	p      knn.Point
-	dx, dy float64 // IMR half-widths (per-dimension kth-NN projections)
-	d      float64 // IR half-width = L∞ distance to the k-th neighbour
-	// nx, ny are the closed-interval marginal counts EXCLUDING the point
-	// itself — Kraskov's n_x, n_y, the ψ(n_x) digamma arguments of
-	// algorithm 2 (Eq. (9)), shared with the batch estimator. With k ≥ 1 the
-	// k-th-NN projection keeps them ≥ 1 in exact arithmetic; computePoint
-	// and the classify cascade floor them at 1 defensively against fp
-	// boundary rounding.
-	nx, ny int
-	live   bool
-}
-
-func (s *pointState) digammas() float64 {
-	return mathx.DigammaInt(s.nx) + mathx.DigammaInt(s.ny)
+	p knn.Point
+	// ksgState is the point's IR and IMR half-widths and its raw marginal
+	// counts n_x, n_y, shared with the batch estimator. The counts are kept
+	// unfloored so the classify cascade's ±1 bumps stay equal to a fresh
+	// count; psiCounts floors them when the digammas are formed.
+	ksgState
+	live bool
 }
 
 // NewIncremental returns an empty incremental estimator with neighbour count
@@ -371,10 +364,10 @@ func (inc *Incremental) Remove(id int) bool {
 // (sign +1) or removing (sign −1) the point o: IMR-only points get their
 // marginal counts adjusted in place, and the ids whose IR contains o — whose
 // kNN state must be recomputed — are returned. A linear pass over the point
-// states is used: the per-point test is three comparisons, and indexed
-// candidate queries (square/strip grid scans bounded by radius maxima) were
-// measured slower here because edge points inflate the radius bounds until
-// the candidate sets approach the whole window anyway.
+// states is used: the per-point test is a handful of comparisons, and
+// indexed candidate queries (square/strip grid scans bounded by radius
+// maxima) were measured slower here because edge points inflate the radius
+// bounds until the candidate sets approach the whole window anyway.
 func (inc *Incremental) classify(o knn.Point, sign int) []int {
 	refresh := inc.refreshBuf[:0]
 	for _, pid := range inc.ids {
@@ -384,20 +377,17 @@ func (inc *Incremental) classify(o knn.Point, sign int) []int {
 			continue
 		}
 		// The counts track other points entering/leaving the IMR intervals
-		// (o ≠ p here, so the excluding-self convention is unaffected); the
-		// floor mirrors computePoint's defensive max(count−1, 1) — in exact
-		// arithmetic the k-th-NN projection keeps nx, ny ≥ 1.
-		if math.Abs(o.X-st.p.X) <= st.dx {
+		// (o ≠ p here, so the excluding-self convention is unaffected),
+		// tested with CountWithin's predicate p−d ≤ u ≤ p+d: |u−p| ≤ d
+		// disagrees with it at rounding boundaries, and the count would
+		// drift from a fresh one. The lower bound never exceeds the upper,
+		// so o is inside exactly when both bounds agree on it — one branch,
+		// not two.
+		if (st.p.X-st.dx <= o.X) == (o.X <= st.p.X+st.dx) {
 			st.nx += sign
-			if st.nx < 1 {
-				st.nx = 1
-			}
 		}
-		if math.Abs(o.Y-st.p.Y) <= st.dy {
+		if (st.p.Y-st.dy <= o.Y) == (o.Y <= st.p.Y+st.dy) {
 			st.ny += sign
-			if st.ny < 1 {
-				st.ny = 1
-			}
 		}
 	}
 	inc.refreshBuf = refresh
@@ -437,26 +427,37 @@ func (inc *Incremental) settle(st *pointState, nn []knn.Neighbor) {
 	st.dx, st.dy, st.d = dx, dy, d
 	// The interval counts include the point's own coordinate; subtracting it
 	// yields Kraskov's n_x, n_y (counts excluding self, as in the batch
-	// estimator). The floor mirrors ksg.go's defensive max(count−1, 1).
+	// estimator).
 	st.nx = inc.xs.CountWithin(st.p.X, dx) - 1
-	if st.nx < 1 {
-		st.nx = 1
-	}
 	st.ny = inc.ys.CountWithin(st.p.Y, dy) - 1
-	if st.ny < 1 {
-		st.ny = 1
-	}
 }
 
 // rebuildAll recomputes every point's state in one bulk pass. Called by
 // Reload and when the population crosses the k threshold where incremental
-// state is undefined. The live points, gathered in ascending-id order, are
-// indexed by a k-d tree and each is queried once. The tree breaks distance
-// ties on the local index, and ascending-id order makes that agree with the
-// grid's id tie-break, so it selects the same k-best set and every state is
-// bit-identical to a computePoint refresh.
+// state is undefined. The live points are gathered in ascending-id order.
+// Up to allPairsMax of them go through the all-pairs kernel, more are
+// indexed by a k-d tree and each is queried once. Both break distance ties
+// on the local index, and ascending-id order makes that agree with the
+// grid's id tie-break, so they select the same k-best set and every state
+// is bit-identical to a computePoint refresh.
 func (inc *Incremental) rebuildAll() {
-	if len(inc.ids) <= inc.k {
+	m := len(inc.ids)
+	if m <= inc.k {
+		return
+	}
+	if m <= allPairsMax {
+		var (
+			xs, ys [allPairsMax]float64
+			a      allPairs
+		)
+		for j, id := range inc.ids {
+			p := inc.slab[id-inc.base].p
+			xs[j], ys[j] = p.X, p.Y
+		}
+		for j, id := range inc.ids {
+			inc.slab[id-inc.base].ksgState = a.point(xs[:m], ys[:m], inc.k, j)
+		}
+		inc.ops.Refreshes += m
 		return
 	}
 	inc.pts = inc.pts[:0]
@@ -489,11 +490,11 @@ func (inc *Incremental) MI() (float64, error) {
 	}
 	var digammaSum float64
 	for _, id := range inc.ids {
-		digammaSum += inc.slab[id-inc.base].digammas()
+		st := &inc.slab[id-inc.base]
+		digammaSum += psiCounts(st.nx, st.ny)
 	}
-	k := float64(inc.k)
 	inc.estimates++
-	return mathx.DigammaInt(inc.k) - 1/k - digammaSum/float64(m) + mathx.Digamma(float64(m)), nil
+	return ksgMI(inc.k, m, digammaSum), nil
 }
 
 // Estimates returns the number of successful MI evaluations since

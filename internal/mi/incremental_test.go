@@ -4,12 +4,19 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 )
 
+// sameBits reports whether two estimates agree to the last bit: the
+// incremental estimator's contract with the batch estimator.
+func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+
 // batchOnSurvivors computes the reference KSG estimate over the surviving
-// samples of an insert/remove trace.
+// samples of an insert/remove trace, in ascending-id order — the order the
+// incremental estimator breaks distance ties and folds digammas in, so the
+// two agree to the last bit.
 func batchOnSurvivors(x, y map[int]float64, k int) (float64, error) {
 	xs := make([]float64, 0, len(x))
 	ys := make([]float64, 0, len(x))
@@ -17,6 +24,7 @@ func batchOnSurvivors(x, y map[int]float64, k int) (float64, error) {
 	for id := range x {
 		ids = append(ids, id)
 	}
+	sort.Ints(ids)
 	for _, id := range ids {
 		xs = append(xs, x[id])
 		ys = append(ys, y[id])
@@ -39,8 +47,8 @@ func TestIncrementalMatchesBatchAfterInserts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if math.Abs(got-want) > 1e-9 {
-		t.Errorf("incremental = %.12f, batch = %.12f", got, want)
+	if !sameBits(got, want) {
+		t.Errorf("incremental = %.17g, batch = %.17g", got, want)
 	}
 }
 
@@ -77,8 +85,8 @@ func TestIncrementalSlidingWindowMatchesBatch(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if math.Abs(got-want) > 1e-9 {
-			t.Fatalf("window [%d,%d): incremental %.12f != batch %.12f", lo, hi, got, want)
+		if !sameBits(got, want) {
+			t.Fatalf("window [%d,%d): incremental %.17g != batch %.17g", lo, hi, got, want)
 		}
 	}
 }
@@ -114,7 +122,7 @@ func TestIncrementalRandomTraceProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		return math.Abs(got-want) <= 1e-9
+		return sameBits(got, want)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
 		t.Error(err)
@@ -150,8 +158,8 @@ func TestIncrementalSmallPopulations(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if math.Abs(got-want) > 1e-9 {
-			t.Fatalf("size %d: incremental %.12f != batch %.12f", i+1, got, want)
+		if !sameBits(got, want) {
+			t.Fatalf("size %d: incremental %.17g != batch %.17g", i+1, got, want)
 		}
 	}
 	// Shrink below k and verify the error returns.
@@ -208,8 +216,8 @@ func TestIncrementalUndoRestoresMI(t *testing.T) {
 	inc.Insert(1, x[1], y[1])
 	inc.Insert(2, x[2], y[2])
 	after, _ := inc.MI()
-	if math.Abs(before-after) > 1e-9 {
-		t.Errorf("undo drift: before %.12f, after %.12f", before, after)
+	if !sameBits(before, after) {
+		t.Errorf("undo drift: before %.17g, after %.17g", before, after)
 	}
 }
 
@@ -287,15 +295,70 @@ func TestNewIncrementalBulkMatchesIncrementalInserts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if math.Abs(a-b) > 1e-9 {
-		t.Errorf("bulk %.12f != per-insert %.12f", a, b)
+	if !sameBits(a, b) {
+		t.Errorf("bulk %.17g != per-insert %.17g", a, b)
 	}
 	// The bulk estimator stays maintainable afterwards.
 	bulk.Remove(ids[0])
 	inc.Remove(ids[0])
 	a, _ = bulk.MI()
 	b, _ = inc.MI()
-	if math.Abs(a-b) > 1e-9 {
-		t.Errorf("after removal bulk %.12f != per-insert %.12f", a, b)
+	if !sameBits(a, b) {
+		t.Errorf("after removal bulk %.17g != per-insert %.17g", a, b)
+	}
+}
+
+// TestIncrementalMatchesBatchUnderRounding drives cascaded inserts and
+// removes — the edge moves of a local search — over data whose marginal
+// interval bounds round: a 0.1-step lattice, log-normal values across ~20
+// orders of magnitude, and values a few ulps apart. After every move the
+// incremental estimate must equal the batch estimate of the same window to
+// the last bit. This needs the IMR count bumps to test membership with the
+// same bounds a fresh count uses, and the stored counts to stay unfloored.
+func TestIncrementalMatchesBatchUnderRounding(t *testing.T) {
+	const (
+		n          = 600
+		moves      = 300
+		minW, maxW = 6, 180
+	)
+	for _, kind := range []string{"step0.1", "lognormal", "near-constant"} {
+		for seed := int64(1); seed <= 3; seed++ {
+			rng := rand.New(rand.NewSource(seed))
+			x, y := windowKinds[kind](rng, n)
+			inc := NewIncremental(4, 0.5)
+			batch := NewKSG(4, BackendKDTree)
+			lo, hi := 200, 240 // the window is [lo, hi)
+			for i := lo; i < hi; i++ {
+				inc.Insert(i, x[i], y[i])
+			}
+			for mv := 0; mv < moves; mv++ {
+				nlo := min(max(lo+rng.Intn(9)-4, 0), n-minW)
+				nhi := min(max(hi+rng.Intn(9)-4, nlo+minW), nlo+maxW, n)
+				for i := lo; i < min(nlo, hi); i++ {
+					inc.Remove(i)
+				}
+				for i := max(nhi, lo); i < hi; i++ {
+					inc.Remove(i)
+				}
+				for i := nlo; i < min(lo, nhi); i++ {
+					inc.Insert(i, x[i], y[i])
+				}
+				for i := max(hi, nlo); i < nhi; i++ {
+					inc.Insert(i, x[i], y[i])
+				}
+				lo, hi = nlo, nhi
+				got, err := inc.MI()
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, err := batch.Estimate(x[lo:hi], y[lo:hi])
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !sameBits(got, want) {
+					t.Fatalf("%s/seed %d/move %d: window [%d,%d): incremental %.17g, batch %.17g", kind, seed, mv, lo, hi, got, want)
+				}
+			}
+		}
 	}
 }

@@ -9,7 +9,9 @@ import (
 )
 
 // Backend selects the k-nearest-neighbour structure used inside the KSG
-// estimator (the ablation of Lemma 2's complexity discussion).
+// estimator (the ablation of Lemma 2's complexity discussion) for windows
+// above allPairsMax samples; smaller windows take the all-pairs kernel on
+// either backend.
 type Backend int
 
 const (
@@ -96,7 +98,10 @@ func (e *KSG) Name() string { return fmt.Sprintf("ksg(k=%d,%s)", e.k, e.display)
 // K returns the configured neighbour count.
 func (e *KSG) K() int { return e.k }
 
-// Estimate implements Estimator. It requires len(x) > k.
+// Estimate implements Estimator. It requires len(x) > k and finite samples.
+// Windows of up to allPairsMax samples are estimated by the all-pairs
+// kernel, larger ones through the engine; both give the same estimate to
+// the last bit, so neither the size nor the backend shows in the result.
 func (e *KSG) Estimate(x, y []float64) (float64, error) {
 	if err := checkPair(x, y); err != nil {
 		return 0, err
@@ -105,39 +110,66 @@ func (e *KSG) Estimate(x, y []float64) (float64, error) {
 	if m <= e.k {
 		return 0, fmt.Errorf("%w: m=%d, k=%d", ErrTooFewSamples, m, e.k)
 	}
+	// The kernel orders distances by their bit patterns, which holds for
+	// finite samples only; NaN would also poison both paths' comparisons.
+	for i := range x {
+		if !(math.Abs(x[i]) <= math.MaxFloat64 && math.Abs(y[i]) <= math.MaxFloat64) {
+			return 0, fmt.Errorf("mi: non-finite sample (%v, %v) at index %d", x[i], y[i], i)
+		}
+	}
+	var sum float64
+	if m <= allPairsMax {
+		sum = e.allPairsSum(x, y)
+	} else {
+		sum = e.engineSum(x, y)
+	}
+	e.estimates++
+	return ksgMI(e.k, m, sum), nil
+}
+
+// ksgMI completes Eq. (9) for m points from the sum of the per-point
+// digamma terms ψ(n_x) + ψ(n_y).
+func ksgMI(k, m int, sum float64) float64 {
+	return mathx.DigammaInt(k) - 1/float64(k) - sum/float64(m) + mathx.Digamma(float64(m))
+}
+
+// allPairsSum returns Σ_i ψ(n_x,i) + ψ(n_y,i) over the window, folded in
+// index order, from the all-pairs kernel.
+func (e *KSG) allPairsSum(x, y []float64) float64 {
+	var (
+		a   allPairs
+		sum float64
+	)
+	for i := range x {
+		st := a.point(x, y, e.k, i)
+		sum += psiCounts(st.nx, st.ny)
+	}
+	return sum
+}
+
+// engineSum is allPairsSum through the engine: one Build per estimate (the
+// engine re-indexes the window reusing its arenas, and its sorted
+// marginals make the n_x, n_y interval counts O(log m)), then a k-NN
+// self-query and two interval counts per point. Both engines return the
+// same (distance, index) k-best sets, so the sum does not depend on the
+// backend.
+func (e *KSG) engineSum(x, y []float64) float64 {
 	e.pts = e.pts[:0]
 	for i := range x {
 		e.pts = append(e.pts, knn.Point{X: x[i], Y: y[i]})
 	}
 	pts := e.pts
-	// One Build per estimate: the engine re-indexes the window reusing its
-	// arenas (and its sorted marginals, which make the n_x, n_y interval
-	// counts O(log m)). Both engines return the same (distance, index)
-	// k-best sets, so the estimate does not depend on the backend.
 	e.engine.Build(pts, x, y)
-
 	var sum float64
-	for i := 0; i < m; i++ {
+	for i := range pts {
 		nn := e.engine.SelfKNearest(i, e.k)
 		dx, dy := marginalRadii(pts[i], pts, nn)
 		// The closed-interval counts include the query's own coordinate;
 		// subtracting it yields Kraskov's n_x, n_y (Eq. (9) counts exclude
-		// the point itself). The floor is defensive only: in exact arithmetic
-		// the k-th-NN projection keeps n_x, n_y ≥ 1, but fp boundary rounding
-		// on degenerate data could leave just the query in its interval.
-		nx := e.engine.CountX(x[i], dx) - 1
-		if nx < 1 {
-			nx = 1
-		}
-		ny := e.engine.CountY(y[i], dy) - 1
-		if ny < 1 {
-			ny = 1
-		}
-		sum += mathx.DigammaInt(nx) + mathx.DigammaInt(ny)
+		// the point itself).
+		sum += psiCounts(e.engine.CountX(x[i], dx)-1, e.engine.CountY(y[i], dy)-1)
 	}
-	k := float64(e.k)
-	e.estimates++
-	return mathx.DigammaInt(e.k) - 1/k - sum/float64(m) + mathx.Digamma(float64(m)), nil
+	return sum
 }
 
 // Estimates returns the number of successful estimations this instance has

@@ -5,7 +5,8 @@
 // threshold of Section 6.3.2, and the incremental estimator of Section 7
 // that reuses k-NN and marginal-count state across overlapping windows. The
 // incremental estimator keeps its per-point state in an id-indexed slab, not
-// a map, and recomputes whole windows with the batch estimator's k-d tree.
+// a map, and recomputes whole windows as the batch estimator does: small
+// windows with the all-pairs kernel, larger ones with a k-d tree.
 //
 // All information quantities are expressed in nats.
 package mi

@@ -1,7 +1,7 @@
 package mi
 
 import (
-	"math"
+	"fmt"
 	"math/rand"
 	"testing"
 )
@@ -23,12 +23,12 @@ func checkStatesMatchRefresh(t *testing.T, label string, inc *Incremental) {
 }
 
 // TestReloadStatesMatchGridRefresh pins the bulk recompute: after Reload,
-// every point's (d, dx, dy, nx, ny) equals the grid refresh's result exactly
-// — on continuous data, on a tied lattice and on data with duplicate points,
-// with unsorted, non-contiguous ids.
+// every point's state (d, dx, dy, nx, ny) equals the grid refresh's
+// result exactly — on continuous data, on a tied lattice and on data with
+// duplicate points, with unsorted, non-contiguous ids, for a window the
+// all-pairs kernel serves and one the k-d tree serves.
 func TestReloadStatesMatchGridRefresh(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
-	const m = 240
 	cases := map[string]func(i int) (float64, float64){
 		"continuous": func(int) (float64, float64) {
 			x := rng.NormFloat64()
@@ -44,18 +44,21 @@ func TestReloadStatesMatchGridRefresh(t *testing.T) {
 		},
 	}
 	inc := NewIncremental(4, 0.3)
-	for name, gen := range cases {
-		ids := make([]int, m)
-		xs := make([]float64, m)
-		ys := make([]float64, m)
-		for i, j := range rng.Perm(m) {
-			ids[i] = 7 + 3*j // unsorted, with gaps
-			xs[i], ys[i] = gen(i)
+	for _, m := range []int{40, 240} {
+		for name, gen := range cases {
+			ids := make([]int, m)
+			xs := make([]float64, m)
+			ys := make([]float64, m)
+			for i, j := range rng.Perm(m) {
+				ids[i] = 7 + 3*j // unsorted, with gaps
+				xs[i], ys[i] = gen(i)
+			}
+			label := fmt.Sprintf("%s/m=%d", name, m)
+			inc.Reload(ids, xs, ys)
+			checkStatesMatchRefresh(t, label, inc)
+			fresh := NewIncrementalBulk(4, 0.3, ids, xs, ys)
+			checkStatesMatchRefresh(t, label+"/fresh", fresh)
 		}
-		inc.Reload(ids, xs, ys)
-		checkStatesMatchRefresh(t, name, inc)
-		fresh := NewIncrementalBulk(4, 0.3, ids, xs, ys)
-		checkStatesMatchRefresh(t, name+"/fresh", fresh)
 	}
 }
 
@@ -107,8 +110,8 @@ func (s *slabTrace) check(label string) {
 	if err != nil {
 		s.t.Fatalf("%s: %v", label, err)
 	}
-	if math.Abs(got-want) > 1e-9 {
-		s.t.Fatalf("%s: incremental %.12f, batch %.12f", label, got, want)
+	if !sameBits(got, want) {
+		s.t.Fatalf("%s: incremental %.17g, batch %.17g", label, got, want)
 	}
 	checkStatesMatchRefresh(s.t, label, s.inc)
 }

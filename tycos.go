@@ -169,7 +169,8 @@ func BruteForceContext(ctx context.Context, p Pair, opts Options) (Result, error
 func SearchSpaceSize(n int, opts Options) int64 { return core.SearchSpaceSize(n, opts) }
 
 // EstimateMI returns the KSG mutual-information estimate (nats) between the
-// paired samples with neighbour count k (k ≤ 0 selects the default, 4).
+// paired samples with neighbour count k (k ≤ 0 selects the default, 4). A
+// NaN or infinite sample is an error.
 func EstimateMI(x, y []float64, k int) (float64, error) {
 	return mi.NewKSG(k, mi.BackendKDTree).Estimate(x, y)
 }

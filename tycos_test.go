@@ -87,6 +87,22 @@ func TestPublicEstimateMI(t *testing.T) {
 	if tycos.NormalizedMI(raw, x, y, tycos.NormNone) != raw {
 		t.Error("NormNone must pass raw through")
 	}
+	// A non-finite sample in either series is an error, not an estimate, on
+	// windows of any size.
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		for _, m := range []int{16, n} {
+			xb := append([]float64(nil), x[:m]...)
+			yb := append([]float64(nil), y[:m]...)
+			xb[m/2] = bad
+			if v, err := tycos.EstimateMI(xb, y[:m], 0); err == nil {
+				t.Errorf("EstimateMI with x[%d] = %v, m = %d: %v, want an error", m/2, bad, m, v)
+			}
+			yb[m-1] = bad
+			if v, err := tycos.EstimateMI(x[:m], yb, 0); err == nil {
+				t.Errorf("EstimateMI with y[%d] = %v, m = %d: %v, want an error", m-1, bad, m, v)
+			}
+		}
+	}
 }
 
 func TestPublicSearchSpaceSize(t *testing.T) {
