@@ -8,7 +8,7 @@ import (
 // spends per LAHC restart. The climb appends neighbourhoods into a
 // per-searcher buffer, carries pruned directions as flags, re-seeds one
 // acceptor RNG and (for the incremental variants) reloads pooled estimators
-// whose state slab, grid and k-d tree are already sized, so what remains is
+// whose state and list slabs and k-d tree are already sized, so what remains is
 // per-search set-up and a few bookkeeping allocations per restart. The
 // bounds sit one allocation above the measured 8 (L) and 53 (LMN) per
 // restart: a fresh rand source per restart (L and LMN) or a map per

@@ -11,15 +11,15 @@ import (
 // One search already recycles its own retired estimators (the incScorer pool
 // of PR 5), but a fleet workload — the discovery engine confirming dozens of
 // candidates against one anchor — builds and tears down a scorer per
-// candidate, losing every grid, multiset and point-state allocation between
+// candidate, losing every multiset, point-state and list allocation between
 // searches. Passing a shared cache through Options.EstimatorCache lets the
 // next search's first rebuilds start from a warm estimator instead of the
 // heap.
 //
 // The cache is result-invisible by construction: a cached estimator is
-// Reconfigured (empty, re-tuned cell, counters zeroed) before use, and the
+// Reconfigured (empty, re-tuned k, counters zeroed) before use, and the
 // Reload/Reconfigure contract makes that bit-identical to a fresh
-// NewIncrementalBulk. Which searches hit or miss the cache varies with
+// estimator. Which searches hit or miss the cache varies with
 // scheduling, but since hits and misses produce identical estimates, events
 // and counters, byte-identical output guarantees are unaffected.
 //
@@ -47,9 +47,9 @@ func NewEstimatorCache(max int) *EstimatorCache {
 	return &EstimatorCache{max: max}
 }
 
-// take pops a pooled estimator re-tuned to (k, cell), or returns nil when the
-// pool is empty and the caller must construct one.
-func (c *EstimatorCache) take(k int, cell float64) *mi.Incremental {
+// take pops a pooled estimator re-tuned to k, or returns nil when the pool
+// is empty and the caller must construct one.
+func (c *EstimatorCache) take(k int) *mi.Incremental {
 	if c == nil {
 		return nil
 	}
@@ -64,7 +64,7 @@ func (c *EstimatorCache) take(k int, cell float64) *mi.Incremental {
 	c.pool = c.pool[:n-1]
 	c.hits++
 	c.mu.Unlock()
-	inc.Reconfigure(k, cell)
+	inc.Reconfigure(k)
 	return inc
 }
 

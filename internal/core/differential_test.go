@@ -112,7 +112,7 @@ func batchReference(t *testing.T, p series.Pair, k int, w window.Window) (float6
 // reference (-1 when none does).
 func replaySequence(t *testing.T, p series.Pair, opts Options, seq []window.Window) (failIdx int, got, want float64) {
 	t.Helper()
-	sc := newIncScorer(p, opts.K, opts.Normalization, opts.SMax)
+	sc := newIncScorer(p, opts.K, opts.Normalization)
 	for i, w := range seq {
 		raw, _, err := sc.both(w)
 		wantRaw, ok := batchReference(t, p, opts.K, w)
@@ -220,7 +220,7 @@ func TestIncrementalScorerNormalizedAgreement(t *testing.T) {
 		cons := opts.constraints(p.Len())
 		rng := rand.New(rand.NewSource(99))
 		seq := genMoveSequence(rng, cons, 40)
-		incSc := newIncScorer(p, opts.K, norm, opts.SMax)
+		incSc := newIncScorer(p, opts.K, norm)
 		batchSc := newBatchScorer(p, opts.K, norm)
 		for i, w := range seq {
 			gotNorm, err1 := incSc.score(w)

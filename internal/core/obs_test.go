@@ -157,10 +157,15 @@ func TestTraceMatchesStats(t *testing.T) {
 			t.Errorf("trace counter %s = %d, stats say %d", name, counterTotals[name], want)
 		}
 	}
-	for _, name := range []string{"mi.inc_inserts", "mi.inc_removes", "mi.inc_refreshes"} {
+	for _, name := range []string{"mi.inc_inserts", "mi.inc_removes", "mi.inc_refreshes", "mi.inc_requeries"} {
 		if counterTotals[name] <= 0 {
 			t.Errorf("incremental variant emitted no %s work", name)
 		}
+	}
+	// A list is rescanned only for a point whose state the same removal
+	// refreshes.
+	if rq, rf := counterTotals["mi.inc_requeries"], counterTotals["mi.inc_refreshes"]; rq > rf {
+		t.Errorf("mi.inc_requeries = %d exceeds mi.inc_refreshes = %d", rq, rf)
 	}
 
 	// The registry agrees with the trace.

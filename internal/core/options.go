@@ -124,8 +124,8 @@ type Options struct {
 	// searches: each search's scorers draw their first rebuilds from the
 	// cache and return their estimators when the search ends. Sharing a
 	// cache across the per-candidate searches of a fleet workload (see
-	// internal/discovery) removes the per-search grid/multiset/point-state
-	// allocations. Purely a performance hint — cached estimators are
+	// internal/discovery) removes the per-search multiset, point-state and
+	// neighbour-list allocations. Purely a performance hint — cached estimators are
 	// reconfigured to bit-identical-to-fresh state before use, so results,
 	// events and counters are unchanged. Only the incremental variants
 	// (TYCOS_LM/LMN) consult it.

@@ -249,7 +249,7 @@ func runSegment(ctx context.Context, p series.Pair, opts Options, cons window.Co
 // null model.
 func newScorer(p series.Pair, opts Options, null *nullModel) scorer {
 	if opts.Variant.incremental() {
-		sc := newIncScorer(p, opts.K, opts.Normalization, opts.SMax)
+		sc := newIncScorer(p, opts.K, opts.Normalization)
 		sc.null = null
 		sc.shared = opts.EstimatorCache
 		return sc

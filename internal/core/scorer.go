@@ -115,7 +115,6 @@ type incScorer struct {
 	k    int
 	norm mi.Normalization
 	null *nullModel
-	cell float64 // grid cell size, fixed for the whole search
 
 	states map[int]*incState // keyed by delay
 	tick   int               // LRU clock
@@ -130,7 +129,7 @@ type incScorer struct {
 
 	// pool recycles the estimators of dropped cache entries: a rebuild takes
 	// one from here and Reloads it — same counters and results as a fresh
-	// NewIncrementalBulk, but reusing the grid, multiset and point-state
+	// estimator, but reusing the multiset, point-state and list
 	// allocations. ids is the matching reusable id scratch.
 	pool []*mi.Incremental
 	ids  []int
@@ -152,17 +151,8 @@ type incState struct {
 // three delays; a few extra slots cover the climb's recent τ history.
 const maxIncStates = 6
 
-// newIncScorer sizes the grid cell once from the full series span and the
-// maximum window population, so estimators rebuilt for tiny windows (e.g.
-// noise partitions) still index later, larger windows efficiently — a
-// per-window cell size can be orders of magnitude too small for the next
-// window and make ring searches explode.
-func newIncScorer(p series.Pair, k int, norm mi.Normalization, sMax int) *incScorer {
-	if sMax < 1 {
-		sMax = 1
-	}
-	cell := gridCellFor(p.X.Values, p.Y.Values, k, sMax)
-	return &incScorer{pair: p, k: k, norm: norm, cell: cell, states: make(map[int]*incState)}
+func newIncScorer(p series.Pair, k int, norm mi.Normalization) *incScorer {
+	return &incScorer{pair: p, k: k, norm: norm, states: make(map[int]*incState)}
 }
 
 func (s *incScorer) score(w window.Window) (float64, error) {
@@ -288,14 +278,12 @@ func (s *incScorer) rebuild(w window.Window) (*incState, error) {
 	if n := len(s.pool); n > 0 {
 		inc = s.pool[n-1]
 		s.pool = s.pool[:n-1]
-		inc.Reload(s.ids, xs, ys)
-	} else if inc = s.shared.take(s.k, s.cell); inc != nil {
-		// A cache hit arrives Reconfigured to this scorer's (k, cell) —
-		// bit-identical to a fresh estimator, warm allocations and all.
-		inc.Reload(s.ids, xs, ys)
-	} else {
-		inc = mi.NewIncrementalBulk(s.k, s.cell, s.ids, xs, ys)
+	} else if inc = s.shared.take(s.k); inc == nil {
+		inc = mi.NewIncremental(s.k)
 	}
+	// A pooled estimator or a cache hit (Reconfigured to this scorer's k)
+	// reloads bit-identically to a fresh one, warm allocations and all.
+	inc.Reload(s.ids, xs, ys)
 	st := &incState{inc: inc, cur: w, lastUse: s.tick}
 	s.states[w.Delay] = st
 	s.nBatch++
@@ -309,6 +297,7 @@ func (s *incScorer) retire(st *incState) {
 	s.retired.Inserts += ops.Inserts
 	s.retired.Removes += ops.Removes
 	s.retired.Refreshes += ops.Refreshes
+	s.retired.Requeries += ops.Requeries
 	s.pool = append(s.pool, st.inc)
 }
 
@@ -356,38 +345,14 @@ func (s *incScorer) counters() []counter {
 		total.Inserts += ops.Inserts
 		total.Removes += ops.Removes
 		total.Refreshes += ops.Refreshes
+		total.Requeries += ops.Requeries
 	}
 	return []counter{
 		{"mi.inc_inserts", int64(total.Inserts)},
 		{"mi.inc_removes", int64(total.Removes)},
 		{"mi.inc_refreshes", int64(total.Refreshes)},
+		{"mi.inc_requeries", int64(total.Requeries)},
 	}
-}
-
-// gridCellFor tunes a grid cell size so a window of up to m points spread
-// over the joint span of xs and ys holds O(k) points per occupied cell.
-func gridCellFor(xs, ys []float64, k, m int) float64 {
-	minV, maxV := math.Inf(1), math.Inf(-1)
-	for _, v := range xs {
-		minV = math.Min(minV, v)
-		maxV = math.Max(maxV, v)
-	}
-	for _, v := range ys {
-		minV = math.Min(minV, v)
-		maxV = math.Max(maxV, v)
-	}
-	span := maxV - minV
-	if !(span > 0) {
-		return 1
-	}
-	if k < 1 {
-		k = 1
-	}
-	cellsPerAxis := math.Sqrt(float64(m) / float64(k))
-	if cellsPerAxis < 1 {
-		cellsPerAxis = 1
-	}
-	return span / cellsPerAxis
 }
 
 // jitterPair returns the pair with deterministic uniform dither of amplitude

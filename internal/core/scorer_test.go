@@ -26,7 +26,7 @@ func scorerPair(seed int64, n int) series.Pair {
 func TestBatchAndIncrementalScorersAgree(t *testing.T) {
 	p := scorerPair(3, 400)
 	batch := newBatchScorer(p, 4, mi.NormMaxEntropy)
-	inc := newIncScorer(p, 4, mi.NormMaxEntropy, 120)
+	inc := newIncScorer(p, 4, mi.NormMaxEntropy)
 	windows := []window.Window{
 		{Start: 10, End: 60, Delay: 0},
 		{Start: 12, End: 66, Delay: 0}, // same-delay diff
@@ -70,7 +70,7 @@ func TestBatchAndIncrementalScorersAgree(t *testing.T) {
 
 func TestIncScorerLRUEviction(t *testing.T) {
 	p := scorerPair(5, 300)
-	inc := newIncScorer(p, 4, mi.NormMaxEntropy, 60)
+	inc := newIncScorer(p, 4, mi.NormMaxEntropy)
 	// Touch more delays than the cache holds.
 	for d := -5; d <= 5; d++ {
 		if _, err := inc.score(window.Window{Start: 50, End: 100, Delay: d}); err != nil {
@@ -202,14 +202,5 @@ func TestNoiseVerdictOnKnownStructure(t *testing.T) {
 	goodPart := window.Window{Start: 80, End: 99, Delay: 0}
 	if s.noiseVerdict(inner, innerRaw, goodPart, true) {
 		t.Error("correlated continuation should not be judged noise")
-	}
-}
-
-func TestGridCellForDegenerate(t *testing.T) {
-	if gridCellFor([]float64{1, 1}, []float64{1, 1}, 4, 100) != 1 {
-		t.Error("zero span must fall back to 1")
-	}
-	if c := gridCellFor([]float64{0, 10}, []float64{0, 10}, 0, 0); !(c > 0) {
-		t.Errorf("degenerate parameters produced cell %v", c)
 	}
 }

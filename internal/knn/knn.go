@@ -1,12 +1,11 @@
 // Package knn provides the 2-D nearest-neighbour and range-counting
 // machinery behind the KSG mutual-information estimator: an exact k-d tree
 // (Bentley 1975) with bucketed structure-of-arrays leaves that backs every
-// batch estimate, the brute-force scanner it is validated against, sorted
-// multisets for the marginal counts, and a dynamic uniform grid index
-// (Vejmelka & Hlaváčková-Schindler 2007) over one flat slice of cells,
-// supporting insertion and removal, which answers the per-point refreshes of
-// the incremental MI computation of Section 7 of the paper (its bulk
-// recomputes use the k-d tree).
+// batch estimate and the incremental estimator's bulk reloads of large
+// windows, the brute-force scanner it is validated against, and sorted
+// multisets for the marginal counts. The incremental MI computation of
+// Section 7 of the paper needs no dynamic index: its per-point neighbour
+// lists live in package mi.
 //
 // All distances are the Chebyshev (L∞) metric, as required by the KSG
 // estimator (paper footnote 1). Every index selects neighbours under the
@@ -84,10 +83,6 @@ func neighborLess(a, b Neighbor) bool {
 // to keep the k best candidates during a query.
 type maxHeap []Neighbor
 
-// worst returns the largest distance currently kept; the heap root is the
-// maximum under (distance, index), so its distance is the maximum distance.
-func (h maxHeap) worst() float64 { return h[0].Dist }
-
 func (h *maxHeap) push(n Neighbor, k int) {
 	if len(*h) < k {
 		*h = append(*h, n)
@@ -137,7 +132,7 @@ func (h maxHeap) sortInPlace() {
 }
 
 // Brute is the O(n) linear-scan backend. It is the reference implementation
-// the tree and grid backends are validated against.
+// the tree is validated against.
 type Brute struct {
 	pts []Point
 }
@@ -199,4 +194,33 @@ func (b *Brute) CountWithinY(qy, d float64, exclude int) int {
 		}
 	}
 	return n
+}
+
+// GridCellFor returns a cell size at which a uniform grid over the sample
+// would hold about k points per occupied cell: the larger coordinate span
+// over √(n/k). NaN or infinite spans, and empty or single-valued samples,
+// give 1.
+//
+// Deprecated: no index in this module uses a cell size any more; it only
+// feeds the ignored cell argument of mi.NewIncrementalBulk.
+func GridCellFor(sample []Point, k int) float64 {
+	if len(sample) == 0 {
+		return 1
+	}
+	minX, maxX := math.Inf(1), math.Inf(-1)
+	minY, maxY := math.Inf(1), math.Inf(-1)
+	for _, p := range sample {
+		minX = math.Min(minX, p.X)
+		maxX = math.Max(maxX, p.X)
+		minY = math.Min(minY, p.Y)
+		maxY = math.Max(maxY, p.Y)
+	}
+	// !(span > 0) also catches a NaN span, which fails every ordered
+	// comparison.
+	span := math.Max(maxX-minX, maxY-minY)
+	if !(span > 0) || math.IsInf(span, 1) {
+		return 1
+	}
+	cellsPerAxis := max(math.Sqrt(float64(len(sample))/float64(max(k, 1))), 1)
+	return span / cellsPerAxis
 }

@@ -28,7 +28,6 @@ func TestResetReuseMatchesFresh(t *testing.T) {
 	rng := rand.New(rand.NewSource(71))
 	reusedTree := NewKDTree(nil)
 	reusedBrute := NewBrute(nil)
-	reusedGrid := NewGrid(1)
 	reusedSet := NewOrderedMultiset(nil)
 	var buf []Neighbor
 
@@ -41,12 +40,6 @@ func TestResetReuseMatchesFresh(t *testing.T) {
 		freshTree := NewKDTree(pts)
 		reusedBrute.Reset(pts)
 		freshBrute := NewBrute(pts)
-		reusedGrid.Reset(GridCellFor(pts, k))
-		freshGrid := NewGridFor(pts, k)
-		for i, p := range pts {
-			reusedGrid.Insert(i, p)
-			freshGrid.Insert(i, p)
-		}
 
 		for i := range pts {
 			// Arbitrary query points: off-lattice, nothing excluded.
@@ -60,8 +53,6 @@ func TestResetReuseMatchesFresh(t *testing.T) {
 				"reused kdtree": reusedTree.KNearestInto(pts[i], k, i, buf),
 				"fresh brute":   freshBrute.KNearest(pts[i], k, i),
 				"reused brute":  reusedBrute.KNearestInto(pts[i], k, i, nil),
-				"fresh grid":    freshGrid.KNearest(pts[i], k, i),
-				"reused grid":   reusedGrid.KNearestInto(pts[i], k, i, nil),
 			} {
 				if !neighborsEqual(want, got) {
 					t.Fatalf("round %d query %d (n=%d k=%d): %s = %v, fresh kdtree = %v",
@@ -109,8 +100,8 @@ func neighborsEqual(a, b []Neighbor) bool {
 }
 
 // TestResetAllocs pins the allocation budget of the Reset-and-refill cycle:
-// after one warm-up round, re-using a kd-tree, multiset or grid on a
-// same-sized point set must not touch the heap.
+// after one warm-up round, re-using a kd-tree or multiset on a same-sized
+// point set must not touch the heap.
 func TestResetAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(73))
 	pts := reusePoints(rng, 400)
@@ -137,25 +128,6 @@ func TestResetAllocs(t *testing.T) {
 	}); got != 0 {
 		t.Errorf("multiset Reset+count allocates %v/run, want 0", got)
 	}
-
-	// Warm the cell slice: the box is sized on the first fill and kept by a
-	// same-cell Reset, and every bucket keeps its capacity at its slot, so
-	// refills of the same point set stop allocating once warm.
-	grid := NewGridFor(pts, 4)
-	for rep := 0; rep < 2; rep++ {
-		grid.Reset(GridCellFor(pts, 4))
-		for i, p := range pts {
-			grid.Insert(i, p)
-		}
-	}
-	if got := testing.AllocsPerRun(20, func() {
-		grid.Reset(GridCellFor(pts, 4))
-		for i, p := range pts {
-			grid.Insert(i, p)
-		}
-	}); got != 0 {
-		t.Errorf("grid Reset+refill allocates %v/run, want 0", got)
-	}
 }
 
 func benchPoints(n int) []Point {
@@ -177,23 +149,6 @@ func BenchmarkKDTreeReset(b *testing.B) {
 	}
 }
 
-func BenchmarkGridReset(b *testing.B) {
-	pts := benchPoints(500)
-	cell := GridCellFor(pts, 4)
-	grid := NewGrid(cell)
-	for i, p := range pts {
-		grid.Insert(i, p)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		grid.Reset(cell)
-		for j, p := range pts {
-			grid.Insert(j, p)
-		}
-	}
-}
-
 func BenchmarkOrderedMultisetReset(b *testing.B) {
 	pts := benchPoints(500)
 	vals := make([]float64, len(pts))
@@ -212,14 +167,10 @@ func BenchmarkKNearest(b *testing.B) {
 	pts := benchPoints(500)
 	tree := NewKDTree(pts)
 	brute := NewBrute(pts)
-	grid := NewGridFor(pts, 4)
-	for i, p := range pts {
-		grid.Insert(i, p)
-	}
 	for _, bc := range []struct {
 		name string
 		idx  Index
-	}{{"kdtree", tree}, {"brute", brute}, {"grid", grid}} {
+	}{{"kdtree", tree}, {"brute", brute}} {
 		b.Run(bc.name, func(b *testing.B) {
 			var buf []Neighbor
 			b.ReportAllocs()

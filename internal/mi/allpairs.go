@@ -18,19 +18,26 @@ import (
 // 128, 233 → 252 µs at 160. The switch sits at 128, below both crossings.
 const allPairsMax = 128
 
-// ksgState is one point's KSG state in a window: the L∞ distance to its k-th
-// nearest neighbour, the k best's per-axis maximum projections, and the raw
-// counts of the other window points inside the closed marginal intervals
-// those projections span.
+// ksgState is one point's KSG state in a window: the k nearest
+// neighbours' per-axis maximum projections, and the raw counts of the other
+// window points inside the closed marginal intervals those projections
+// span. The L∞ distance to the k-th neighbour (the IR half-width) is not
+// stored: it is the largest of the k best's L∞ distances, and so the larger
+// of the two projections, bit for bit (see radius).
 type ksgState struct {
-	d float64 // L∞ distance to the k-th neighbour (the IR half-width)
 	// dx, dy are ε_x/2 and ε_y/2, the IMR half-widths. A value u lies in
 	// the x interval when x−dx ≤ u ≤ x+dx, evaluated in exactly that form
 	// — OrderedMultiset.CountWithin's predicate — in every path.
 	dx, dy float64
 	// nx, ny count the other points inside the intervals — Kraskov's n_x,
-	// n_y, not yet floored (see psiCounts).
-	nx, ny int
+	// n_y, not yet floored (see psiCounts). They are int32 to keep the
+	// incremental estimator's point state small.
+	nx, ny int32
+}
+
+// radius returns the bit pattern of the L∞ distance to the k-th neighbour.
+func (s *ksgState) radius() uint64 {
+	return max(math.Float64bits(s.dx), math.Float64bits(s.dy))
 }
 
 // psiCounts returns ψ(n_x) + ψ(n_y) with each count floored at 1. In exact
@@ -46,8 +53,10 @@ func psiCounts(nx, ny int) float64 {
 
 // allPairs is the all-pairs KSG kernel: it computes one point's state by
 // scanning every point of the window, with no index to build. Its only
-// scratch is a k-slot insertion network, kept in fixed arrays so a kernel
-// declared as a local variable lives on the stack.
+// scratch is an insertion network of the n ≥ k nearest points, kept in
+// fixed arrays so a kernel declared as a local variable lives on the stack.
+// Estimates use n = k; an incremental reload widens the network to the
+// neighbour-list length and keeps its entries as the point's list.
 //
 // The kernel reproduces the k-d tree path bit for bit:
 //
@@ -72,35 +81,51 @@ type allPairs struct {
 // signBit is the sign bit of a float64 pattern; clearing it takes |v|.
 const signBit = 1 << 63
 
+// gap returns the bit pattern of the L∞ distance between (ax, ay) and
+// (bx, by). For finite coordinates the distance is never NaN, and the
+// patterns of non-negative values, +Inf included, order like the values.
+func gap(ax, ay, bx, by float64) uint64 {
+	return max(math.Float64bits(ax-bx)&^signBit, math.Float64bits(ay-by)&^signBit)
+}
+
+// offer puts the candidate (d, id) into the ascending network (dist, ids),
+// dropping its last entry; the caller has checked that d precedes it.
+// Candidates must arrive in ascending id order: an insertion shifts only
+// strictly farther entries, so a tie never displaces an earlier id.
+func offer(dist []uint64, ids []int32, d uint64, id int32) {
+	s := len(dist) - 1
+	for ; s > 0 && dist[s-1] > d; s-- {
+		dist[s], ids[s] = dist[s-1], ids[s-1]
+	}
+	dist[s], ids[s] = d, id
+}
+
 // point returns point i's state in the window (xs, ys), for
-// k < len(xs) ≤ allPairsMax and finite samples.
-func (a *allPairs) point(xs, ys []float64, k, i int) ksgState {
+// k ≤ n < len(xs) ≤ allPairsMax and finite samples, and leaves point i's n
+// nearest other points in a.idx[:n], their distance patterns in a.dist[:n].
+func (a *allPairs) point(xs, ys []float64, k, n, i int) ksgState {
 	ys = ys[:len(xs)]
 	xi, yi := xs[i], ys[i]
 
-	// Pass 1: the k nearest other points. The sentinel pattern exceeds
-	// every distance, +Inf included, so the first k candidates all enter.
-	dist, idx := a.dist[:k], a.idx[:k]
+	// Pass 1: the n nearest other points. The sentinel pattern exceeds
+	// every distance, +Inf included, so the first n candidates all enter.
+	dist, idx := a.dist[:n], a.idx[:n]
 	for s := range dist {
 		dist[s] = math.MaxUint64
 	}
-	kth := uint64(math.MaxUint64)
+	last := uint64(math.MaxUint64)
 	for j := range xs {
-		d := max(math.Float64bits(xs[j]-xi)&^signBit, math.Float64bits(ys[j]-yi)&^signBit)
-		if d >= kth || j == i {
+		d := gap(xs[j], ys[j], xi, yi)
+		if d >= last || j == i {
 			continue
 		}
-		s := k - 1
-		for ; s > 0 && dist[s-1] > d; s-- {
-			dist[s], idx[s] = dist[s-1], idx[s-1]
-		}
-		dist[s], idx[s] = d, int32(j)
-		kth = dist[k-1]
+		offer(dist, idx, d, int32(j))
+		last = dist[n-1]
 	}
 
 	// The per-axis maximum projections of the k best.
 	var bx, by uint64
-	for _, j := range idx {
+	for _, j := range idx[:k] {
 		bx = max(bx, math.Float64bits(xs[j]-xi)&^signBit)
 		by = max(by, math.Float64bits(ys[j]-yi)&^signBit)
 	}
@@ -109,7 +134,7 @@ func (a *allPairs) point(xs, ys []float64, k, i int) ksgState {
 
 	// Pass 2: the closed-interval counts over the whole window. x1 ≤ x2, so
 	// a value is inside exactly when both bounds agree on it.
-	cx, cy := 0, 0
+	var cx, cy int32
 	for j, x := range xs {
 		y := ys[j]
 		if (x1 <= x) == (x <= x2) {
@@ -120,7 +145,6 @@ func (a *allPairs) point(xs, ys []float64, k, i int) ksgState {
 		}
 	}
 	return ksgState{
-		d:  math.Float64frombits(kth),
 		dx: dx, dy: dy,
 		// The counts include the point's own coordinate; Kraskov's n_x,
 		// n_y exclude it.

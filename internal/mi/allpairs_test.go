@@ -112,17 +112,19 @@ func checkAgainstEngine(t *testing.T, label string, x, y []float64, k int) {
 	e.engineSum(x, y) // builds the engine over the window
 	var a allPairs
 	for i := range x {
-		st := a.point(x, y, k, i)
+		st := a.point(x, y, k, k, i)
 		nn := e.engine.SelfKNearest(i, k)
 		dx, dy := marginalRadii(e.pts[i], e.pts, nn)
 		want := ksgState{
-			d:  nn[len(nn)-1].Dist,
 			dx: dx, dy: dy,
-			nx: e.engine.CountX(x[i], dx) - 1,
-			ny: e.engine.CountY(y[i], dy) - 1,
+			nx: int32(e.engine.CountX(x[i], dx) - 1),
+			ny: int32(e.engine.CountY(y[i], dy) - 1),
 		}
 		if !sameState(st, want) {
 			t.Fatalf("%s: point %d: kernel %+v, engine %+v", label, i, st, want)
+		}
+		if kth := math.Float64bits(nn[len(nn)-1].Dist); st.radius() != kth {
+			t.Fatalf("%s: point %d: radius %#x, k-th distance %#x", label, i, st.radius(), kth)
 		}
 	}
 }
@@ -131,7 +133,7 @@ func checkAgainstEngine(t *testing.T, label string, x, y []float64, k int) {
 // itself).
 func sameState(a, b ksgState) bool {
 	bits := math.Float64bits
-	return bits(a.d) == bits(b.d) && bits(a.dx) == bits(b.dx) && bits(a.dy) == bits(b.dy) &&
+	return bits(a.dx) == bits(b.dx) && bits(a.dy) == bits(b.dy) &&
 		a.nx == b.nx && a.ny == b.ny
 }
 

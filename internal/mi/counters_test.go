@@ -66,11 +66,42 @@ func TestIncrementalOpsCounters(t *testing.T) {
 	for i := range ids {
 		ids[i] = i
 	}
-	bulk := NewIncrementalBulk(4, 0.5, ids, x, y)
+	bulk := newBulk(4, ids, x, y)
 	if got := bulk.Ops().Inserts; got != len(x) {
 		t.Errorf("bulk load of %d points reports %d inserts", len(x), got)
 	}
 	if got := bulk.Ops().Refreshes; got < len(x) {
 		t.Errorf("bulk load refreshed only %d points", got)
+	}
+}
+
+// TestIncrementalRequeries pins when a neighbour list is rescanned: only
+// after removals empty it below k. On a line of 12 points with k = 1, the
+// list of point 0 holds its 1+reserve nearest; removing them one by one
+// rescans it once they are all gone.
+func TestIncrementalRequeries(t *testing.T) {
+	inc := NewIncremental(1)
+	ids := make([]int, 12)
+	xs := make([]float64, len(ids))
+	for i := range ids {
+		ids[i], xs[i] = i, float64(i)
+	}
+	inc.Reload(ids, xs, make([]float64, len(ids)))
+	for id := 1; id <= reserve; id++ {
+		inc.Remove(id)
+		inc.Insert(100+id, -float64(100+id), 0) // far to the left: enters no list on the line
+	}
+	if got := inc.Ops().Requeries; got != 0 {
+		t.Fatalf("%d requeries while every list still held k entries", got)
+	}
+	inc.Remove(reserve + 1)
+	ops := inc.Ops()
+	if ops.Requeries < 1 || ops.Requeries > ops.Refreshes {
+		t.Errorf("after emptying point 0's list: %+v, want 1 ≤ Requeries ≤ Refreshes", ops)
+	}
+	checkAgainstBrute(t, "requeried", inc)
+	inc.Reload(ids, xs, make([]float64, len(ids)))
+	if got := inc.Ops().Requeries; got != 0 {
+		t.Errorf("Reload kept %d requeries", got)
 	}
 }

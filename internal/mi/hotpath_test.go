@@ -36,8 +36,8 @@ func TestKSGEstimateAllocs(t *testing.T) {
 }
 
 // TestIncrementalSlideAllocs pins the steady-state sliding cost: once the
-// state slab, grid and scratch are warm, a remove+insert+MI step stays off
-// the heap.
+// state and list slabs and the scratch are warm, a remove+insert+MI step
+// stays off the heap.
 func TestIncrementalSlideAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	n, w := 3000, 400
@@ -47,7 +47,7 @@ func TestIncrementalSlideAllocs(t *testing.T) {
 		x[i] = rng.NormFloat64()
 		y[i] = 0.6*x[i] + 0.4*rng.NormFloat64()
 	}
-	inc := NewIncremental(4, 0.3)
+	inc := NewIncremental(4)
 	for i := 0; i < w; i++ {
 		inc.Insert(i, x[i], y[i])
 	}
@@ -69,9 +69,9 @@ func TestIncrementalSlideAllocs(t *testing.T) {
 }
 
 // TestIncrementalReloadAllocs pins the warm whole-window Reload: repositioning
-// an estimator on a same-sized window reuses the grid, multisets, id list,
-// state slab and k-d tree — on a window the all-pairs kernel serves and on
-// one the tree serves.
+// an estimator on a same-sized window reuses the multisets, id list, state
+// and list slabs and k-d tree — on a window the all-pairs kernel serves and
+// on one the tree serves.
 func TestIncrementalReloadAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	for _, m := range []int{allPairsMax, 300} {
@@ -86,7 +86,7 @@ func TestIncrementalReloadAllocs(t *testing.T) {
 			}
 		}
 		fill(0)
-		inc := NewIncrementalBulk(4, 0.3, ids, xs, ys)
+		inc := newBulk(4, ids, xs, ys)
 		for warm := 0; warm < 16; warm++ {
 			fill(warm * m)
 			inc.Reload(ids, xs, ys)
@@ -141,7 +141,7 @@ func TestBatchIncrementalAgreeOnTies(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s/%s: %v", name, backend, err)
 			}
-			inc := NewIncrementalBulk(4, 0.5, ids, xs, ys)
+			inc := newBulk(4, ids, xs, ys)
 			incremental, err := inc.MI()
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)
@@ -192,7 +192,7 @@ func TestEstimatesCounterConsistency(t *testing.T) {
 	for i := range ids {
 		ids[i] = i
 	}
-	inc := NewIncrementalBulk(4, 0.5, ids, x, y)
+	inc := newBulk(4, ids, x, y)
 	if inc.Estimates() != 0 {
 		t.Errorf("fresh Incremental.Estimates = %d, want 0", inc.Estimates())
 	}
@@ -205,7 +205,7 @@ func TestEstimatesCounterConsistency(t *testing.T) {
 	if inc.Estimates() != 2 {
 		t.Errorf("Incremental.Estimates = %d after 2 successes, want 2", inc.Estimates())
 	}
-	empty := NewIncremental(4, 0.5)
+	empty := NewIncremental(4)
 	if _, err := empty.MI(); !errors.Is(err, ErrTooFewSamples) {
 		t.Fatalf("expected ErrTooFewSamples, got %v", err)
 	}
@@ -223,7 +223,7 @@ func TestEstimatesCounterConsistency(t *testing.T) {
 // op counters.
 func TestReloadMatchesBulk(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
-	reused := NewIncremental(4, 0.5)
+	reused := NewIncremental(4)
 	for round := 0; round < 10; round++ {
 		m := 30 + rng.Intn(200)
 		ids := make([]int, m)
@@ -277,23 +277,70 @@ func BenchmarkKSGEstimate(b *testing.B) {
 	}
 }
 
-// BenchmarkIncrementalReload measures the warm whole-window reposition that
-// the incremental scorer performs on every cache miss.
-func BenchmarkIncrementalReload(b *testing.B) {
-	rng := rand.New(rand.NewSource(2))
-	m := 500
-	ids := make([]int, m)
-	xs := make([]float64, m)
-	ys := make([]float64, m)
-	for i := 0; i < m; i++ {
-		ids[i] = i
-		xs[i] = rng.NormFloat64()
-		ys[i] = 0.6*xs[i] + 0.4*rng.NormFloat64()
+// ar1Pair returns n samples of a correlated AR(1) pair (φ 0.9, noise 0.5),
+// the shape of a search's windows.
+func ar1Pair(rng *rand.Rand, n int) (x, y []float64) {
+	x, y = make([]float64, n), make([]float64, n)
+	ar := 0.0
+	for i := range x {
+		ar = 0.9*ar + rng.NormFloat64()
+		x[i], y[i] = ar, ar+0.5*rng.NormFloat64()
 	}
-	inc := NewIncrementalBulk(4, 0.3, ids, xs, ys)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		inc.Reload(ids, xs, ys)
+	return x, y
+}
+
+// BenchmarkIncrementalSlide times one slide step — a Remove, an Insert and
+// MI() — of a window moving along an AR(1) pair with k = 4, at the sizes of
+// perfsuite's mi.inc_slide_us probes and below.
+func BenchmarkIncrementalSlide(b *testing.B) {
+	const n = 1 << 14
+	x, y := ar1Pair(rand.New(rand.NewSource(2)), n)
+	for _, m := range []int{32, 128, 512} {
+		ids := make([]int, m)
+		for i := range ids {
+			ids[i] = i
+		}
+		b.Run(fmt.Sprintf("m=%d", m), func(b *testing.B) {
+			inc := NewIncremental(4)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				lo := i % (n - m)
+				if lo == 0 {
+					b.StopTimer()
+					inc.Reload(ids, x[:m], y[:m])
+					b.StartTimer()
+				}
+				inc.Remove(lo)
+				inc.Insert(lo+m, x[lo+m], y[lo+m])
+				if _, err := inc.MI(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkIncrementalReload measures the warm whole-window reposition that
+// the incremental scorer performs on every cache miss, on windows of an
+// AR(1) pair with k = 4 — each iteration at the next offset, so no window
+// repeats while the branch predictor could still remember it.
+func BenchmarkIncrementalReload(b *testing.B) {
+	const n = 1 << 14
+	x, y := ar1Pair(rand.New(rand.NewSource(2)), n)
+	for _, m := range []int{32, 128, 512} {
+		ids := make([]int, m)
+		for i := range ids {
+			ids[i] = i
+		}
+		b.Run(fmt.Sprintf("m=%d", m), func(b *testing.B) {
+			inc := NewIncremental(4)
+			inc.Reload(ids, x[:m], y[:m])
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				o := (i * 61) % (n - m)
+				inc.Reload(ids, x[o:o+m], y[o:o+m])
+			}
+		})
 	}
 }

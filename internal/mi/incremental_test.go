@@ -32,6 +32,13 @@ func batchOnSurvivors(x, y map[int]float64, k int) (float64, error) {
 	return NewKSG(k, BackendKDTree).Estimate(xs, ys)
 }
 
+// newBulk returns a fresh estimator Reloaded onto the samples.
+func newBulk(k int, ids []int, xs, ys []float64) *Incremental {
+	inc := NewIncremental(k)
+	inc.Reload(ids, xs, ys)
+	return inc
+}
+
 func TestIncrementalMatchesBatchAfterInserts(t *testing.T) {
 	rng := rand.New(rand.NewSource(101))
 	x, y := gaussianPair(rng, 300, 0.8)
@@ -65,7 +72,7 @@ func TestIncrementalSlidingWindowMatchesBatch(t *testing.T) {
 		y[i] = 0.7*x[i] + 0.3*rng.NormFloat64()
 	}
 	w := 80
-	inc := NewIncremental(4, 0.4)
+	inc := NewIncremental(4)
 	for i := 0; i < w; i++ {
 		inc.Insert(i, x[i], y[i])
 	}
@@ -94,7 +101,7 @@ func TestIncrementalSlidingWindowMatchesBatch(t *testing.T) {
 func TestIncrementalRandomTraceProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		inc := NewIncremental(3, 0.5)
+		inc := NewIncremental(3)
 		liveX := map[int]float64{}
 		liveY := map[int]float64{}
 		next := 0
@@ -130,7 +137,7 @@ func TestIncrementalRandomTraceProperty(t *testing.T) {
 }
 
 func TestIncrementalSmallPopulations(t *testing.T) {
-	inc := NewIncremental(4, 1)
+	inc := NewIncremental(4)
 	if _, err := inc.MI(); !errors.Is(err, ErrTooFewSamples) {
 		t.Error("empty estimator must report too few samples")
 	}
@@ -172,7 +179,7 @@ func TestIncrementalSmallPopulations(t *testing.T) {
 }
 
 func TestIncrementalRemoveAbsent(t *testing.T) {
-	inc := NewIncremental(2, 1)
+	inc := NewIncremental(2)
 	if inc.Remove(42) {
 		t.Error("removing absent id must return false")
 	}
@@ -188,7 +195,7 @@ func TestIncrementalDuplicateInsertPanics(t *testing.T) {
 			t.Error("duplicate insert must panic")
 		}
 	}()
-	inc := NewIncremental(2, 1)
+	inc := NewIncremental(2)
 	inc.Insert(1, 0, 0)
 	inc.Insert(1, 1, 1)
 }
@@ -232,7 +239,7 @@ func BenchmarkIncrementalVsBatch(b *testing.B) {
 	}
 	w := 500
 	b.Run("incremental-slide", func(b *testing.B) {
-		inc := NewIncremental(4, 0.3)
+		inc := NewIncremental(4)
 		for i := 0; i < w; i++ {
 			inc.Insert(i, x[i], y[i])
 		}
@@ -241,7 +248,7 @@ func BenchmarkIncrementalVsBatch(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			if pos+w+1 >= n {
 				b.StopTimer()
-				inc = NewIncremental(4, 0.3)
+				inc = NewIncremental(4)
 				for j := 0; j < w; j++ {
 					inc.Insert(j, x[j], y[j])
 				}
@@ -282,8 +289,8 @@ func TestNewIncrementalBulkMatchesIncrementalInserts(t *testing.T) {
 		ys[i] = 0.5*xs[i] + rng.NormFloat64()
 		ids[i] = i + 1000 // arbitrary id space
 	}
-	bulk := NewIncrementalBulk(4, 0.5, ids, xs, ys)
-	inc := NewIncremental(4, 0.5)
+	bulk := newBulk(4, ids, xs, ys)
+	inc := NewIncremental(4)
 	for i, id := range ids {
 		inc.Insert(id, xs[i], ys[i])
 	}
@@ -325,7 +332,7 @@ func TestIncrementalMatchesBatchUnderRounding(t *testing.T) {
 		for seed := int64(1); seed <= 3; seed++ {
 			rng := rand.New(rand.NewSource(seed))
 			x, y := windowKinds[kind](rng, n)
-			inc := NewIncremental(4, 0.5)
+			inc := NewIncremental(4)
 			batch := NewKSG(4, BackendKDTree)
 			lo, hi := 200, 240 // the window is [lo, hi)
 			for i := lo; i < hi; i++ {

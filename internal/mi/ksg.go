@@ -110,12 +110,8 @@ func (e *KSG) Estimate(x, y []float64) (float64, error) {
 	if m <= e.k {
 		return 0, fmt.Errorf("%w: m=%d, k=%d", ErrTooFewSamples, m, e.k)
 	}
-	// The kernel orders distances by their bit patterns, which holds for
-	// finite samples only; NaN would also poison both paths' comparisons.
-	for i := range x {
-		if !(math.Abs(x[i]) <= math.MaxFloat64 && math.Abs(y[i]) <= math.MaxFloat64) {
-			return 0, fmt.Errorf("mi: non-finite sample (%v, %v) at index %d", x[i], y[i], i)
-		}
+	if err := checkFinite(x, y); err != nil {
+		return 0, err
 	}
 	var sum float64
 	if m <= allPairsMax {
@@ -125,6 +121,23 @@ func (e *KSG) Estimate(x, y []float64) (float64, error) {
 	}
 	e.estimates++
 	return ksgMI(e.k, m, sum), nil
+}
+
+// checkFinite rejects a NaN or ±Inf sample. The kernel and the incremental
+// neighbour lists order distances by their bit patterns, which holds for
+// finite samples only; NaN would also poison every path's comparisons.
+func checkFinite(x, y []float64) error {
+	for i := range x {
+		if !finite(x[i], y[i]) {
+			return fmt.Errorf("mi: non-finite sample (%v, %v) at index %d", x[i], y[i], i)
+		}
+	}
+	return nil
+}
+
+// finite reports whether neither coordinate is NaN or ±Inf.
+func finite(x, y float64) bool {
+	return math.Abs(x) <= math.MaxFloat64 && math.Abs(y) <= math.MaxFloat64
 }
 
 // ksgMI completes Eq. (9) for m points from the sum of the per-point
@@ -141,8 +154,8 @@ func (e *KSG) allPairsSum(x, y []float64) float64 {
 		sum float64
 	)
 	for i := range x {
-		st := a.point(x, y, e.k, i)
-		sum += psiCounts(st.nx, st.ny)
+		st := a.point(x, y, e.k, e.k, i)
+		sum += psiCounts(int(st.nx), int(st.ny))
 	}
 	return sum
 }

@@ -1,66 +1,9 @@
 package mi
 
 import (
-	"fmt"
 	"math/rand"
 	"testing"
 )
-
-// checkStatesMatchRefresh asserts that every maintained point's cached state
-// equals, bit for bit, what a grid refresh (computePoint) recomputes for it.
-func checkStatesMatchRefresh(t *testing.T, label string, inc *Incremental) {
-	t.Helper()
-	for _, id := range inc.ids {
-		got := *inc.state(id)
-		want := got
-		inc.computePoint(id, &want)
-		// Exact comparison is the contract: the bulk k-d tree pass must pick
-		// the same k-best set as the grid, so radii and counts agree exactly.
-		if got != want {
-			t.Fatalf("%s: id %d: bulk state %+v, grid refresh %+v", label, id, got, want)
-		}
-	}
-}
-
-// TestReloadStatesMatchGridRefresh pins the bulk recompute: after Reload,
-// every point's state (d, dx, dy, nx, ny) equals the grid refresh's
-// result exactly — on continuous data, on a tied lattice and on data with
-// duplicate points, with unsorted, non-contiguous ids, for a window the
-// all-pairs kernel serves and one the k-d tree serves.
-func TestReloadStatesMatchGridRefresh(t *testing.T) {
-	rng := rand.New(rand.NewSource(29))
-	cases := map[string]func(i int) (float64, float64){
-		"continuous": func(int) (float64, float64) {
-			x := rng.NormFloat64()
-			return x, 0.6*x + 0.4*rng.NormFloat64()
-		},
-		"tied-lattice": func(int) (float64, float64) {
-			return float64(rng.Intn(6)) * 0.25, float64(rng.Intn(6)) * 0.25
-		},
-		"duplicates": func(i int) (float64, float64) {
-			// Runs of three identical points.
-			r := rand.New(rand.NewSource(int64(i / 3)))
-			return r.NormFloat64(), r.NormFloat64()
-		},
-	}
-	inc := NewIncremental(4, 0.3)
-	for _, m := range []int{40, 240} {
-		for name, gen := range cases {
-			ids := make([]int, m)
-			xs := make([]float64, m)
-			ys := make([]float64, m)
-			for i, j := range rng.Perm(m) {
-				ids[i] = 7 + 3*j // unsorted, with gaps
-				xs[i], ys[i] = gen(i)
-			}
-			label := fmt.Sprintf("%s/m=%d", name, m)
-			inc.Reload(ids, xs, ys)
-			checkStatesMatchRefresh(t, label, inc)
-			fresh := NewIncrementalBulk(4, 0.3, ids, xs, ys)
-			checkStatesMatchRefresh(t, label+"/fresh", fresh)
-		}
-	}
-}
 
 // slabTrace drives an estimator and a live-point reference through inserts
 // and removals, checking the estimate against a batch estimate over the
@@ -75,7 +18,7 @@ type slabTrace struct {
 func newSlabTrace(t *testing.T, seed int64) *slabTrace {
 	return &slabTrace{
 		t:   t,
-		inc: NewIncremental(4, 0.4),
+		inc: NewIncremental(4),
 		x:   map[int]float64{},
 		y:   map[int]float64{},
 		rng: rand.New(rand.NewSource(seed)),
@@ -113,7 +56,7 @@ func (s *slabTrace) check(label string) {
 	if !sameBits(got, want) {
 		s.t.Fatalf("%s: incremental %.17g, batch %.17g", label, got, want)
 	}
-	checkStatesMatchRefresh(s.t, label, s.inc)
+	checkAgainstBrute(s.t, label, s.inc)
 }
 
 // TestSlabRebaseTrajectories drives the state slab through every re-basing
