@@ -19,7 +19,7 @@ import (
 // noiseVerdict evaluates Definition 6.4 for concatenating the partition
 // after (forward=true) or before (forward=false) the anchor window.
 func (s *searcher) noiseVerdict(anchor window.Window, anchorRaw float64, partition window.Window, forward bool) bool {
-	partNorm, err := s.scorer.score(partition)
+	_, partNorm, err := s.both(partition)
 	if err != nil {
 		partNorm = 0 // below the KSG sample minimum: no measurable information
 	} else {
@@ -37,7 +37,7 @@ func (s *searcher) noiseVerdict(anchor window.Window, anchorRaw float64, partiti
 	if err != nil || !s.cons.Feasible(concat) {
 		return false
 	}
-	concatRaw, _, err := s.scorer.both(concat)
+	concatRaw, _, err := s.both(concat)
 	if err != nil {
 		return false
 	}
@@ -62,7 +62,7 @@ func (s *searcher) partitionLen() int {
 // neighbourhoods until the search moves.
 func (s *searcher) prunedDirections(w window.Window) pruneFlags {
 	var pruned pruneFlags
-	rawW, _, err := s.scorer.both(w)
+	rawW, _, err := s.both(w)
 	if err != nil {
 		return pruned
 	}
@@ -100,7 +100,7 @@ func (s *searcher) initialNoisePruning(from int) (window.Window, bool) {
 	if !ok {
 		return window.Window{}, false
 	}
-	curRaw, curNorm, err := s.scorer.both(cur)
+	curRaw, curNorm, err := s.both(cur)
 	if err != nil {
 		curRaw, curNorm = 0, 0
 	} else {
@@ -124,7 +124,7 @@ func (s *searcher) initialNoisePruning(from int) (window.Window, bool) {
 			// No further blocks: start from the best we have.
 			return best, true
 		}
-		nextRaw, nextNorm, err := s.scorer.both(next)
+		nextRaw, nextNorm, err := s.both(next)
 		if err != nil {
 			nextRaw, nextNorm = 0, 0
 		} else {
@@ -136,7 +136,7 @@ func (s *searcher) initialNoisePruning(from int) (window.Window, bool) {
 			cur, curRaw, curNorm = next, nextRaw, nextNorm
 			continue
 		}
-		concatRaw, concatNorm, err := s.scorer.both(concat)
+		concatRaw, concatNorm, err := s.both(concat)
 		if err != nil {
 			cur, curRaw, curNorm = next, nextRaw, nextNorm
 			continue

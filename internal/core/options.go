@@ -145,6 +145,9 @@ type Options struct {
 	// tests use it to verify that an interrupted search's candidates are
 	// exactly a prefix of the uninterrupted run's.
 	onCandidate func(window.Scored)
+	// bypassMemo, when set (package tests only), sends every lookup to the
+	// scorer, so tests can check that the score memo changes no result.
+	bypassMemo bool
 }
 
 // withDefaults returns a copy of o with zero fields replaced by defaults.
@@ -214,11 +217,15 @@ const (
 // Stats counts the work a search performed; the efficiency evaluation
 // reports these alongside wall-clock time.
 type Stats struct {
-	// WindowsEvaluated counts scored windows (including revisits).
+	// WindowsEvaluated counts scored windows (including revisits, whether
+	// the score memo or an estimator answered them).
 	WindowsEvaluated int
-	// MIBatch counts from-scratch MI estimations.
+	// MIBatch counts from-scratch MI estimates: every batch estimate (all
+	// of TYCOS_L/LN's, and TYCOS_LM/LMN's small windows) plus every
+	// rebuild of an incremental estimator.
 	MIBatch int
-	// MIIncremental counts incremental window moves.
+	// MIIncremental counts windows reached by moving a cached incremental
+	// estimator (TYCOS_LM/LMN).
 	MIIncremental int
 	// Restarts counts LAHC restarts on unscanned remainders.
 	Restarts int

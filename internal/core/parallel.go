@@ -125,6 +125,7 @@ func restartSeed(root int64, seg, restart int) int64 {
 type segmentResult struct {
 	cands    []window.Scored
 	stats    Stats
+	memoHits int
 	events   []obs.Event
 	counters []counter
 	stop     StopReason
@@ -212,9 +213,9 @@ func runSegmentsParallel(ctx context.Context, p series.Pair, opts Options, cons 
 
 // runSegment runs one segment's chained restart loop with fully private
 // state: its own scorer (and with it all incremental-MI and k-NN caches), its
-// own stats, candidates and event buffer. evalBase charges evaluations spent
-// by earlier segments against this segment's deterministic budget (sequential
-// mode only; parallel runs never carry a budget).
+// own score memo, stats, candidates and event buffer. evalBase charges
+// evaluations spent by earlier segments against this segment's deterministic
+// budget (sequential mode only; parallel runs never carry a budget).
 func runSegment(ctx context.Context, p series.Pair, opts Options, cons window.Constraints, null *nullModel, pairName string, seg segment, evalBase int) segmentResult {
 	if err := faultinject.Fire(segmentFaultKey(pairName, seg.index)); err != nil {
 		panic(err)
@@ -231,17 +232,25 @@ func runSegment(ctx context.Context, p series.Pair, opts Options, cons window.Co
 		observing: opts.Observer != nil,
 		pairName:  pairName,
 	}
+	if !opts.bypassMemo {
+		s.memo = acquireMemo()
+	}
 	s.run()
 	sr := segmentResult{
 		cands:    s.cands,
 		stats:    s.stats,
+		memoHits: s.memoHits,
 		events:   s.events,
 		counters: s.scorer.counters(),
 		stop:     s.stop,
 	}
 	// The scorer is done: counters are captured, so its estimators can flow
-	// back to a shared cross-search cache (no-op without one).
+	// back to a shared cross-search cache (no-op without one), and the memo
+	// table back to its pool.
 	s.scorer.release()
+	if s.memo != nil {
+		memoPool.Put(s.memo)
+	}
 	return sr
 }
 

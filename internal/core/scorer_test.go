@@ -1,12 +1,15 @@
 package core
 
 import (
+	"context"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
 
 	"tycos/internal/mi"
 	"tycos/internal/series"
+	"tycos/internal/synth"
 	"tycos/internal/window"
 )
 
@@ -36,27 +39,16 @@ func TestBatchAndIncrementalScorersAgree(t *testing.T) {
 		{Start: 200, End: 320, Delay: -5},
 	}
 	for _, w := range windows {
-		b, errB := batch.score(w)
-		i, errI := inc.score(w)
+		rb, nb, errB := batch.both(w)
+		ri, ni, errI := inc.both(w)
 		if (errB == nil) != (errI == nil) {
 			t.Fatalf("%v: error mismatch %v vs %v", w, errB, errI)
 		}
 		if errB != nil {
 			continue
 		}
-		if !sameBits(b, i) {
-			t.Errorf("%v: batch %.17g != incremental %.17g", w, b, i)
-		}
-		rb, nb, err := batch.both(w)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ri, ni, err := inc.both(w)
-		if err != nil {
-			t.Fatal(err)
-		}
 		if !sameBits(rb, ri) || !sameBits(nb, ni) {
-			t.Errorf("%v: both() mismatch (%v,%v) vs (%v,%v)", w, rb, nb, ri, ni)
+			t.Errorf("%v: batch (%.17g, %.17g) != incremental (%.17g, %.17g)", w, rb, nb, ri, ni)
 		}
 	}
 	nBatch, nInc := inc.stats()
@@ -73,7 +65,7 @@ func TestIncScorerLRUEviction(t *testing.T) {
 	inc := newIncScorer(p, 4, mi.NormMaxEntropy)
 	// Touch more delays than the cache holds.
 	for d := -5; d <= 5; d++ {
-		if _, err := inc.score(window.Window{Start: 50, End: 100, Delay: d}); err != nil {
+		if _, _, err := inc.both(window.Window{Start: 50, End: 100, Delay: d}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -81,8 +73,8 @@ func TestIncScorerLRUEviction(t *testing.T) {
 		t.Errorf("cache grew to %d > %d", len(inc.states), maxIncStates)
 	}
 	// Evicted delays still score correctly (through a rebuild).
-	b, _ := newBatchScorer(p, 4, mi.NormMaxEntropy).score(window.Window{Start: 50, End: 100, Delay: -5})
-	i, err := inc.score(window.Window{Start: 50, End: 100, Delay: -5})
+	_, b, _ := newBatchScorer(p, 4, mi.NormMaxEntropy).both(window.Window{Start: 50, End: 100, Delay: -5})
+	_, i, err := inc.both(window.Window{Start: 50, End: 100, Delay: -5})
 	if err != nil || !sameBits(b, i) {
 		t.Errorf("evicted delay rescores wrong: %v vs %v (%v)", b, i, err)
 	}
@@ -202,5 +194,78 @@ func TestNoiseVerdictOnKnownStructure(t *testing.T) {
 	goodPart := window.Window{Start: 80, End: 99, Delay: 0}
 	if s.noiseVerdict(inner, innerRaw, goodPart, true) {
 		t.Error("correlated continuation should not be judged noise")
+	}
+}
+
+// recorder is a scorer that records the windows reaching it.
+type recorder struct {
+	scorer
+	seq []window.Window
+}
+
+func (r *recorder) both(w window.Window) (float64, float64, error) {
+	r.seq = append(r.seq, w)
+	return r.scorer.both(w)
+}
+
+// climbSequence returns the windows an LMN search's climbs send to the
+// scorer, past the score memo, on a pair shaped like perfsuite's pair-LMN
+// inputs (n = 3000, AR(1) with three planted segments of 250 samples) when
+// window sizes are held to m ± 4.
+func climbSequence(m int) (series.Pair, []window.Window) {
+	c, err := synth.CorrelatedAR(3000, 3, 250, 4, int64(m))
+	if err != nil {
+		panic(err)
+	}
+	opts := Options{SMin: m - 4, SMax: m + 4, TDMax: 10, Sigma: 0.3, Normalization: mi.NormMaxEntropy, Variant: VariantLMN}.withDefaults()
+	rec := &recorder{scorer: newBatchScorer(c.Pair, opts.K, opts.Normalization)}
+	s := &searcher{
+		pair: c.Pair, opts: opts, cons: opts.constraints(c.Pair.Len()), scorer: rec,
+		ctx: context.Background(), seg: segment{limit: c.Pair.Len() - opts.SMin + 1}, memo: new(scoreMemo),
+	}
+	s.run()
+	return c.Pair, rec.seq
+}
+
+// BenchmarkRouteCrossover prices the two paths incScorer can take for a
+// window of about m samples (k = 4, AR(1) data): a batch estimate, or a
+// move of the cached estimator of the window's delay, with a reload when
+// the move is a jump. It replays climbSequence and reports ns/eval, the
+// cost per scored window. The smallWindow comment records these costs next
+// to the end-to-end measurement that set the threshold.
+func BenchmarkRouteCrossover(b *testing.B) {
+	for _, m := range []int{16, 24, 32, 48, 64} {
+		p, seq := climbSequence(m)
+		perEval := func(b *testing.B) {
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(seq)), "ns/eval")
+		}
+		b.Run(fmt.Sprintf("batch/m=%d", m), func(b *testing.B) {
+			sc := newBatchScorer(p, mi.DefaultK, mi.NormMaxEntropy)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for _, w := range seq {
+					if _, _, err := sc.both(w); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+			perEval(b)
+		})
+		b.Run(fmt.Sprintf("incremental/m=%d", m), func(b *testing.B) {
+			sc := newIncScorer(p, mi.DefaultK, mi.NormMaxEntropy)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for _, w := range seq {
+					st, err := sc.moveTo(w)
+					if err != nil {
+						b.Fatal(err)
+					}
+					if _, err := st.inc.MI(); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+			perEval(b)
+		})
 	}
 }

@@ -25,6 +25,11 @@ type searcher struct {
 	cons   window.Constraints
 	scorer scorer
 	null   *nullModel
+	// memo answers windows this segment has already scored (see memo.go);
+	// memoHits counts the lookups it served. A nil memo sends every lookup
+	// to the scorer.
+	memo     *scoreMemo
+	memoHits int
 	// rng is the acceptor RNG, created by the first restart and re-seeded by
 	// each later one: Seed resets the stream exactly as a fresh source would,
 	// without a new source's allocation.
@@ -158,6 +163,7 @@ func SearchContext(ctx context.Context, p series.Pair, opts Options) (Result, er
 	// partial results deterministic and mode-independent.
 	var (
 		stats        Stats
+		memoHits     int
 		candidates   []window.Scored
 		stop         StopReason
 		counterNames []string
@@ -183,6 +189,7 @@ func SearchContext(ctx context.Context, p series.Pair, opts Options) (Result, er
 		}
 		candidates = append(candidates, sr.cands...)
 		addStats(&stats, sr.stats)
+		memoHits += sr.memoHits
 		restartOffset += sr.stats.Restarts
 		for _, c := range sr.counters {
 			if counterVals == nil {
@@ -248,7 +255,7 @@ func SearchContext(ctx context.Context, p series.Pair, opts Options) (Result, er
 		for _, it := range items {
 			sink.Event(obs.CandidateAccepted{Pair: pairName, Window: obsWindow(it.Window), Score: it.MI})
 		}
-		emitCounters(sink, opts, stats, counterNames, counterVals)
+		emitCounters(sink, opts, stats, memoHits, counterNames, counterVals)
 		if searchSpan.Valid() {
 			sink.Event(obs.SpanFinished{Name: "search", DurationNS: int64(timing.Total)})
 		}
@@ -259,9 +266,11 @@ func SearchContext(ctx context.Context, p series.Pair, opts Options) (Result, er
 // emitCounters publishes the search's final counter totals to the observer.
 // Totals are emitted once per search rather than per increment, so counters
 // never touch the climb's hot path; scorer-level counters arrive pre-merged
-// across segments in first-seen order.
-func emitCounters(sink obs.Sink, opts Options, stats Stats, names []string, vals map[string]int64) {
+// across segments in first-seen order. memo_hits counts the
+// windows_evaluated that the segments' score memos answered.
+func emitCounters(sink obs.Sink, opts Options, stats Stats, memoHits int, names []string, vals map[string]int64) {
 	sink.Count("windows_evaluated", int64(stats.WindowsEvaluated))
+	sink.Count("memo_hits", int64(memoHits))
 	sink.Count("restarts", int64(stats.Restarts))
 	sink.Count("mi_batch", int64(stats.MIBatch))
 	sink.Count("mi_incremental", int64(stats.MIIncremental))
@@ -462,7 +471,7 @@ func satAdd(a, b int) int {
 // undersized windows) to 0 — such windows carry no usable evidence of
 // correlation.
 func (s *searcher) mustScore(w window.Window) float64 {
-	sc, err := s.scorer.score(w)
+	_, sc, err := s.both(w)
 	if err != nil {
 		return 0
 	}
