@@ -1,14 +1,10 @@
 package core
 
 import (
-	"runtime/debug"
-	"sync/atomic"
 	"testing"
-)
 
-// raceEnabled is set under the race detector, whose sync.Pool drops a
-// random share of the items put back.
-var raceEnabled bool
+	"tycos/internal/window"
+)
 
 // TestWarmSearchAllocsPerRestart bounds the heap allocations a warm Search
 // spends per LAHC restart. The climb appends neighbourhoods into a
@@ -16,10 +12,10 @@ var raceEnabled bool
 // acceptor RNG and (for the incremental variants) reloads pooled estimators
 // whose state and list slabs and k-d tree are already sized, so what remains is
 // per-search set-up and a few bookkeeping allocations per restart. Measured
-// per restart: 4.3 (L) and 19.2 (LMN), and 4.3–4.4 and 19.4–19.9 under the
-// race detector, whose sync.Pool drops some memo tables. The bounds sit
-// above the race figures: a fresh rand source per restart (L and LMN) or a
-// map per pruned-direction test (LMN) pushes past them.
+// per restart: 4.3 (L) and 19.4 (LMN), and 4.4 and 19.6 under the race
+// detector. The bounds sit above the race figures: a fresh rand source per
+// restart (L and LMN) or a map per pruned-direction test (LMN) pushes past
+// them.
 func TestWarmSearchAllocsPerRestart(t *testing.T) {
 	p := testPair(23, 1500, 400, 520, 2)
 	for _, tc := range []struct {
@@ -53,35 +49,53 @@ func TestWarmSearchAllocsPerRestart(t *testing.T) {
 	}
 }
 
-// TestWarmSearchAllocatesNoMemoTable checks that score memo tables are
-// recycled: once a search has run, the next one, at two restart workers,
-// takes every segment's table from the pool. Collections are off during the
-// check because a collection may empty the pool.
+// TestWarmSearchAllocatesNoMemoTable checks that segment scratch, the score
+// memo table and the τ-plane estimators, is recycled: once a search has
+// run, the next one at two restart workers takes every segment's scratch
+// from the free list. And a scorer whose planes are warm plans and scores
+// a neighbourhood from them without allocating.
 func TestWarmSearchAllocatesNoMemoTable(t *testing.T) {
-	if raceEnabled {
-		t.Skip("the race detector's sync.Pool drops items at random")
-	}
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	var made atomic.Int64
-	defer func(f func() any) { memoPool.New = f }(memoPool.New)
-	memoPool.New = func() any {
-		made.Add(1)
-		return new(scoreMemo)
-	}
 	p := parallelTestPair(900)
 	for _, v := range []Variant{VariantL, VariantLMN} {
 		opts := parallelTestOpts()
 		opts.Variant = v
 		opts.RestartWorkers = 2
-		if _, err := Search(p, opts); err != nil { // fills the pool
+		if _, err := Search(p, opts); err != nil { // fills the free list
 			t.Fatal(err)
 		}
-		made.Store(0)
+		made := scratchMade()
 		if _, err := Search(p, opts); err != nil {
 			t.Fatal(err)
 		}
-		if n := made.Load(); n != 0 {
-			t.Errorf("%v: a warm search allocated %d memo tables", v, n)
+		if n := scratchMade() - made; n != 0 {
+			t.Errorf("%v: a warm search allocated %d segment scratch", v, n)
 		}
 	}
+
+	opts := parallelTestOpts().withDefaults()
+	sc := newBatchScorer(p, opts.K, opts.Normalization)
+	sc.planes = new(segScratch).planes[:]
+	nbs := neighborhood(window.Window{Start: 150, End: 190, Delay: 2}, 1, 1, opts.constraints(p.Len()), pruneFlags{}, nil)
+	score := func() {
+		sc.plan(nbs, 0)
+		for _, w := range nbs {
+			if _, _, err := sc.both(w); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	score()
+	if sc.nPlane != len(nbs) {
+		t.Fatalf("planes served %d of the %d neighbours", sc.nPlane, len(nbs))
+	}
+	if got := testing.AllocsPerRun(10, score); got != 0 {
+		t.Errorf("a warm scorer's planes allocate %v times per neighbourhood, want 0", got)
+	}
+}
+
+// scratchMade returns the number of segment scratch allocated so far.
+func scratchMade() int {
+	scratchPool.mu.Lock()
+	defer scratchPool.mu.Unlock()
+	return scratchPool.made
 }

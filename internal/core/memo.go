@@ -66,15 +66,75 @@ func (m *scoreMemo) put(w window.Window, raw, norm float64) {
 	m[m.slot(w)] = memoEntry{w: w, raw: raw, norm: norm, used: true}
 }
 
-// memoPool recycles memo tables across segments and searches, so a warm
-// search allocates none.
-var memoPool = sync.Pool{New: func() any { return new(scoreMemo) }}
+// segScratch is the scratch one restart segment's searcher holds for the
+// segment: the score memo and the batch scorer's τ-planes (see
+// batchScorer.plan).
+type segScratch struct {
+	memo   scoreMemo
+	planes [maxPlanes]tauPlane
+}
 
-// acquireMemo returns an empty memo table.
-func acquireMemo() *scoreMemo {
-	m := memoPool.Get().(*scoreMemo)
-	*m = scoreMemo{}
-	return m
+// maxFreeScratch bounds the scratch free list. A search holds one scratch
+// per restart worker, and concurrent searches one each on top; 16 covers
+// the concurrency of a sweep or a discovery on a few cores. Segments past
+// that allocate their own scratch and drop it.
+const maxFreeScratch = 16
+
+// scratchList is a mutex-guarded free list of segment scratch, so a warm
+// search allocates none. A sync.Pool would not do: an item in one P's
+// private slot is invisible to the others, so a warm two-worker search
+// could miss a pooled table, and a collection may drop pooled items.
+type scratchList struct {
+	mu   sync.Mutex
+	free []*segScratch
+	made int // scratch allocated so far
+}
+
+var scratchPool = scratchList{free: make([]*segScratch, 0, maxFreeScratch)}
+
+// take returns scratch with an empty memo: a freed one when the list holds
+// one, a new one otherwise. The planes are Reset before each use.
+func (l *scratchList) take() *segScratch {
+	l.mu.Lock()
+	var sc *segScratch
+	if n := len(l.free); n > 0 {
+		sc = l.free[n-1]
+		l.free = l.free[:n-1]
+	} else {
+		l.made++
+	}
+	l.mu.Unlock()
+	if sc == nil {
+		return new(segScratch)
+	}
+	sc.memo = scoreMemo{}
+	return sc
+}
+
+// put frees scratch for the next segment, or drops it when the list is
+// full. The caller must not use it afterwards.
+func (l *scratchList) put(sc *segScratch) {
+	l.mu.Lock()
+	if len(l.free) < maxFreeScratch {
+		l.free = append(l.free, sc)
+	}
+	l.mu.Unlock()
+}
+
+// plan tells the scorer which windows of the neighbourhood it is about to
+// score will reach it: bit i of the mask is set when the memo answers
+// nbs[i] now. A window the memo evicts before its turn still scores to the
+// same bits, on whichever path the scorer takes.
+func (s *searcher) plan(nbs []window.Window) {
+	var hits uint32
+	if s.memo != nil {
+		for i, w := range nbs {
+			if _, _, ok := s.memo.get(w); ok {
+				hits |= 1 << i
+			}
+		}
+	}
+	s.scorer.plan(nbs, hits)
 }
 
 // both returns w's uncorrected raw and normalized scores, from the memo when

@@ -94,8 +94,7 @@ func TestScoreMemoChangesNoResult(t *testing.T) {
 // from its own slot, a colliding window evicts it, and the hash spreads a
 // climb's neighbourhood over many slots.
 func TestScoreMemoSlots(t *testing.T) {
-	m := acquireMemo()
-	defer memoPool.Put(m)
+	m := new(scoreMemo)
 	w := window.Window{Start: 100, End: 131, Delay: -2}
 	if _, _, ok := m.get(w); ok {
 		t.Fatal("an empty memo served a lookup")

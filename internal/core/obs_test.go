@@ -167,6 +167,9 @@ func TestTraceMatchesStats(t *testing.T) {
 	if hits := counterTotals["memo_hits"]; hits <= 0 || hits > int64(res.Stats.WindowsEvaluated) {
 		t.Errorf("memo_hits = %d, want in (0, %d]", hits, res.Stats.WindowsEvaluated)
 	}
+	if pl, est := counterTotals["mi.plane_estimates"], counterTotals["mi.ksg_estimates"]; pl > est {
+		t.Errorf("mi.plane_estimates = %d exceeds mi.ksg_estimates = %d", pl, est)
+	}
 	// A list is rescanned only for a point whose state the same removal
 	// refreshes.
 	if rq, rf := counterTotals["mi.inc_requeries"], counterTotals["mi.inc_refreshes"]; rq > rf {
@@ -188,6 +191,19 @@ func TestTraceMatchesStats(t *testing.T) {
 	}
 	if res.Stats.Timing.EvalsPerSec <= 0 {
 		t.Errorf("EvalsPerSec = %v", res.Stats.Timing.EvalsPerSec)
+	}
+
+	// On L, whose every estimate is a batch one, the registry shows the
+	// share of them that τ-planes served.
+	opts.Variant = VariantL
+	reg := obs.NewRegistry()
+	opts.Observer = reg
+	if _, err := Search(p, opts); err != nil {
+		t.Fatal(err)
+	}
+	counters := reg.Snapshot().Counters
+	if pl, est := counters["mi.plane_estimates"], counters["mi.ksg_estimates"]; pl <= 0 || pl > est {
+		t.Errorf("L: mi.plane_estimates = %d, want in (0, mi.ksg_estimates = %d]", pl, est)
 	}
 }
 

@@ -148,6 +148,10 @@ type Options struct {
 	// bypassMemo, when set (package tests only), sends every lookup to the
 	// scorer, so tests can check that the score memo changes no result.
 	bypassMemo bool
+	// bypassPlanes, when set (package tests only), estimates every batch
+	// window from scratch, so tests can check that τ-planes change no
+	// result.
+	bypassPlanes bool
 }
 
 // withDefaults returns a copy of o with zero fields replaced by defaults.

@@ -220,11 +220,16 @@ func runSegment(ctx context.Context, p series.Pair, opts Options, cons window.Co
 	if err := faultinject.Fire(segmentFaultKey(pairName, seg.index)); err != nil {
 		panic(err)
 	}
+	scratch := scratchPool.take()
+	var planes []tauPlane
+	if !opts.bypassPlanes {
+		planes = scratch.planes[:]
+	}
 	s := &searcher{
 		pair:      p,
 		opts:      opts,
 		cons:      cons,
-		scorer:    newScorer(p, opts, null),
+		scorer:    newScorer(p, opts, null, planes),
 		null:      null,
 		ctx:       ctx,
 		seg:       seg,
@@ -233,7 +238,7 @@ func runSegment(ctx context.Context, p series.Pair, opts Options, cons window.Co
 		pairName:  pairName,
 	}
 	if !opts.bypassMemo {
-		s.memo = acquireMemo()
+		s.memo = &scratch.memo
 	}
 	s.run()
 	sr := segmentResult{
@@ -245,26 +250,27 @@ func runSegment(ctx context.Context, p series.Pair, opts Options, cons window.Co
 		stop:     s.stop,
 	}
 	// The scorer is done: counters are captured, so its estimators can flow
-	// back to a shared cross-search cache (no-op without one), and the memo
-	// table back to its pool.
+	// back to a shared cross-search cache (no-op without one), and the
+	// segment's scratch back to the free list.
 	s.scorer.release()
-	if s.memo != nil {
-		memoPool.Put(s.memo)
-	}
+	scratchPool.put(scratch)
 	return sr
 }
 
 // newScorer builds the variant's scorer over the pair, sharing the read-only
-// null model.
-func newScorer(p series.Pair, opts Options, null *nullModel) scorer {
+// null model, with planes as its batch estimates' τ-plane scratch (nil
+// bypasses planes).
+func newScorer(p series.Pair, opts Options, null *nullModel, planes []tauPlane) scorer {
 	if opts.Variant.incremental() {
 		sc := newIncScorer(p, opts.K, opts.Normalization)
 		sc.null = null
 		sc.shared = opts.EstimatorCache
+		sc.small.planes = planes
 		return sc
 	}
 	sc := newBatchScorer(p, opts.K, opts.Normalization)
 	sc.null = null
+	sc.planes = planes
 	return sc
 }
 

@@ -30,6 +30,12 @@ type scorer interface {
 	// during the walk would flatten the very gradients it follows — and only
 	// the acceptance decision uses the corrected value.
 	finalScore(w window.Window) (float64, error)
+	// plan tells the scorer the neighbourhood the climb is about to score:
+	// bit i of skip is set for each window nbs[i] that will not reach the
+	// scorer (the score memo answers it). The scorer may share work among
+	// the windows that will. plan is advisory: every window scores to the
+	// same bits whether or not plan was called, and whatever it was told.
+	plan(nbs []window.Window, skip uint32)
 	// stats exposes the work counters accumulated so far.
 	stats() (batch, incremental int)
 	// counters exposes the estimator-level work counters beneath stats()
@@ -48,13 +54,34 @@ type counter struct {
 	value int64
 }
 
-// batchScorer re-estimates every window independently.
+// batchScorer re-estimates every window independently, from the τ-planes
+// of the current neighbourhood where it can (see plan).
 type batchScorer struct {
 	pair   series.Pair
 	est    *mi.KSG
 	norm   mi.Normalization
 	null   *nullModel
 	nBatch int
+
+	// planes is the segment's τ-plane scratch, nil when planes are
+	// bypassed; the first live of them serve the current neighbourhood.
+	// nPlane counts the estimates they served, which nBatch also counts.
+	planes []tauPlane
+	live   int
+	nPlane int
+}
+
+// maxPlanes is the number of τ-planes a neighbourhood can have: its windows
+// take three delays.
+const maxPlanes = 3
+
+// tauPlane is one delay's τ-plane of a neighbourhood: a plane estimator
+// over the union [start, end] of the windows at that delay that reach the
+// scorer, with their intersection as the core.
+type tauPlane struct {
+	est        mi.Plane
+	delay      int
+	start, end int
 }
 
 func newBatchScorer(p series.Pair, k int, norm mi.Normalization) *batchScorer {
@@ -82,19 +109,75 @@ func (s *batchScorer) scoreNull(w window.Window, null *nullModel) (float64, floa
 	return raw, mi.Normalize(adj, xs, ys, s.norm), nil
 }
 
-// estimate returns the raw KSG estimate of w from scratch, with the samples
-// it was estimated on.
+// estimate returns the raw KSG estimate of w, with the samples it was
+// estimated on: from a τ-plane that holds w, or from scratch. Both give the
+// same bits (mi.Plane's contract), so the path does not show.
 func (s *batchScorer) estimate(w window.Window) (raw float64, xs, ys []float64, err error) {
 	xs, ys, err = s.pair.DelaySlice(w.Start, w.End, w.Delay)
 	if err != nil {
 		return 0, nil, nil, err
 	}
-	raw, err = s.est.Estimate(xs, ys)
-	if err != nil {
+	raw, ok := s.planeEstimate(w)
+	if ok {
+		s.nPlane++
+	} else if raw, err = s.est.Estimate(xs, ys); err != nil {
 		return 0, nil, nil, err
 	}
 	s.nBatch++
 	return raw, xs, ys, nil
+}
+
+// planeEstimate estimates w from the live τ-plane of its delay, if that
+// plane's union holds w and w contains its core.
+func (s *batchScorer) planeEstimate(w window.Window) (float64, bool) {
+	for i := range s.planes[:s.live] {
+		pl := &s.planes[i]
+		if pl.delay == w.Delay && pl.start <= w.Start && w.End <= pl.end {
+			return pl.est.Estimate(w.Start-pl.start, w.End+1-pl.start)
+		}
+	}
+	return 0, false
+}
+
+// plan builds a τ-plane for each delay at which at least two of the
+// neighbourhood's windows reach the scorer: the union of those windows,
+// sliced once, with their intersection as the core. Every window of a
+// neighbourhood moves each end of the same range by −Δ, 0 or +Δ, so the
+// windows of one delay share all but at most 4Δ points. A window the plane
+// does not serve (a union above the all-pairs bound, a core of k points or
+// fewer) is estimated from scratch as before.
+func (s *batchScorer) plan(nbs []window.Window, skip uint32) {
+	s.live = 0
+	for i := 0; i < len(nbs) && s.live < len(s.planes); {
+		delay := nbs[i].Delay
+		var union, core window.Window
+		n := 0
+		for ; i < len(nbs) && nbs[i].Delay == delay; i++ {
+			if skip&(1<<i) != 0 {
+				continue
+			}
+			w := nbs[i]
+			if n == 0 {
+				union, core = w, w
+			} else {
+				union.Start, union.End = min(union.Start, w.Start), max(union.End, w.End)
+				core.Start, core.End = max(core.Start, w.Start), min(core.End, w.End)
+			}
+			n++
+		}
+		if n < 2 {
+			continue
+		}
+		xs, ys, err := s.pair.DelaySlice(union.Start, union.End, delay)
+		if err != nil {
+			continue
+		}
+		pl := &s.planes[s.live]
+		if pl.est.Reset(s.est.K(), xs, ys, core.Start-union.Start, core.End+1-union.Start) {
+			pl.delay, pl.start, pl.end = delay, union.Start, union.End
+			s.live++
+		}
+	}
 }
 
 func (s *batchScorer) stats() (int, int) { return s.nBatch, 0 }
@@ -103,7 +186,10 @@ func (s *batchScorer) stats() (int, int) { return s.nBatch, 0 }
 func (s *batchScorer) release() {}
 
 func (s *batchScorer) counters() []counter {
-	return []counter{{"mi.ksg_estimates", int64(s.est.Estimates())}}
+	return []counter{
+		{"mi.ksg_estimates", int64(s.est.Estimates() + s.nPlane)},
+		{"mi.plane_estimates", int64(s.nPlane)},
+	}
 }
 
 // incScorer keeps incremental KSG estimators positioned at recently scored
@@ -162,22 +248,39 @@ type incState struct {
 const maxIncStates = 6
 
 // smallWindow is the largest window incScorer scores with a batch estimate
-// (the all-pairs kernel) instead of moving or reloading an incremental
-// estimator. BenchmarkRouteCrossover prices the two paths per scored window
-// over recorded climbs held near m samples (k = 4, 2-vCPU Xeon VM, Go 1.24,
-// medians of three runs), batch → incremental: 3.9 → 4.4 µs at m = 16,
-// 7.0 → 5.9 at 24, 11.2 → 7.5 at 32, 22.1 → 11.2 at 48, 35.7 → 15.0 at 64.
-// In a search the sizes mix: a climb that grows past the threshold reloads
-// the estimator its small windows left behind. End to end, perfsuite
-// lat_p50_ms medians (8 s runs) were, by threshold 0 (no routing) / 16 /
-// 24 / 32 / 48: pair-LMN 67.3 / 60.5 / 58.7 / 61.3 / 74.4 ms (seeds
-// 501–507; 0 and 48 on 501–503 only) and discover-fleet – / 43.3 / 41.9 /
-// 48.0 / – ms (seeds 601–603). Those runs show that routing at 16–32 beats
-// no routing and that 48 loses. They do not rank 16, 24 and 32: the three
-// pair-LMN medians lie within the parent's own interquartile range on that
-// workload (8.1 ms over 25 s runs), so 24 is a choice inside that band, not
-// a measured optimum. Every cost here is at k = 4; the crossover at other
-// Options.K values is unmeasured.
+// (the all-pairs kernel, or a τ-plane of it) instead of moving or reloading
+// an incremental estimator. BenchmarkRouteCrossover prices the paths per
+// scored window over recorded LMN climbs held near m samples (2-vCPU Xeon
+// VM, Go 1.24, medians of three runs, µs): from scratch, with the τ-planes
+// of each neighbourhood ("planned", how routed windows are estimated), and
+// by moving the cached estimator:
+//
+//	k  path         m=16   24    32    48    64
+//	2  batch         3.5   6.0   8.9  18.2  27.2
+//	2  planned       2.9   3.8   5.1   9.2  13.4
+//	2  incremental   3.5   5.0   6.3  10.0  13.0
+//	4  batch         3.9   6.7  12.1  23.1  39.3
+//	4  planned       3.5   5.2   7.2  12.1  15.5
+//	4  incremental   4.8   6.2   9.1  12.8  17.1
+//	8  batch         5.7   9.9  17.7  33.5  54.2
+//	8  planned       5.0   7.0  10.1  15.8  24.6
+//	8  incremental   7.1   9.9  13.5  17.1  21.3
+//
+// Without planes the two paths cross near 24 samples; with planes the
+// planned batch path is the cheaper one up to 48 samples at every k, and
+// the crossover sits between 48 and 64 (past 64 at k = 4). These prices
+// hold a climb near one size. In a search the sizes mix: a climb that grows
+// past the threshold reloads the estimator its small windows left behind.
+// End to end, before planes, perfsuite lat_p50_ms medians (8 s runs) were,
+// by threshold 0 (no routing) / 16 / 24 / 32 / 48: pair-LMN 67.3 / 60.5 /
+// 58.7 / 61.3 / 74.4 ms (seeds 501–507; 0 and 48 on 501–503 only) and
+// discover-fleet – / 43.3 / 41.9 / 48.0 / – ms (seeds 601–603). Those runs
+// show that routing at 16–32 beats no routing and that 48 lost then. They
+// do not rank 16, 24 and 32: the three pair-LMN medians lie within the
+// parent's own interquartile range on that workload (8.1 ms over 25 s
+// runs), so 24 is a choice inside that band, not a measured optimum. With
+// planes the threshold may belong higher; that needs the same end-to-end
+// sweep, at more than k = 4.
 const smallWindow = 24
 
 func newIncScorer(p series.Pair, k int, norm mi.Normalization) *incScorer {
@@ -218,6 +321,17 @@ func (s *incScorer) estimate(w window.Window) (float64, error) {
 		return 0, err
 	}
 	return st.inc.MI()
+}
+
+// plan passes the neighbourhood's routed windows, those of at most
+// smallWindow samples, to the batch scorer that estimates them.
+func (s *incScorer) plan(nbs []window.Window, skip uint32) {
+	for i, w := range nbs {
+		if w.Size() > smallWindow {
+			skip |= 1 << i
+		}
+	}
+	s.small.plan(nbs, skip)
 }
 
 func (s *incScorer) normalize(raw float64, w window.Window) float64 {
@@ -384,13 +498,12 @@ func (s *incScorer) counters() []counter {
 		total.Refreshes += ops.Refreshes
 		total.Requeries += ops.Requeries
 	}
-	return []counter{
-		{"mi.ksg_estimates", int64(s.small.est.Estimates())},
-		{"mi.inc_inserts", int64(total.Inserts)},
-		{"mi.inc_removes", int64(total.Removes)},
-		{"mi.inc_refreshes", int64(total.Refreshes)},
-		{"mi.inc_requeries", int64(total.Requeries)},
-	}
+	return append(s.small.counters(),
+		counter{"mi.inc_inserts", int64(total.Inserts)},
+		counter{"mi.inc_removes", int64(total.Removes)},
+		counter{"mi.inc_refreshes", int64(total.Refreshes)},
+		counter{"mi.inc_requeries", int64(total.Requeries)},
+	)
 }
 
 // jitterPair returns the pair with deterministic uniform dither of amplitude

@@ -197,10 +197,19 @@ func TestNoiseVerdictOnKnownStructure(t *testing.T) {
 	}
 }
 
-// recorder is a scorer that records the windows reaching it.
+// recorder is a scorer that records the windows reaching it, and the
+// neighbourhoods the climb announced to it.
 type recorder struct {
 	scorer
-	seq []window.Window
+	seq   []window.Window
+	plans []recordedPlan
+}
+
+// recordedPlan is one plan call: the windows that were to reach the scorer,
+// announced before seq[at].
+type recordedPlan struct {
+	at    int
+	reach []window.Window
 }
 
 func (r *recorder) both(w window.Window) (float64, float64, error) {
@@ -208,64 +217,90 @@ func (r *recorder) both(w window.Window) (float64, float64, error) {
 	return r.scorer.both(w)
 }
 
-// climbSequence returns the windows an LMN search's climbs send to the
-// scorer, past the score memo, on a pair shaped like perfsuite's pair-LMN
-// inputs (n = 3000, AR(1) with three planted segments of 250 samples) when
-// window sizes are held to m ± 4.
-func climbSequence(m int) (series.Pair, []window.Window) {
+func (r *recorder) plan(nbs []window.Window, skip uint32) {
+	var reach []window.Window
+	for i, w := range nbs {
+		if skip&(1<<i) == 0 {
+			reach = append(reach, w)
+		}
+	}
+	r.plans = append(r.plans, recordedPlan{at: len(r.seq), reach: reach})
+	r.scorer.plan(nbs, skip)
+}
+
+// climbSequence records the windows an LMN search's climbs send to the
+// scorer, past the score memo, and the neighbourhoods announced before
+// them, on a pair shaped like perfsuite's pair-LMN inputs (n = 3000, AR(1)
+// with three planted segments of 250 samples) when window sizes are held to
+// m ± 4 and the estimator uses k neighbours.
+func climbSequence(m, k int) (series.Pair, *recorder) {
 	c, err := synth.CorrelatedAR(3000, 3, 250, 4, int64(m))
 	if err != nil {
 		panic(err)
 	}
-	opts := Options{SMin: m - 4, SMax: m + 4, TDMax: 10, Sigma: 0.3, Normalization: mi.NormMaxEntropy, Variant: VariantLMN}.withDefaults()
+	opts := Options{SMin: m - 4, SMax: m + 4, TDMax: 10, Sigma: 0.3, K: k, Normalization: mi.NormMaxEntropy, Variant: VariantLMN}.withDefaults()
 	rec := &recorder{scorer: newBatchScorer(c.Pair, opts.K, opts.Normalization)}
 	s := &searcher{
 		pair: c.Pair, opts: opts, cons: opts.constraints(c.Pair.Len()), scorer: rec,
 		ctx: context.Background(), seg: segment{limit: c.Pair.Len() - opts.SMin + 1}, memo: new(scoreMemo),
 	}
 	s.run()
-	return c.Pair, rec.seq
+	return c.Pair, rec
 }
 
-// BenchmarkRouteCrossover prices the two paths incScorer can take for a
-// window of about m samples (k = 4, AR(1) data): a batch estimate, or a
-// move of the cached estimator of the window's delay, with a reload when
-// the move is a jump. It replays climbSequence and reports ns/eval, the
-// cost per scored window. The smallWindow comment records these costs next
-// to the end-to-end measurement that set the threshold.
+// BenchmarkRouteCrossover prices the paths incScorer can take for a window
+// of about m samples (AR(1) data, k = 2, 4 and 8): a batch estimate from
+// scratch; a batch estimate with the τ-planes of each announced
+// neighbourhood ("planned", how a routed window is estimated); or a move
+// of the cached estimator of the window's delay, with a reload when the
+// move is a jump. It replays climbSequence and reports ns/eval, the cost
+// per scored window. The smallWindow comment records these costs next to
+// the end-to-end measurement that set the threshold.
 func BenchmarkRouteCrossover(b *testing.B) {
-	for _, m := range []int{16, 24, 32, 48, 64} {
-		p, seq := climbSequence(m)
-		perEval := func(b *testing.B) {
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(seq)), "ns/eval")
+	for _, k := range []int{2, 4, 8} {
+		for _, m := range []int{16, 24, 32, 48, 64} {
+			p, rec := climbSequence(m, k)
+			seq := rec.seq
+			perEval := func(b *testing.B) {
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(seq)), "ns/eval")
+			}
+			batch := func(planes []tauPlane) func(b *testing.B) {
+				return func(b *testing.B) {
+					sc := newBatchScorer(p, k, mi.NormMaxEntropy)
+					sc.planes = planes
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						next := 0
+						for j, w := range seq {
+							for ; next < len(rec.plans) && rec.plans[next].at == j; next++ {
+								sc.plan(rec.plans[next].reach, 0)
+							}
+							if _, _, err := sc.both(w); err != nil {
+								b.Fatal(err)
+							}
+						}
+					}
+					perEval(b)
+				}
+			}
+			b.Run(fmt.Sprintf("k=%d/m=%d/batch", k, m), batch(nil))
+			b.Run(fmt.Sprintf("k=%d/m=%d/planned", k, m), batch(new(segScratch).planes[:]))
+			b.Run(fmt.Sprintf("k=%d/m=%d/incremental", k, m), func(b *testing.B) {
+				sc := newIncScorer(p, k, mi.NormMaxEntropy)
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					for _, w := range seq {
+						st, err := sc.moveTo(w)
+						if err != nil {
+							b.Fatal(err)
+						}
+						if _, err := st.inc.MI(); err != nil {
+							b.Fatal(err)
+						}
+					}
+				}
+				perEval(b)
+			})
 		}
-		b.Run(fmt.Sprintf("batch/m=%d", m), func(b *testing.B) {
-			sc := newBatchScorer(p, mi.DefaultK, mi.NormMaxEntropy)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				for _, w := range seq {
-					if _, _, err := sc.both(w); err != nil {
-						b.Fatal(err)
-					}
-				}
-			}
-			perEval(b)
-		})
-		b.Run(fmt.Sprintf("incremental/m=%d", m), func(b *testing.B) {
-			sc := newIncScorer(p, mi.DefaultK, mi.NormMaxEntropy)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				for _, w := range seq {
-					st, err := sc.moveTo(w)
-					if err != nil {
-						b.Fatal(err)
-					}
-					if _, err := st.inc.MI(); err != nil {
-						b.Fatal(err)
-					}
-				}
-			}
-			perEval(b)
-		})
 	}
 }

@@ -415,6 +415,7 @@ func (s *searcher) climb(w0 window.Window) (best window.Window, bestScore float6
 			level++
 			continue
 		}
+		s.plan(neighbors)
 		bestnb := neighbors[0]
 		bestnbScore := s.mustScore(bestnb)
 		//lint:allow ctxflow the neighbourhood is bounded (≤26 windows); stopping only at climb-iteration boundaries keeps the stop point deterministic
