@@ -5,6 +5,8 @@ import (
 	"math"
 	"reflect"
 	"testing"
+
+	"tycos/internal/series"
 )
 
 // TestPlanesChangeNoResult pins the τ-planes' contract: with planes and with
@@ -13,9 +15,34 @@ import (
 // work counters MIBatch and MIIncremental included), the same event stream
 // and the same counters, memo_hits and the mi.* counters included, apart
 // from mi.plane_estimates. Planes must serve some estimates, never more
-// than mi.ksg_estimates counts, and none when bypassed.
+// than mi.ksg_estimates counts, and none when bypassed. The pair runs as
+// drawn and rounded to a 0.5 lattice, whose tied distances are where an
+// edge point's place in a network decides the estimate.
 func TestPlanesChangeNoResult(t *testing.T) {
-	p := parallelTestPair(900)
+	for _, step := range []float64{0, 0.5} {
+		t.Run(fmt.Sprintf("lattice=%v", step), func(t *testing.T) {
+			checkPlanesChangeNoResult(t, latticePair(parallelTestPair(900), step))
+		})
+	}
+}
+
+// latticePair returns p with every sample rounded to a multiple of step;
+// step 0 returns p unchanged.
+func latticePair(p series.Pair, step float64) series.Pair {
+	if step == 0 {
+		return p
+	}
+	round := func(s series.Series) series.Series {
+		out := s.Clone()
+		for i, v := range out.Values {
+			out.Values[i] = math.Round(v/step) * step
+		}
+		return out
+	}
+	return series.Pair{X: round(p.X), Y: round(p.Y)}
+}
+
+func checkPlanesChangeNoResult(t *testing.T, p series.Pair) {
 	type outcome struct {
 		res    Result
 		events []string

@@ -88,7 +88,6 @@ func (p *Plane) Reset(k int, xs, ys []float64, a, b int) bool {
 	p.serves = k >= 1 && u <= allPairsMax && len(ys) == u && 0 <= a && b <= u && b-a > k &&
 		checkFinite(xs, ys) == nil
 	if !p.serves {
-		p.xs, p.ys = nil, nil
 		return false
 	}
 	p.k, p.xs, p.ys, p.a, p.b = k, xs, ys, a, b
