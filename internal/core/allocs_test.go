@@ -50,19 +50,24 @@ func TestWarmSearchAllocsPerRestart(t *testing.T) {
 }
 
 // TestWarmSearchAllocatesNoMemoTable checks that segment scratch, the score
-// memo table and the τ-plane estimators, is recycled: once a search has
-// run, the next one at two restart workers takes every segment's scratch
-// from the free list. And a scorer whose planes are warm plans and scores
-// a neighbourhood from them without allocating.
+// memo table and the τ-plane estimators, is recycled: a search at two
+// restart workers, after a warm-up, takes every segment's scratch from the
+// free list. And a scorer whose planes are warm plans and scores a
+// neighbourhood from them without allocating.
 func TestWarmSearchAllocatesNoMemoTable(t *testing.T) {
 	p := parallelTestPair(900)
 	for _, v := range []Variant{VariantL, VariantLMN} {
 		opts := parallelTestOpts()
 		opts.Variant = v
 		opts.RestartWorkers = 2
-		if _, err := Search(p, opts); err != nil { // fills the free list
+		if _, err := Search(p, opts); err != nil {
 			t.Fatal(err)
 		}
+		// Two workers hold at most two scratch at once. The warm-up may
+		// have held only one, if one worker ran every segment; free two.
+		a, b := scratchPool.take(), scratchPool.take()
+		scratchPool.put(a)
+		scratchPool.put(b)
 		made := scratchMade()
 		if _, err := Search(p, opts); err != nil {
 			t.Fatal(err)
