@@ -1,6 +1,7 @@
 package core
 
 import (
+	"reflect"
 	"testing"
 
 	"tycos/internal/window"
@@ -95,6 +96,46 @@ func TestWarmSearchAllocatesNoMemoTable(t *testing.T) {
 	}
 	if got := testing.AllocsPerRun(10, score); got != 0 {
 		t.Errorf("a warm scorer's planes allocate %v times per neighbourhood, want 0", got)
+	}
+}
+
+// TestFreeScratchHoldsNoSamples checks that scratch on the free list keeps
+// no finished search's series alive: after searches whose τ-planes served
+// estimates, no plane on the list references a sample slice. A plane's
+// slices are views into the pair's arrays, and the list outlives searches.
+func TestFreeScratchHoldsNoSamples(t *testing.T) {
+	p := parallelTestPair(900)
+	for _, v := range []Variant{VariantL, VariantLMN} {
+		opts := parallelTestOpts()
+		opts.Variant = v
+		opts.RestartWorkers = 2
+		sink := newCollectSink()
+		opts.Observer = sink
+		if _, err := Search(p, opts); err != nil {
+			t.Fatal(err)
+		}
+		if sink.counts["mi.plane_estimates"] <= 0 {
+			t.Fatalf("%v: planes served no estimate, so the check proves nothing", v)
+		}
+	}
+	scratchPool.mu.Lock()
+	defer scratchPool.mu.Unlock()
+	if len(scratchPool.free) == 0 {
+		t.Fatal("the free list is empty after two searches")
+	}
+	for i, sc := range scratchPool.free {
+		for j := range sc.planes {
+			pl := reflect.ValueOf(&sc.planes[j].est).Elem()
+			for _, field := range []string{"xs", "ys"} {
+				f := pl.FieldByName(field)
+				if !f.IsValid() {
+					t.Fatalf("mi.Plane has no field %s; update this test", field)
+				}
+				if !f.IsNil() {
+					t.Errorf("free scratch %d: plane %d still references samples (%s)", i, j, field)
+				}
+			}
+		}
 	}
 }
 

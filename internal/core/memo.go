@@ -74,23 +74,20 @@ type segScratch struct {
 	planes [maxPlanes]tauPlane
 }
 
-// maxFreeScratch bounds the scratch free list. A search holds one scratch
-// per restart worker, and concurrent searches one each on top; 16 covers
-// the concurrency of a sweep or a discovery on a few cores. Segments past
-// that allocate their own scratch and drop it.
-const maxFreeScratch = 16
-
 // scratchList is a mutex-guarded free list of segment scratch, so a warm
-// search allocates none. A sync.Pool would not do: an item in one P's
-// private slot is invisible to the others, so a warm two-worker search
-// could miss a pooled table, and a collection may drop pooled items.
+// search allocates none. A segment takes one scratch and returns it when it
+// ends, so the list never holds more than the most segments that ever ran
+// at once: the restart workers of every search in flight. A sync.Pool
+// would not do: an item in one P's private slot is invisible to the
+// others, so a warm two-worker search could miss a pooled table, and a
+// collection may drop pooled items.
 type scratchList struct {
 	mu   sync.Mutex
 	free []*segScratch
 	made int // scratch allocated so far
 }
 
-var scratchPool = scratchList{free: make([]*segScratch, 0, maxFreeScratch)}
+var scratchPool scratchList
 
 // take returns scratch with an empty memo: a freed one when the list holds
 // one, a new one otherwise. The planes are Reset before each use.
@@ -111,13 +108,15 @@ func (l *scratchList) take() *segScratch {
 	return sc
 }
 
-// put frees scratch for the next segment, or drops it when the list is
-// full. The caller must not use it afterwards.
+// put frees scratch for the next segment. Its planes drop their references
+// to the segment's samples first: a freed scratch must not keep a finished
+// search's series alive. The caller must not use sc afterwards.
 func (l *scratchList) put(sc *segScratch) {
-	l.mu.Lock()
-	if len(l.free) < maxFreeScratch {
-		l.free = append(l.free, sc)
+	for i := range sc.planes {
+		sc.planes[i].est.Release()
 	}
+	l.mu.Lock()
+	l.free = append(l.free, sc)
 	l.mu.Unlock()
 }
 

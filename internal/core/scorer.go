@@ -143,9 +143,14 @@ func (s *batchScorer) planeEstimate(w window.Window) (float64, bool) {
 // neighbourhood's windows reach the scorer: the union of those windows,
 // sliced once, with their intersection as the core. Every window of a
 // neighbourhood moves each end of the same range by −Δ, 0 or +Δ, so the
-// windows of one delay share all but at most 4Δ points. A window the plane
-// does not serve (a union above the all-pairs bound, a core of k points or
-// fewer) is estimated from scratch as before.
+// windows of one delay share all but at most 4Δ points. A delay whose
+// windows' edges (the union less the core) outnumber their core gets no
+// plane: there a plane costs about what the windows cost one by one. Over
+// BenchmarkPlaneEstimate's shapes at m = 8–32 and Δ = 1–5, planes ran at
+// 0.88–1.21× of the per-window speed on such shapes, and at 1.01–3.26× on
+// the rest (see DESIGN). A window no plane serves (that case, a union
+// above the all-pairs bound, a core of k points or fewer) is estimated
+// from scratch as before.
 func (s *batchScorer) plan(nbs []window.Window, skip uint32) {
 	s.live = 0
 	for i := 0; i < len(nbs) && s.live < len(s.planes); {
@@ -165,7 +170,7 @@ func (s *batchScorer) plan(nbs []window.Window, skip uint32) {
 			}
 			n++
 		}
-		if n < 2 {
+		if n < 2 || union.Size()-core.Size() > core.Size() {
 			continue
 		}
 		xs, ys, err := s.pair.DelaySlice(union.Start, union.End, delay)
@@ -252,23 +257,24 @@ const maxIncStates = 6
 // an incremental estimator. BenchmarkRouteCrossover prices the paths per
 // scored window over recorded LMN climbs held near m samples (2-vCPU Xeon
 // VM, Go 1.24, medians of three runs, µs): from scratch, with the τ-planes
-// of each neighbourhood ("planned", how routed windows are estimated), and
-// by moving the cached estimator:
+// that plan builds for each neighbourhood ("planned", how routed windows
+// are estimated), and by moving the cached estimator:
 //
 //	k  path         m=16   24    32    48    64
-//	2  batch         3.5   6.0   8.9  18.2  27.2
-//	2  planned       2.9   3.8   5.1   9.2  13.4
-//	2  incremental   3.5   5.0   6.3  10.0  13.0
-//	4  batch         3.9   6.7  12.1  23.1  39.3
-//	4  planned       3.5   5.2   7.2  12.1  15.5
-//	4  incremental   4.8   6.2   9.1  12.8  17.1
-//	8  batch         5.7   9.9  17.7  33.5  54.2
-//	8  planned       5.0   7.0  10.1  15.8  24.6
-//	8  incremental   7.1   9.9  13.5  17.1  21.3
+//	2  batch         3.0   5.6   8.5  15.9  28.9
+//	2  planned       2.5   4.1   4.4   7.5  11.6
+//	2  incremental   3.7   4.6   6.1   9.5  11.6
+//	4  batch         3.7   6.9  11.1  22.6  34.7
+//	4  planned       3.3   5.2   6.7  10.5  14.8
+//	4  incremental   4.7   5.7   8.0  12.4  14.9
+//	8  batch         5.1   9.4  15.4  29.8  50.7
+//	8  planned       4.3   6.8   8.6  14.8  21.4
+//	8  incremental   6.3   9.1  11.0  16.7  19.9
 //
 // Without planes the two paths cross near 24 samples; with planes the
-// planned batch path is the cheaper one up to 48 samples at every k, and
-// the crossover sits between 48 and 64 (past 64 at k = 4). These prices
+// planned batch path is the cheaper one up to 48 samples at every k, ties
+// the incremental move at 64 at k = 2 and 4, and loses there at k = 8.
+// Runs of the table move by up to 10–15 % between sessions. These prices
 // hold a climb near one size. In a search the sizes mix: a climb that grows
 // past the threshold reloads the estimator its small windows left behind.
 // End to end, before planes, perfsuite lat_p50_ms medians (8 s runs) were,

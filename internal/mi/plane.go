@@ -103,6 +103,13 @@ func (p *Plane) Reset(k int, xs, ys []float64, a, b int) bool {
 	return true
 }
 
+// Release drops the plane's references to the samples of its last Reset,
+// so a plane kept for reuse does not keep them alive. The plane serves no
+// estimate until the next Reset, and keeps its scratch for it.
+func (p *Plane) Release() {
+	p.xs, p.ys, p.serves = nil, nil, false
+}
+
 // Estimate returns the KSG estimate of the sub-window [lo, hi) of the
 // union, bit-identical to KSG.Estimate(xs[lo:hi], ys[lo:hi]). ok is false
 // when the plane does not serve (see Reset) or the sub-window does not

@@ -86,7 +86,9 @@ func checkPlane(t *testing.T, label string, p *Plane, rng *rand.Rand, x, y []flo
 // TestPlaneRefuses checks what the plane does not serve: unions above
 // allPairsMax, cores of k points or fewer, non-finite samples and
 // sub-windows that do not contain the core or leave the union. A refused
-// Reset also stops the previous union being served.
+// Reset also stops the previous union being served, and so does Release,
+// which also drops the plane's references to the samples; the next Reset
+// serves the same bits as before.
 func TestPlaneRefuses(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	x, y := gaussianPair(rng, allPairsMax+1, 0.5)
@@ -104,6 +106,20 @@ func TestPlaneRefuses(t *testing.T) {
 		if _, ok := p.Estimate(w[0], w[1]); ok {
 			t.Errorf("[%d,%d) is served though it does not contain the core [8,13) inside the union", w[0], w[1])
 		}
+	}
+	want, _ := p.Estimate(0, 20)
+	p.Release()
+	if p.xs != nil || p.ys != nil {
+		t.Error("a released plane still references its samples")
+	}
+	if _, ok := p.Estimate(0, 20); ok {
+		t.Error("a released plane serves an estimate")
+	}
+	if !p.Reset(4, x[:20], y[:20], 8, 13) {
+		t.Fatal("a released plane is not served after a Reset")
+	}
+	if got, ok := p.Estimate(0, 20); !ok || math.Float64bits(got) != math.Float64bits(want) {
+		t.Errorf("after Release and Reset: %v (served %v), want %v", got, ok, want)
 	}
 	y[3] = math.Inf(1)
 	if p.Reset(4, x[:20], y[:20], 8, 13) {
