@@ -17,9 +17,9 @@ import (
 // The byte layout is pinned by TestHashOptionsGolden: it reproduces the
 // pre-refactor discovery serialization exactly, so journals and goldens
 // written before the dedupe keep replaying. The result-invariant fields —
-// RestartWorkers, EstimatorCache, Observer — are deliberately
-// absent: each carries a dynamic test pinning that it cannot change results,
-// and the fingerprintcov analyzer's allow-list mirrors this set.
+// RestartWorkers and Observer — are deliberately absent: each carries a
+// dynamic test pinning that it cannot change results, and the
+// fingerprintcov analyzer's allow-list mirrors this set.
 func HashOptions(w io.Writer, o core.Options) {
 	fmt.Fprintf(w, "%d|%d|%d|%g|%g|%d|%d|%d|%d|%g|%d|%d|%d|%g|%d|%g",
 		o.SMin, o.SMax, o.TDMax, o.Sigma, o.Epsilon, o.K, o.Delta, o.MaxIdle,

@@ -51,7 +51,6 @@ func TestHashOptionsGolden(t *testing.T) {
 // fingerprintcov allow-list in internal/lint, which mirrors this set).
 var hashInvariantFields = map[string]bool{
 	"RestartWorkers": true,
-	"EstimatorCache": true,
 	"Observer":       true,
 }
 
@@ -59,8 +58,6 @@ var hashInvariantFields = map[string]bool{
 // test can perturb each field independently.
 func nonZeroFor(t *testing.T, field reflect.StructField) reflect.Value {
 	switch field.Type {
-	case reflect.TypeOf((*core.EstimatorCache)(nil)):
-		return reflect.ValueOf(core.NewEstimatorCache(4))
 	case reflect.TypeOf((*obs.Sink)(nil)).Elem():
 		return reflect.ValueOf(obs.NewRegistry())
 	}

@@ -2,21 +2,26 @@ package core
 
 import (
 	"reflect"
+	"runtime/debug"
 	"testing"
 
+	"tycos/internal/mi"
+	"tycos/internal/series"
 	"tycos/internal/window"
 )
 
+// raceBuild reports a build with the race detector (see race_test.go).
+var raceBuild bool
+
 // TestWarmSearchAllocsPerRestart bounds the heap allocations a warm Search
 // spends per LAHC restart. The climb appends neighbourhoods into a
-// per-searcher buffer, carries pruned directions as flags, re-seeds one
-// acceptor RNG and (for the incremental variants) reloads pooled estimators
-// whose state and list slabs and k-d tree are already sized, so what remains is
-// per-search set-up and a few bookkeeping allocations per restart. Measured
-// per restart: 4.3 (L) and 19.4 (LMN), and 4.4 and 19.6 under the race
-// detector. The bounds sit above the race figures: a fresh rand source per
-// restart (L and LMN) or a map per pruned-direction test (LMN) pushes past
-// them.
+// per-searcher buffer, carries pruned directions as flags and re-seeds one
+// acceptor RNG, and at SMax 60 every window takes the batch route, so what
+// remains is per-search set-up and a few bookkeeping allocations per
+// restart. Measured per restart: 4.3 (L) and 14.4 (LMN), and 4.3 and 14.5
+// under the race detector. The bounds sit above the race figures: a fresh
+// rand source per restart (L and LMN) or a map per pruned-direction test
+// (LMN) pushes past them.
 func TestWarmSearchAllocsPerRestart(t *testing.T) {
 	p := testPair(23, 1500, 400, 520, 2)
 	for _, tc := range []struct {
@@ -29,8 +34,7 @@ func TestWarmSearchAllocsPerRestart(t *testing.T) {
 		opts := defaultOpts()
 		opts.Variant = tc.variant
 		opts.RestartWorkers = 1
-		opts.EstimatorCache = NewEstimatorCache(0)
-		res, err := Search(p, opts) // warms the estimator cache
+		res, err := Search(p, opts) // warms the segment scratch
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -46,6 +50,65 @@ func TestWarmSearchAllocsPerRestart(t *testing.T) {
 		t.Logf("%v: %.0f allocs over %d restarts = %.1f per restart", tc.variant, allocs, res.Stats.Restarts, perRestart)
 		if perRestart > tc.max {
 			t.Errorf("%v: %.1f allocs per restart, want ≤ %v", tc.variant, perRestart, tc.max)
+		}
+	}
+}
+
+// TestWarmSearchAllocsRepeat checks that a warm search allocates exactly as
+// often on every run: on all four variants, and on LM and LMN with windows
+// above the all-pairs bound, whose estimators each search builds and
+// reloads. The collector is paused while measuring, because a collection
+// that lands inside the search shifts the count by one or two. The counts
+// are compared from run to run rather than against fixed numbers, which
+// move with the Go release. Under the race detector sync.Pool drops items
+// at random, so the counts vary and the check is skipped.
+func TestWarmSearchAllocsRepeat(t *testing.T) {
+	if raceBuild {
+		t.Skip("allocation counts vary under the race detector")
+	}
+	small := testPair(23, 1500, 400, 520, 2)
+	large := testPair(29, 1200, 300, 600, 1)
+	for _, tc := range []struct {
+		name    string
+		variant Variant
+		pair    series.Pair
+		smin    int
+		smax    int
+	}{
+		{"L", VariantL, small, 10, 60},
+		{"LN", VariantLN, small, 10, 60},
+		{"LM", VariantLM, small, 10, 60},
+		{"LMN", VariantLMN, small, 10, 60},
+		{"LM/above-bound", VariantLM, large, 130, 200},
+		{"LMN/above-bound", VariantLMN, large, 130, 200},
+	} {
+		opts := defaultOpts()
+		opts.Variant = tc.variant
+		opts.SMin, opts.SMax = tc.smin, tc.smax
+		opts.RestartWorkers = 1
+		res, err := Search(tc.pair, opts) // warms the segment scratch
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !mi.KernelServes(tc.smin) && res.Stats.MIIncremental == 0 {
+			t.Fatalf("%s: no incremental move, so the case covers no estimator", tc.name)
+		}
+		var counts []float64
+		for run := 0; run < 4; run++ {
+			gc := debug.SetGCPercent(-1)
+			counts = append(counts, testing.AllocsPerRun(1, func() {
+				if _, err := Search(tc.pair, opts); err != nil {
+					t.Fatal(err)
+				}
+			}))
+			debug.SetGCPercent(gc)
+		}
+		t.Logf("%s: %v allocations per search", tc.name, counts)
+		for _, c := range counts[1:] {
+			if c != counts[0] {
+				t.Errorf("%s: a warm search allocated %v times in turn, want one count", tc.name, counts)
+				break
+			}
 		}
 	}
 }

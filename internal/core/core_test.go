@@ -277,8 +277,10 @@ func TestVariantStrings(t *testing.T) {
 }
 
 func TestStatsAccounting(t *testing.T) {
-	p := testPair(43, 250, 80, 140, 0)
+	// Every window exceeds the all-pairs bound, so LMN moves its estimators.
+	p := testPair(43, 600, 150, 450, 0)
 	opts := defaultOpts()
+	opts.SMin, opts.SMax = 130, 300
 	opts.Variant = VariantLMN
 	res, err := Search(p, opts)
 	if err != nil {

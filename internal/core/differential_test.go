@@ -109,8 +109,8 @@ func batchReference(t *testing.T, p series.Pair, k int, w window.Window) (float6
 
 // unrouted returns the raw MI of w from the incremental estimator of its
 // delay, moved or rebuilt to w whatever the window's size: the path
-// incScorer takes for windows above smallWindow. Replaying a trajectory
-// through it keeps the windows at or below the threshold exercising the
+// incScorer takes for windows the all-pairs kernel does not serve. Replaying
+// a trajectory through it keeps the windows the kernel serves exercising the
 // estimator moves they would make without the route.
 func unrouted(sc *incScorer, w window.Window) (float64, error) {
 	st, err := sc.moveTo(w)
@@ -122,7 +122,7 @@ func unrouted(sc *incScorer, w window.Window) (float64, error) {
 
 // replaySequence plays the windows through two fresh incremental scorers,
 // one on the incremental path for every window (unrouted) and one through
-// both, which routes windows of at most smallWindow samples to batch. It
+// both, which routes the windows the all-pairs kernel serves to batch. It
 // returns the index of the first window where either raw MI differs from
 // the batch reference (-1 when none does).
 func replaySequence(t *testing.T, p series.Pair, opts Options, seq []window.Window) (failIdx int, got, want float64) {
@@ -207,8 +207,8 @@ func TestIncrementalScorerMatchesBatchOnRandomTrajectories(t *testing.T) {
 // TestIncrementalScorerMatchesBatchPerMoveKind isolates each move kind: long
 // single-kind runs stress the corresponding IR/IMR update paths (grow →
 // inserts, shrink → removes, shift → mixed, delay-change → cache/rebuild).
-// The runs start at SMin, below smallWindow, so replaySequence's unrouted
-// replay is what keeps every move on those paths.
+// The runs stay below the all-pairs bound (SMax 60), so replaySequence's
+// unrouted replay is what keeps every move on those paths.
 func TestIncrementalScorerMatchesBatchPerMoveKind(t *testing.T) {
 	p := testPair(8, 400, 100, 200, 1)
 	opts := Options{SMin: 10, SMax: 60, TDMax: 5, K: mi.DefaultK, Normalization: mi.NormMaxEntropy}
@@ -235,14 +235,17 @@ func TestIncrementalScorerMatchesBatchPerMoveKind(t *testing.T) {
 		}
 	}
 
-	// One more input crosses smallWindow both ways, three times: growing
-	// past it, shrinking back under it, then switching delay while small.
-	// Each crossing upward meets an estimator that the routed windows left
-	// behind, positioned several moves back or at another delay.
+	// One more input crosses the all-pairs bound both ways, three times:
+	// growing past it, shrinking back under it, then switching delay while
+	// small. Each crossing upward meets an estimator that the routed windows
+	// left behind, positioned several moves back or at another delay. Its
+	// windows walk right by about 125 samples a round, so it takes a longer
+	// pair.
+	p = testPair(8, 800, 100, 200, 1)
 	w := window.Window{Start: 150, End: 150 + opts.SMin - 1, Delay: 0}
 	seq := []window.Window{w}
 	for round := 0; round < 3; round++ {
-		for w.Size() <= smallWindow+8 {
+		for mi.KernelServes(w.Size() - 8) {
 			w.End += 3
 			seq = append(seq, w)
 		}

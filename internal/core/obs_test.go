@@ -81,12 +81,13 @@ func noisyPair(seed int64, n, segStart, segEnd int) series.Pair {
 // CandidateAccepted count equals the number of returned windows, every phase
 // is timed, and the trace's counter totals equal the Stats counters.
 func TestTraceMatchesStats(t *testing.T) {
-	p := testPair(43, 400, 100, 180, 0)
+	p := testPair(43, 800, 200, 600, 0)
 	var buf bytes.Buffer
 	tw := obs.NewTraceWriter(&buf)
 	metrics := obs.NewRegistry()
 
 	opts := defaultOpts()
+	opts.SMin, opts.SMax = 120, 300
 	opts.Variant = VariantLMN
 	opts.Observer = obs.Multi(tw, metrics)
 	res, err := Search(p, opts)
@@ -157,8 +158,8 @@ func TestTraceMatchesStats(t *testing.T) {
 			t.Errorf("trace counter %s = %d, stats say %d", name, counterTotals[name], want)
 		}
 	}
-	// The search's windows reach past smallWindow, so both the incremental
-	// estimators and the batch route for small windows do work.
+	// The search's windows reach past the all-pairs bound, so both the
+	// incremental estimators and the batch route for smaller windows do work.
 	for _, name := range []string{"mi.ksg_estimates", "mi.inc_inserts", "mi.inc_removes", "mi.inc_refreshes", "mi.inc_requeries"} {
 		if counterTotals[name] <= 0 {
 			t.Errorf("incremental variant emitted no %s work", name)

@@ -120,16 +120,6 @@ type Options struct {
 	// forces sequential execution regardless of this value — a deterministic
 	// budget stop is only well-defined when evaluations accrue in one order.
 	RestartWorkers int
-	// EstimatorCache, when non-nil, pools warm incremental estimators across
-	// searches: each search's scorers draw their first rebuilds from the
-	// cache and return their estimators when the search ends. Sharing a
-	// cache across the per-candidate searches of a fleet workload (see
-	// internal/discovery) removes the per-search multiset, point-state and
-	// neighbour-list allocations. Purely a performance hint — cached estimators are
-	// reconfigured to bit-identical-to-fresh state before use, so results,
-	// events and counters are unchanged. Only the incremental variants
-	// (TYCOS_LM/LMN) consult it.
-	EstimatorCache *EstimatorCache
 	// Observer, when non-nil, receives the search's typed events
 	// (restarts, climbs, accepted candidates, noise prunes), phase timings
 	// and end-of-search counter totals — see internal/obs for the event

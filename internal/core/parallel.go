@@ -249,10 +249,8 @@ func runSegment(ctx context.Context, p series.Pair, opts Options, cons window.Co
 		counters: s.scorer.counters(),
 		stop:     s.stop,
 	}
-	// The scorer is done: counters are captured, so its estimators can flow
-	// back to a shared cross-search cache (no-op without one), and the
-	// segment's scratch back to the free list.
-	s.scorer.release()
+	// The scorer is done: counters are captured, so the segment's scratch
+	// goes back to the free list.
 	scratchPool.put(scratch)
 	return sr
 }
@@ -264,7 +262,6 @@ func newScorer(p series.Pair, opts Options, null *nullModel, planes []tauPlane) 
 	if opts.Variant.incremental() {
 		sc := newIncScorer(p, opts.K, opts.Normalization)
 		sc.null = null
-		sc.shared = opts.EstimatorCache
 		sc.small.planes = planes
 		return sc
 	}

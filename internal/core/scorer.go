@@ -42,10 +42,6 @@ type scorer interface {
 	// (KSG estimations, incremental point operations) for the observability
 	// layer. Called once per search, at the end.
 	counters() []counter
-	// release hands reusable estimator state back to a shared
-	// Options.EstimatorCache, if one is configured. Called after counters(),
-	// when the scorer is done; the scorer must not be used afterwards.
-	release()
 }
 
 // counter is one named estimator-level work total.
@@ -187,9 +183,6 @@ func (s *batchScorer) plan(nbs []window.Window, skip uint32) {
 
 func (s *batchScorer) stats() (int, int) { return s.nBatch, 0 }
 
-// release is a no-op: the batch scorer holds no poolable incremental state.
-func (s *batchScorer) release() {}
-
 func (s *batchScorer) counters() []counter {
 	return []counter{
 		{"mi.ksg_estimates", int64(s.est.Estimates() + s.nPlane)},
@@ -205,8 +198,8 @@ func (s *batchScorer) counters() []counter {
 // per-delay cache is what makes the LAHC neighbourhood — which mixes three
 // delays per exploration — profitable to evaluate incrementally; with a
 // single estimator every delay change would force a rebuild and TYCOS_LM
-// would run slower than TYCOS_L. Windows of at most smallWindow samples
-// skip the estimators and take a batch estimate (see smallWindow).
+// would run slower than TYCOS_L. Windows the all-pairs kernel serves skip
+// the estimators and take a batch estimate (see estimate).
 type incScorer struct {
 	pair series.Pair
 	k    int
@@ -214,34 +207,25 @@ type incScorer struct {
 	null *nullModel
 
 	// small estimates the windows routed to batch and counts them; it never
-	// touches the cached estimators, the LRU clock or the pool.
+	// touches the cached estimators or the LRU clock.
 	small batchScorer
 
-	states map[int]*incState // keyed by delay
-	tick   int               // LRU clock
+	states [maxIncStates]incState // per-delay estimators; a nil inc is a free slot
+	tick   int                    // LRU clock
 
 	nRebuild int // estimator rebuilds
 	nInc     int // incremental moves
 
-	// retired accumulates the op counters of estimators dropped from the
-	// cache (evicted or replaced), so counters() reports the whole search's
-	// point-level work, not just the survivors'.
+	// retired accumulates the op counters an estimator gathered before a
+	// rebuild reloaded it (Reload zeroes them), so counters() reports the
+	// whole search's point-level work, not just the current positions'.
 	retired mi.IncrementalOps
 
-	// pool recycles the estimators of dropped cache entries: a rebuild takes
-	// one from here and Reloads it — same counters and results as a fresh
-	// estimator, but reusing the multiset, point-state and list
-	// allocations. ids is the matching reusable id scratch.
-	pool []*mi.Incremental
-	ids  []int
-
-	// shared, when non-nil, is the cross-search estimator cache
-	// (Options.EstimatorCache): rebuilds with an empty local pool draw from
-	// it, and release() returns every estimator to it when the search ends.
-	shared *EstimatorCache
+	ids []int // reusable id scratch for rebuilds
 }
 
-// incState is one cached estimator and the window it is positioned at.
+// incState is one cached estimator and the window it is positioned at; the
+// window's delay is the delay the estimator serves.
 type incState struct {
 	inc     *mi.Incremental
 	cur     window.Window
@@ -252,45 +236,8 @@ type incState struct {
 // three delays; a few extra slots cover the climb's recent τ history.
 const maxIncStates = 6
 
-// smallWindow is the largest window incScorer scores with a batch estimate
-// (the all-pairs kernel, or a τ-plane of it) instead of moving or reloading
-// an incremental estimator. BenchmarkRouteCrossover prices the paths per
-// scored window over recorded LMN climbs held near m samples (2-vCPU Xeon
-// VM, Go 1.24, medians of three runs, µs): from scratch, with the τ-planes
-// that plan builds for each neighbourhood ("planned", how routed windows
-// are estimated), and by moving the cached estimator:
-//
-//	k  path         m=16   24    32    48    64
-//	2  batch         3.0   5.6   8.5  15.9  28.9
-//	2  planned       2.5   4.1   4.4   7.5  11.6
-//	2  incremental   3.7   4.6   6.1   9.5  11.6
-//	4  batch         3.7   6.9  11.1  22.6  34.7
-//	4  planned       3.3   5.2   6.7  10.5  14.8
-//	4  incremental   4.7   5.7   8.0  12.4  14.9
-//	8  batch         5.1   9.4  15.4  29.8  50.7
-//	8  planned       4.3   6.8   8.6  14.8  21.4
-//	8  incremental   6.3   9.1  11.0  16.7  19.9
-//
-// Without planes the two paths cross near 24 samples; with planes the
-// planned batch path is the cheaper one up to 48 samples at every k, ties
-// the incremental move at 64 at k = 2 and 4, and loses there at k = 8.
-// Runs of the table move by up to 10–15 % between sessions. These prices
-// hold a climb near one size. In a search the sizes mix: a climb that grows
-// past the threshold reloads the estimator its small windows left behind.
-// End to end, before planes, perfsuite lat_p50_ms medians (8 s runs) were,
-// by threshold 0 (no routing) / 16 / 24 / 32 / 48: pair-LMN 67.3 / 60.5 /
-// 58.7 / 61.3 / 74.4 ms (seeds 501–507; 0 and 48 on 501–503 only) and
-// discover-fleet – / 43.3 / 41.9 / 48.0 / – ms (seeds 601–603). Those runs
-// show that routing at 16–32 beats no routing and that 48 lost then. They
-// do not rank 16, 24 and 32: the three pair-LMN medians lie within the
-// parent's own interquartile range on that workload (8.1 ms over 25 s
-// runs), so 24 is a choice inside that band, not a measured optimum. With
-// planes the threshold may belong higher; that needs the same end-to-end
-// sweep, at more than k = 4.
-const smallWindow = 24
-
 func newIncScorer(p series.Pair, k int, norm mi.Normalization) *incScorer {
-	return &incScorer{pair: p, k: k, norm: norm, small: *newBatchScorer(p, k, norm), states: make(map[int]*incState)}
+	return &incScorer{pair: p, k: k, norm: norm, small: *newBatchScorer(p, k, norm)}
 }
 
 func (s *incScorer) both(w window.Window) (float64, float64, error) {
@@ -313,12 +260,17 @@ func (s *incScorer) scoreNull(w window.Window, null *nullModel) (float64, float6
 	return raw, s.normalize(adj, w), nil
 }
 
-// estimate returns the raw KSG estimate of w: from scratch for a window of
-// at most smallWindow samples, otherwise from the estimator of w's delay
-// moved to w. The route depends on the window alone, and both paths give
-// the same bits (incremental ≡ batch).
+// estimate returns the raw KSG estimate of w. A window the all-pairs kernel
+// serves takes a batch estimate (a τ-plane or the kernel), which builds no
+// index, and leaves the cached estimators alone. A larger window, which a
+// batch estimate would index in a k-d tree, takes the estimator of w's delay
+// moved to w. A lower threshold loses end to end although a move is cheaper
+// from about 64 samples on a climb held at one size: climbs that cross it
+// reload the estimators their routed windows left behind (DESIGN, "Scoring
+// layer"). The route depends on the window alone, and both paths give the
+// same bits (incremental ≡ batch).
 func (s *incScorer) estimate(w window.Window) (float64, error) {
-	if w.Size() <= smallWindow {
+	if mi.KernelServes(w.Size()) {
 		raw, _, _, err := s.small.estimate(w)
 		return raw, err
 	}
@@ -329,11 +281,11 @@ func (s *incScorer) estimate(w window.Window) (float64, error) {
 	return st.inc.MI()
 }
 
-// plan passes the neighbourhood's routed windows, those of at most
-// smallWindow samples, to the batch scorer that estimates them.
+// plan passes the neighbourhood's routed windows, those the all-pairs kernel
+// serves, to the batch scorer that estimates them.
 func (s *incScorer) plan(nbs []window.Window, skip uint32) {
 	for i, w := range nbs {
-		if w.Size() > smallWindow {
+		if !mi.KernelServes(w.Size()) {
 			skip |= 1 << i
 		}
 	}
@@ -369,9 +321,9 @@ func (s *incScorer) normalize(raw float64, w window.Window) float64 {
 // its previous window or rebuilding when no usable state exists.
 func (s *incScorer) moveTo(w window.Window) (*incState, error) {
 	s.tick++
-	st := s.states[w.Delay]
+	st := s.state(w.Delay)
 	if st == nil {
-		return s.rebuild(w)
+		return s.rebuild(w, s.freeSlot())
 	}
 	st.lastUse = s.tick
 	if w == st.cur {
@@ -381,13 +333,13 @@ func (s *incScorer) moveTo(w window.Window) (*incState, error) {
 	old, next := st.cur, w
 	if next.Start > old.End || next.End < old.Start {
 		// Disjoint ranges: cheaper to rebuild.
-		return s.rebuild(w)
+		return s.rebuild(w, st)
 	}
 	// A large diff cascades more neighbourhood refreshes than a one-pass
 	// bulk reload costs; rebuild past a third of the window.
 	diff := abs(next.Start-old.Start) + abs(next.End-old.End)
 	if limit := next.Size() / 3; diff > limit && diff > 8 {
-		return s.rebuild(w)
+		return s.rebuild(w, st)
 	}
 	x := s.pair.X.Values
 	y := s.pair.Y.Values
@@ -408,7 +360,38 @@ func (s *incScorer) moveTo(w window.Window) (*incState, error) {
 	return st, nil
 }
 
-func (s *incScorer) rebuild(w window.Window) (*incState, error) {
+// state returns the cached estimator of the delay, or nil.
+func (s *incScorer) state(delay int) *incState {
+	for i := range s.states {
+		if st := &s.states[i]; st.inc != nil && st.cur.Delay == delay {
+			return st
+		}
+	}
+	return nil
+}
+
+// freeSlot returns an empty cache slot, or else the least recently used
+// one. lastUse values are unique: moveTo advances the tick before stamping
+// exactly one state.
+func (s *incScorer) freeSlot() *incState {
+	lru := &s.states[0]
+	for i := range s.states {
+		st := &s.states[i]
+		if st.inc == nil {
+			return st
+		}
+		if st.lastUse < lru.lastUse {
+			lru = st
+		}
+	}
+	return lru
+}
+
+// rebuild positions slot's estimator at w with one bulk Reload, or a new
+// estimator when the slot is empty. A reloaded estimator keeps its multiset,
+// point-state and list allocations and gives the bits of a fresh one; its
+// op counters are retired first, so its work stays on the books.
+func (s *incScorer) rebuild(w window.Window, slot *incState) (*incState, error) {
 	xs, ys, err := s.pair.DelaySlice(w.Start, w.End, w.Delay)
 	if err != nil {
 		return nil, err
@@ -418,91 +401,40 @@ func (s *incScorer) rebuild(w window.Window) (*incState, error) {
 	for i := 0; i < w.Size(); i++ {
 		s.ids = append(s.ids, w.Start+i)
 	}
-	// Free cache slots before taking an estimator, in the same order as the
-	// original always-fresh path (evict LRU, then retire the replaced entry):
-	// eviction order is observable through the event stream and counters, so
-	// pooling must not perturb it.
-	if len(s.states) >= maxIncStates {
-		s.evictLRU()
-	}
-	if old := s.states[w.Delay]; old != nil {
-		// Replaced in place (same delay, disjoint or large move): keep its
-		// work on the books.
-		s.retire(old)
-	}
-	var inc *mi.Incremental
-	if n := len(s.pool); n > 0 {
-		inc = s.pool[n-1]
-		s.pool = s.pool[:n-1]
-	} else if inc = s.shared.take(s.k); inc == nil {
+	inc := slot.inc
+	if inc == nil {
 		inc = mi.NewIncremental(s.k)
+	} else {
+		s.retire(inc)
 	}
-	// A pooled estimator or a cache hit (Reconfigured to this scorer's k)
-	// reloads bit-identically to a fresh one, warm allocations and all.
 	inc.Reload(s.ids, xs, ys)
-	st := &incState{inc: inc, cur: w, lastUse: s.tick}
-	s.states[w.Delay] = st
+	*slot = incState{inc: inc, cur: w, lastUse: s.tick}
 	s.nRebuild++
-	return st, nil
+	return slot, nil
 }
 
-// retire folds a dropped estimator's op counters into the running totals and
-// returns its estimator to the pool for the next rebuild to Reload.
-func (s *incScorer) retire(st *incState) {
-	ops := st.inc.Ops()
+// retire folds an estimator's op counters into the running totals.
+func (s *incScorer) retire(inc *mi.Incremental) {
+	ops := inc.Ops()
 	s.retired.Inserts += ops.Inserts
 	s.retired.Removes += ops.Removes
 	s.retired.Refreshes += ops.Refreshes
 	s.retired.Requeries += ops.Requeries
-	s.pool = append(s.pool, st.inc)
-}
-
-// evictLRU drops the least recently used cached estimator. lastUse values
-// are unique (moveTo advances the tick before stamping exactly one state),
-// but the smallest-delay tie-break makes the choice provably independent of
-// map iteration order rather than relying on that argument.
-func (s *incScorer) evictLRU() {
-	oldestDelay, oldestUse := 0, int(^uint(0)>>1)
-	found := false
-	//lint:allow nodeterm argmin with a total-order tie-break; the selected entry is the same for every iteration order
-	for d, st := range s.states {
-		if !found || st.lastUse < oldestUse || (st.lastUse == oldestUse && d < oldestDelay) {
-			oldestDelay, oldestUse = d, st.lastUse
-			found = true
-		}
-	}
-	s.retire(s.states[oldestDelay])
-	delete(s.states, oldestDelay)
 }
 
 // stats counts routed batch estimates and rebuilds as from-scratch work.
 func (s *incScorer) stats() (int, int) { return s.small.nBatch + s.nRebuild, s.nInc }
 
-// release drains every estimator — pooled and live — into the shared
-// cross-search cache. Without a shared cache it is a no-op: the scorer is
-// about to be garbage-collected with its pool.
-func (s *incScorer) release() {
-	if s.shared == nil {
-		return
-	}
-	s.shared.put(s.pool...)
-	s.pool = s.pool[:0]
-	//lint:allow nodeterm drain order only permutes interchangeable estimators in the shared pool; the map ends empty either way
-	for d, st := range s.states {
-		s.shared.put(st.inc)
-		delete(s.states, d)
-	}
-}
-
 func (s *incScorer) counters() []counter {
 	total := s.retired
-	//lint:allow nodeterm integer-sum fold; addition commutes, so the totals are iteration-order independent
-	for _, st := range s.states {
-		ops := st.inc.Ops()
-		total.Inserts += ops.Inserts
-		total.Removes += ops.Removes
-		total.Refreshes += ops.Refreshes
-		total.Requeries += ops.Requeries
+	for i := range s.states {
+		if st := &s.states[i]; st.inc != nil {
+			ops := st.inc.Ops()
+			total.Inserts += ops.Inserts
+			total.Removes += ops.Removes
+			total.Refreshes += ops.Refreshes
+			total.Requeries += ops.Requeries
+		}
 	}
 	return append(s.small.counters(),
 		counter{"mi.inc_inserts", int64(total.Inserts)},

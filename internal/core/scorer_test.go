@@ -30,13 +30,15 @@ func TestBatchAndIncrementalScorersAgree(t *testing.T) {
 	p := scorerPair(3, 400)
 	batch := newBatchScorer(p, 4, mi.NormMaxEntropy)
 	inc := newIncScorer(p, 4, mi.NormMaxEntropy)
+	// Every window exceeds the all-pairs bound, so each one moves or
+	// reloads an estimator.
 	windows := []window.Window{
-		{Start: 10, End: 60, Delay: 0},
-		{Start: 12, End: 66, Delay: 0}, // same-delay diff
-		{Start: 12, End: 66, Delay: 3}, // delay change
-		{Start: 15, End: 70, Delay: 3}, // diff at new delay
-		{Start: 12, End: 66, Delay: 0}, // back to cached delay 0
-		{Start: 200, End: 320, Delay: -5},
+		{Start: 10, End: 150, Delay: 0},
+		{Start: 12, End: 156, Delay: 0}, // same-delay diff
+		{Start: 12, End: 156, Delay: 3}, // delay change
+		{Start: 15, End: 160, Delay: 3}, // diff at new delay
+		{Start: 12, End: 156, Delay: 0}, // back to cached delay 0
+		{Start: 200, End: 340, Delay: -5},
 	}
 	for _, w := range windows {
 		rb, nb, errB := batch.both(w)
@@ -63,18 +65,28 @@ func TestBatchAndIncrementalScorersAgree(t *testing.T) {
 func TestIncScorerLRUEviction(t *testing.T) {
 	p := scorerPair(5, 300)
 	inc := newIncScorer(p, 4, mi.NormMaxEntropy)
-	// Touch more delays than the cache holds.
+	// Touch more delays than the cache holds, with windows above the
+	// all-pairs bound so each one takes an estimator.
 	for d := -5; d <= 5; d++ {
-		if _, _, err := inc.both(window.Window{Start: 50, End: 100, Delay: d}); err != nil {
+		if _, _, err := inc.both(window.Window{Start: 50, End: 190, Delay: d}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if len(inc.states) > maxIncStates {
-		t.Errorf("cache grew to %d > %d", len(inc.states), maxIncStates)
+	cached := 0
+	for _, st := range inc.states {
+		if st.inc != nil {
+			cached++
+		}
+	}
+	if cached != maxIncStates {
+		t.Errorf("cache holds %d estimators after 11 delays, want it full at %d", cached, maxIncStates)
+	}
+	if inc.state(-5) != nil {
+		t.Error("the least recently used delay was not evicted")
 	}
 	// Evicted delays still score correctly (through a rebuild).
-	_, b, _ := newBatchScorer(p, 4, mi.NormMaxEntropy).both(window.Window{Start: 50, End: 100, Delay: -5})
-	_, i, err := inc.both(window.Window{Start: 50, End: 100, Delay: -5})
+	_, b, _ := newBatchScorer(p, 4, mi.NormMaxEntropy).both(window.Window{Start: 50, End: 190, Delay: -5})
+	_, i, err := inc.both(window.Window{Start: 50, End: 190, Delay: -5})
 	if err != nil || !sameBits(b, i) {
 		t.Errorf("evicted delay rescores wrong: %v vs %v (%v)", b, i, err)
 	}
@@ -254,11 +266,13 @@ func climbSequence(m, k int) (series.Pair, *recorder) {
 // neighbourhood ("planned", how a routed window is estimated); or a move
 // of the cached estimator of the window's delay, with a reload when the
 // move is a jump. It replays climbSequence and reports ns/eval, the cost
-// per scored window. The smallWindow comment records these costs next to
-// the end-to-end measurement that set the threshold.
+// per scored window. From m = 128 up, windows exceed the all-pairs bound
+// (all of them at 160), and the batch paths build a k-d tree for those.
+// DESIGN ("Scoring layer") records these costs next to the end-to-end
+// sweep that set the route.
 func BenchmarkRouteCrossover(b *testing.B) {
 	for _, k := range []int{2, 4, 8} {
-		for _, m := range []int{16, 24, 32, 48, 64} {
+		for _, m := range []int{16, 24, 32, 48, 64, 96, 128, 160} {
 			p, rec := climbSequence(m, k)
 			seq := rec.seq
 			perEval := func(b *testing.B) {

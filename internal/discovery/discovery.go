@@ -12,11 +12,9 @@
 //     screen threshold are pruned before any KSG/LAHC budget is spent —
 //     the AMIC-style cheap-statistic-then-MI-confirm structure.
 //  2. Confirm. Survivors run a full budgeted core.SearchContext against the
-//     anchor, sharing one per-anchor estimator cache (the pooled Reload
-//     contract of PR 5) so consecutive searches reuse warm estimator
-//     allocations. Candidate scores — each one's best accepted window MI —
-//     feed the adaptive top-K threshold of Section 6.3.2, and the ranked
-//     list is cut there.
+//     anchor. Candidate scores — each one's best accepted window MI — feed
+//     the adaptive top-K threshold of Section 6.3.2, and the ranked list is
+//     cut there.
 //
 // Both phases run over a deterministic sharded worker plan (the PR-3
 // segment-plan idiom): candidates are cut into fixed shards, per-candidate
@@ -51,8 +49,8 @@ type Options struct {
 	// Search configures each survivor's confirmation search. Search.Seed is
 	// the root seed: every candidate's search derives its own seed from it
 	// and the candidate's fleet position (see CandidateSeed), so results are
-	// independent of scheduling. Search.Observer and Search.EstimatorCache
-	// are managed by the engine and ignored if set; Search.RestartWorkers
+	// independent of scheduling. Search.Observer is managed by the engine
+	// and ignored if set; Search.RestartWorkers
 	// defaults to 1 here (the engine's parallelism is across candidates —
 	// results are identical for every value either way).
 	Search core.Options
@@ -282,7 +280,6 @@ type engine struct {
 	anchor series.Series
 	cands  []series.Series
 	opts   Options
-	cache  *core.EstimatorCache
 	slots  []candState
 
 	progressMu   sync.Mutex
@@ -309,7 +306,6 @@ func Discover(ctx context.Context, anchor series.Series, candidates []series.Ser
 		anchor: anchor,
 		cands:  candidates,
 		opts:   opts,
-		cache:  core.NewEstimatorCache(0),
 		slots:  make([]candState, len(candidates)),
 	}
 	for i := range e.slots {
@@ -377,8 +373,8 @@ func (e *engine) runShards(ctx context.Context, shards []shard, work func(ctx co
 }
 
 // searchCandidate confirms one candidate: journal replay when possible,
-// otherwise a full search with the candidate's derived seed and the shared
-// per-anchor estimator cache. Panics are isolated to the candidate.
+// otherwise a full search with the candidate's derived seed. Panics are
+// isolated to the candidate.
 func (e *engine) searchCandidate(ctx context.Context, i int) {
 	st := &e.slots[i]
 	if st.err != nil || st.pruned {
@@ -404,7 +400,6 @@ func (e *engine) searchCandidate(ctx context.Context, i int) {
 	if st.buf != nil {
 		sOpts.Observer = st.buf
 	}
-	sOpts.EstimatorCache = e.cache
 
 	if e.opts.Journal != nil {
 		jx, jy := e.journalKeys(i, n)

@@ -15,8 +15,8 @@ import (
 )
 
 // testSearchOpts is the shared confirmation-search configuration of the
-// suite: small enough to keep N searches fast, LMN so both the incremental
-// estimator cache and the noise pruning paths are exercised.
+// suite: small enough to keep N searches fast, LMN so the noise pruning
+// paths are exercised.
 func testSearchOpts() core.Options {
 	return core.Options{
 		SMin: 8, SMax: 24, TDMax: 6,
@@ -117,9 +117,7 @@ func independentRanking(t *testing.T, anchor series.Series, cands []series.Serie
 
 // TestDiscoverDifferentialUnscreened is the differential property: with
 // screening disabled, Discover must rank exactly as N independent searches
-// sorted by score. Because the engine routes every search through one shared
-// estimator cache and the reference path uses none, equality here also
-// proves the cache's result-invisibility end to end.
+// sorted by score.
 func TestDiscoverDifferentialUnscreened(t *testing.T) {
 	anchor, cands := testFleet(200, 9, map[int]int{1: 0, 4: 3, 7: 5}, 21)
 	sOpts := testSearchOpts()

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"sort"
 
 	"tycos/internal/core"
 	"tycos/internal/dataset"
@@ -122,27 +123,42 @@ func fig9Datasets(cfg Config) []fig9Dataset {
 	return out
 }
 
+// fig9Rounds is the number of timing rounds behind each Fig. 9 cell.
+const fig9Rounds = 5
+
 // Fig9 regenerates the runtime comparison of the four TYCOS variants on the
 // synthetic and simulated real-world workloads, reporting per-variant
-// runtime and the speedup over plain TYCOS_L.
+// runtime, the work behind it and the speedup over plain TYCOS_L. Each
+// round runs the four variants in turn, and a cell reports the median and
+// the range of its fig9Rounds times, so drift in machine speed hits every
+// variant alike.
 func Fig9(cfg Config) *Table {
 	t := &Table{
-		ID:     "fig9",
-		Title:  "Runtime of TYCOS variants",
-		Header: []string{"dataset", "variant", "runtime_ms", "windows", "speedup_vs_L"},
+		ID:    "fig9",
+		Title: fmt.Sprintf("Runtime of TYCOS variants (median and range of %d interleaved rounds)", fig9Rounds),
+		Header: []string{"dataset", "variant", "runtime_ms", "range_ms", "windows",
+			"windows_evaluated", "mi_batch", "mi_incremental", "speedup_vs_L"},
 	}
+	variants := []core.Variant{core.VariantL, core.VariantLN, core.VariantLM, core.VariantLMN}
 	for _, ds := range fig9Datasets(cfg) {
+		times := make([][]float64, len(variants))
+		res := make([]core.Result, len(variants))
+		errs := make([]error, len(variants))
+		for round := 0; round < fig9Rounds; round++ {
+			for i, v := range variants {
+				opts := ds.opts
+				opts.Variant = v
+				times[i] = append(times[i], timeIt(func() { res[i], errs[i] = core.Search(ds.pair, opts) }))
+			}
+		}
 		var baseMs float64
-		for _, v := range []core.Variant{core.VariantL, core.VariantLN, core.VariantLM, core.VariantLMN} {
-			opts := ds.opts
-			opts.Variant = v
-			var res core.Result
-			var err error
-			ms := timeIt(func() { res, err = core.Search(ds.pair, opts) })
-			if err != nil {
-				t.Append(ds.name, v.String(), "error", err.Error(), "")
+		for i, v := range variants {
+			if errs[i] != nil {
+				t.Append(ds.name, v.String(), "error", errs[i].Error(), "", "", "", "", "")
 				continue
 			}
+			sort.Float64s(times[i])
+			ms := times[i][len(times[i])/2]
 			if v == core.VariantL {
 				baseMs = ms
 			}
@@ -150,7 +166,10 @@ func Fig9(cfg Config) *Table {
 			if baseMs > 0 && ms > 0 {
 				speedup = fmt.Sprintf("%.1f", baseMs/ms)
 			}
-			t.Append(ds.name, v.String(), fmt.Sprintf("%.1f", ms), len(res.Windows), speedup)
+			st := res[i].Stats
+			t.Append(ds.name, v.String(), fmt.Sprintf("%.1f", ms),
+				fmt.Sprintf("%.1f-%.1f", times[i][0], times[i][len(times[i])-1]),
+				len(res[i].Windows), st.WindowsEvaluated, st.MIBatch, st.MIIncremental, speedup)
 			cfg.logf("fig9: %s %s %.0fms", ds.name, v, ms)
 		}
 	}

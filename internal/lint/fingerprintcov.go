@@ -18,9 +18,6 @@ var fingerprintInvariant = map[string]string{
 	// TestRestartPlanDeterminism pin that the segment plan depends only on
 	// (Seed, restarts), never on RestartWorkers.
 	"RestartWorkers": "parallel plan is worker-count invariant",
-	// Cache reuse is bit-identical to recomputation by the Reload contract
-	// (hotpath reuse tests in internal/mi and internal/knn).
-	"EstimatorCache": "cache hits are bit-identical to recomputation",
 	// Observers only watch: TestObserverDoesNotAlterSearch pins that results
 	// are identical with and without one attached.
 	"Observer": "observability must not alter results",

@@ -3,13 +3,10 @@
 // suffix, so this tree exercises it without loading the live module.
 package core
 
-// Cache stands in for the estimator cache.
-type Cache struct{}
-
 // Options mirrors the shape of the real search options: four
-// result-affecting fields, two result-invariant fields that are on the
-// analyzer's in-source allow-list (RestartWorkers, EstimatorCache), and one
-// unexported field callers cannot set.
+// result-affecting fields, one result-invariant field that is on the
+// analyzer's in-source allow-list (RestartWorkers), and one unexported field
+// callers cannot set.
 type Options struct {
 	SMin  int
 	SMax  int
@@ -17,7 +14,6 @@ type Options struct {
 	Seed  int64
 
 	RestartWorkers int
-	EstimatorCache *Cache
 
 	onCandidate func(string)
 }

@@ -18,6 +18,11 @@ import (
 // 128, 233 → 252 µs at 160. The switch sits at 128, below both crossings.
 const allPairsMax = 128
 
+// KernelServes reports whether a window of m samples is estimated by the
+// all-pairs kernel, with no k-d tree: KSG.Estimate, Plane and
+// Incremental.Reload take the kernel for exactly these windows.
+func KernelServes(m int) bool { return m <= allPairsMax }
+
 // ksgState is one point's KSG state in a window: the k nearest
 // neighbours' per-axis maximum projections, and the raw counts of the other
 // window points inside the closed marginal intervals those projections

@@ -550,7 +550,7 @@ func (inc *Incremental) rebuildAll() {
 		return
 	}
 	n := min(inc.width(), m-1)
-	if m <= allPairsMax {
+	if KernelServes(m) {
 		var (
 			xs, ys [allPairsMax]float64
 			a      allPairs

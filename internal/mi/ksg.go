@@ -114,7 +114,7 @@ func (e *KSG) Estimate(x, y []float64) (float64, error) {
 		return 0, err
 	}
 	var sum float64
-	if m <= allPairsMax {
+	if KernelServes(m) {
 		sum = e.allPairsSum(x, y)
 	} else {
 		sum = e.engineSum(x, y)

@@ -85,7 +85,7 @@ type coreCount struct {
 // they must not change until the next Reset.
 func (p *Plane) Reset(k int, xs, ys []float64, a, b int) bool {
 	u := len(xs)
-	p.serves = k >= 1 && u <= allPairsMax && len(ys) == u && 0 <= a && b <= u && b-a > k &&
+	p.serves = k >= 1 && KernelServes(u) && len(ys) == u && 0 <= a && b <= u && b-a > k &&
 		checkFinite(xs, ys) == nil
 	if !p.serves {
 		return false
