@@ -8,6 +8,7 @@ package baseline
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"tycos/internal/window"
 )
@@ -92,32 +93,22 @@ func SlidingPCCDetail(x, y []float64, size int, threshold float64) ([]window.Sco
 	if len(x) != len(y) {
 		return nil, stats, fmt.Errorf("baseline: length mismatch %d vs %d", len(x), len(y))
 	}
-	if size < 2 || size > len(x) {
-		return nil, stats, fmt.Errorf("baseline: window size %d out of range (n=%d)", size, len(x))
+	var mx, my WindowMoments
+	if err := mx.Reset(x, size); err != nil {
+		return nil, stats, err
 	}
-	// constRun[i] is the length of the run of equal values ending at i, so a
-	// window [i, i+size−1] is constant iff constRun[i+size−1] ≥ size. One
-	// O(n) pass instead of re-scanning each window.
-	runX := constRuns(x)
-	runY := constRuns(y)
+	if err := my.Reset(y, size); err != nil {
+		return nil, stats, err
+	}
+	rs := make([]float64, len(x)-size+1)
+	AbsR(rs, &mx, 0, &my, 0)
 	var out []window.Scored
 	open := false
 	var cur window.Scored
-	for i := 0; i+size <= len(x); i++ {
+	for i, r := range rs {
 		stats.Windows++
 		end := i + size - 1
-		if runX[end] >= size || runY[end] >= size {
-			stats.Degenerate++
-			if open {
-				out = append(out, cur)
-				open = false
-			}
-			continue
-		}
-		r := math.Abs(Pearson(x[i:i+size], y[i:i+size]))
 		if math.IsNaN(r) {
-			// Belt and braces: the constancy guards above should make this
-			// unreachable, but a NaN must never enter a run's max.
 			stats.Degenerate++
 			if open {
 				out = append(out, cur)
@@ -148,17 +139,126 @@ func SlidingPCCDetail(x, y []float64, size int, threshold float64) ([]window.Sco
 	return out, stats, nil
 }
 
-// constRuns returns, per index, the length of the run of equal consecutive
-// values ending there.
-func constRuns(v []float64) []int {
-	runs := make([]int, len(v))
-	for i := range v {
+// WindowMoments holds, for every start of a fixed-size window over one
+// series, the window's mean, its centred sum of squares Σ(v−mean)² and
+// whether it is constant. Each is computed with Pearson's arithmetic in
+// Pearson's summation order, so AbsR scores a window pair from two series'
+// moments with one cross-product pass, Σ(x−m_x)(y−m_y), and reproduces
+// math.Abs(Pearson(…)) bit for bit. Reset reuses the slices: warm moments
+// allocate nothing.
+type WindowMoments struct {
+	v    []float64
+	size int
+	mean []float64 // mean[a] is the mean of v[a : a+size]
+	ss   []float64 // ss[a] is the window's centred sum of squares
+	flat []bool    // flat[a]: every value of the window equals the first
+}
+
+// Reset computes the moments of every size-sample window of v. v is kept,
+// not copied: it must not change while the moments are in use.
+func (m *WindowMoments) Reset(v []float64, size int) error {
+	if size < 2 || size > len(v) {
+		return fmt.Errorf("baseline: window size %d out of range (n=%d)", size, len(v))
+	}
+	starts := len(v) - size + 1
+	m.v, m.size = v, size
+	m.mean = slices.Grow(m.mean[:0], starts)[:starts]
+	m.ss = slices.Grow(m.ss[:0], starts)[:starts]
+	m.flat = slices.Grow(m.flat[:0], starts)[:starts]
+	// run is the length of the run of equal values ending at j, so the
+	// window ending at j is constant iff run ≥ size: one pass instead of a
+	// scan per window.
+	run := 0
+	for j := range v {
 		//lint:allow floateq exact constancy test over consecutive samples; see Pearson's degenerate-input contract
-		if i > 0 && v[i] == v[i-1] {
-			runs[i] = runs[i-1] + 1
+		if j > 0 && v[j] == v[j-1] {
+			run++
 		} else {
-			runs[i] = 1
+			run = 1
+		}
+		if a := j - size + 1; a >= 0 {
+			m.flat[a] = run >= size
 		}
 	}
-	return runs
+	for a := range m.mean {
+		w := v[a : a+size]
+		var s float64
+		for _, x := range w {
+			s += x
+		}
+		mean := s / float64(size)
+		var ss float64
+		for _, x := range w {
+			d := x - mean
+			ss += d * d
+		}
+		m.mean[a], m.ss[a] = mean, ss
+	}
+	return nil
+}
+
+// AbsR sets dst[i] to |r| between x's window starting at a+i and y's
+// window starting at b+i, for every i < len(dst); both moments must share
+// one window size. A degenerate pair — either window constant, or r
+// non-finite — reads NaN (SlidingPCCDetail's contract). Every other value
+// equals math.Abs(Pearson(…)) of the two windows bit for bit.
+func AbsR(dst []float64, x *WindowMoments, a int, y *WindowMoments, b int) {
+	size := x.size
+	i := 0
+	// Four positions at a time. Their cross-products are independent sums,
+	// so interleaving them hides the latency of each addition; each sum
+	// still adds its own terms in Pearson's order, so no bit changes.
+	for ; i+4 <= len(dst); i += 4 {
+		ia, ib := a+i, b+i
+		x0, y0 := x.v[ia:ia+size], y.v[ib:ib+size]
+		x1, y1 := x.v[ia+1:ia+1+size], y.v[ib+1:ib+1+size]
+		x2, y2 := x.v[ia+2:ia+2+size], y.v[ib+2:ib+2+size]
+		x3, y3 := x.v[ia+3:ia+3+size], y.v[ib+3:ib+3+size]
+		mx0, mx1, mx2, mx3 := x.mean[ia], x.mean[ia+1], x.mean[ia+2], x.mean[ia+3]
+		my0, my1, my2, my3 := y.mean[ib], y.mean[ib+1], y.mean[ib+2], y.mean[ib+3]
+		var s0, s1, s2, s3 float64
+		for j := range x0 {
+			dx, dy := x0[j]-mx0, y0[j]-my0
+			s0 += dx * dy
+			dx, dy = x1[j]-mx1, y1[j]-my1
+			s1 += dx * dy
+			dx, dy = x2[j]-mx2, y2[j]-my2
+			s2 += dx * dy
+			dx, dy = x3[j]-mx3, y3[j]-my3
+			s3 += dx * dy
+		}
+		dst[i] = pairR(x, ia, y, ib, s0)
+		dst[i+1] = pairR(x, ia+1, y, ib+1, s1)
+		dst[i+2] = pairR(x, ia+2, y, ib+2, s2)
+		dst[i+3] = pairR(x, ia+3, y, ib+3, s3)
+	}
+	for ; i < len(dst); i++ {
+		ia, ib := a+i, b+i
+		xw, yw := x.v[ia:ia+size], y.v[ib:ib+size]
+		mx, my := x.mean[ia], y.mean[ib]
+		var sxy float64
+		for j := range xw {
+			dx, dy := xw[j]-mx, yw[j]-my
+			sxy += dx * dy
+		}
+		dst[i] = pairR(x, ia, y, ib, sxy)
+	}
+}
+
+// pairR finishes |r| for x's window at a and y's at b from their
+// cross-product sxy, as Pearson does: NaN for a degenerate pair.
+func pairR(x *WindowMoments, a int, y *WindowMoments, b int, sxy float64) float64 {
+	if x.flat[a] || y.flat[b] {
+		return math.NaN()
+	}
+	sxx, syy := x.ss[a], y.ss[b]
+	//lint:allow floateq exact zero-variance sentinel guarding the division, as in Pearson
+	if sxx == 0 || syy == 0 {
+		return 0
+	}
+	r := math.Abs(sxy / math.Sqrt(sxx*syy))
+	if math.IsInf(r, 0) {
+		return math.NaN()
+	}
+	return r
 }

@@ -32,7 +32,7 @@ func TestHashOptionsGolden(t *testing.T) {
 	}
 	var buf bytes.Buffer
 	HashOptions(&buf, o)
-	want := "6|96|30|0.25|0.0625|4|1|5|7|0.005|" +
+	want := "v1|6|96|30|0.25|0.0625|4|1|5|7|0.005|" +
 		"1|3|3|0.01|1000|2.5|42"
 	if got := buf.String(); got != want {
 		t.Fatalf("HashOptions bytes changed:\n got %q\nwant %q", got, want)
@@ -40,7 +40,7 @@ func TestHashOptionsGolden(t *testing.T) {
 
 	buf.Reset()
 	HashOptions(&buf, core.Options{})
-	wantZero := "0|0|0|0|0|0|0|0|0|0|0|0|0|0|0|0|0"
+	wantZero := "v1|0|0|0|0|0|0|0|0|0|0|0|0|0|0|0|0|0"
 	if got := buf.String(); got != wantZero {
 		t.Fatalf("HashOptions zero-value bytes changed:\n got %q\nwant %q", got, wantZero)
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math/rand"
 	"sync"
 
 	"tycos/internal/window"
@@ -67,11 +68,13 @@ func (m *scoreMemo) put(w window.Window, raw, norm float64) {
 }
 
 // segScratch is the scratch one restart segment's searcher holds for the
-// segment: the score memo and the batch scorer's τ-planes (see
-// batchScorer.plan).
+// segment: the score memo, the batch scorer's τ-planes (see
+// batchScorer.plan) and the acceptor RNG, which searcher.run re-seeds at
+// every restart (nil until a segment first needs one).
 type segScratch struct {
 	memo   scoreMemo
 	planes [maxPlanes]tauPlane
+	rng    *rand.Rand
 }
 
 // scratchList is a mutex-guarded free list of segment scratch, so a warm

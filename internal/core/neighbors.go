@@ -1,11 +1,6 @@
 package core
 
-import (
-	"cmp"
-	"slices"
-
-	"tycos/internal/window"
-)
+import "tycos/internal/window"
 
 // pruneFlags records which exploration directions the noise theory pruned
 // (Section 6.2.2): extending the end forward in time or extending the start
@@ -21,19 +16,27 @@ type pruneFlags struct {
 // windows. A pruned endForward drops every neighbour with a larger end index,
 // a pruned startBackward drops every neighbour with a smaller start index.
 // The windows are appended to buf[:0], whose backing array the result reuses.
+//
+// The neighbours come out ordered by (delay, start, end): the loops run the
+// delay offset outermost, then the start offset, then the end offset, each
+// ascending, and the filters only drop windows. batchScorer.plan relies on
+// that order: it takes each delay's windows as one contiguous run, and the
+// incremental scorer batches same-delay moves (each delay change forces a
+// rebuild).
 func neighborhood(w window.Window, base, level int, cons window.Constraints, pruned pruneFlags, buf []window.Window) []window.Window {
 	delta := base * level
+	offsets := [3]int{-delta, 0, delta}
 	out := buf[:0]
-	for _, ds := range [3]int{-delta, 0, delta} {
-		for _, de := range [3]int{-delta, 0, delta} {
-			for _, dt := range [3]int{-delta, 0, delta} {
+	for _, dt := range offsets {
+		for _, ds := range offsets {
+			if pruned.startBackward && ds < 0 {
+				continue
+			}
+			for _, de := range offsets {
 				if ds == 0 && de == 0 && dt == 0 {
 					continue
 				}
 				if pruned.endForward && de > 0 {
-					continue
-				}
-				if pruned.startBackward && ds < 0 {
 					continue
 				}
 				n := window.Window{Start: w.Start + ds, End: w.End + de, Delay: w.Delay + dt}
@@ -43,17 +46,5 @@ func neighborhood(w window.Window, base, level int, cons window.Constraints, pru
 			}
 		}
 	}
-	// Order by delay so the incremental scorer batches same-delay moves
-	// (each delay change forces a rebuild). The order is total on distinct
-	// windows, so the sort's stability does not matter.
-	slices.SortFunc(out, func(a, b window.Window) int {
-		if c := cmp.Compare(a.Delay, b.Delay); c != 0 {
-			return c
-		}
-		if c := cmp.Compare(a.Start, b.Start); c != 0 {
-			return c
-		}
-		return cmp.Compare(a.End, b.End)
-	})
 	return out
 }

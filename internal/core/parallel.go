@@ -236,11 +236,13 @@ func runSegment(ctx context.Context, p series.Pair, opts Options, cons window.Co
 		evalBase:  evalBase,
 		observing: opts.Observer != nil,
 		pairName:  pairName,
+		rng:       scratch.rng,
 	}
 	if !opts.bypassMemo {
 		s.memo = &scratch.memo
 	}
 	s.run()
+	scratch.rng = s.rng
 	sr := segmentResult{
 		cands:    s.cands,
 		stats:    s.stats,

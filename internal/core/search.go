@@ -30,9 +30,10 @@ type searcher struct {
 	// to the scorer.
 	memo     *scoreMemo
 	memoHits int
-	// rng is the acceptor RNG, created by the first restart and re-seeded by
-	// each later one: Seed resets the stream exactly as a fresh source would,
-	// without a new source's allocation.
+	// rng is the acceptor RNG, taken from the segment scratch (created by
+	// the first restart that finds none) and re-seeded by every restart:
+	// Seed resets the stream exactly as a fresh source would, without a new
+	// source's allocation.
 	rng   *rand.Rand
 	stats Stats
 	ctx   context.Context

@@ -282,6 +282,11 @@ type engine struct {
 	opts   Options
 	slots  []candState
 
+	// screen holds the delay grid and the anchor's window moments (nil when
+	// screening is off); scratch holds one screenScratch per screen worker.
+	screen  *screener
+	scratch []screenScratch
+
 	progressMu   sync.Mutex
 	progressDone int
 
@@ -317,6 +322,8 @@ func Discover(ctx context.Context, anchor series.Series, candidates []series.Ser
 	shards := planShards(len(candidates))
 
 	if opts.Screen {
+		e.screen = newScreener(anchor.Values, opts)
+		e.scratch = make([]screenScratch, e.workers(len(shards)))
 		e.runShards(ctx, shards, e.screenCandidate, "screen")
 	}
 	e.resetProgress()
@@ -325,17 +332,20 @@ func Discover(ctx context.Context, anchor series.Series, candidates []series.Ser
 	return e.merge(ctx), nil
 }
 
+// workers is the number of workers runShards starts for a plan of the
+// given number of shards.
+func (e *engine) workers(shards int) int {
+	return min(e.opts.Workers, shards)
+}
+
 // runShards fans the shard plan over the worker pool: workers atomically
 // pull the next shard and process its candidates in index order, writing
-// only their own slots. No ordering information leaks from the schedule.
-func (e *engine) runShards(ctx context.Context, shards []shard, work func(ctx context.Context, i int), phase string) {
-	workers := e.opts.Workers
-	if workers > len(shards) {
-		workers = len(shards)
-	}
+// only their own slots and their own scratch (work's worker argument, in
+// [0, workers)). No ordering information leaks from the schedule.
+func (e *engine) runShards(ctx context.Context, shards []shard, work func(ctx context.Context, worker, i int), phase string) {
 	var next int32
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for w := 0; w < e.workers(len(shards)); w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -363,7 +373,7 @@ func (e *engine) runShards(ctx context.Context, shards []shard, work func(ctx co
 					if ctx.Err() != nil {
 						continue
 					}
-					work(ctx, i)
+					work(ctx, w, i)
 					e.progress(phase, i)
 				}
 			}
@@ -375,7 +385,7 @@ func (e *engine) runShards(ctx context.Context, shards []shard, work func(ctx co
 // searchCandidate confirms one candidate: journal replay when possible,
 // otherwise a full search with the candidate's derived seed. Panics are
 // isolated to the candidate.
-func (e *engine) searchCandidate(ctx context.Context, i int) {
+func (e *engine) searchCandidate(ctx context.Context, _, i int) {
 	st := &e.slots[i]
 	if st.err != nil || st.pruned {
 		return

@@ -390,6 +390,16 @@ func TestDiscoverValidation(t *testing.T) {
 	if res.Stats.Failed != 1 || len(res.Errors) != 1 || res.Errors[0].Name != "stub" {
 		t.Errorf("short candidate not reported: stats %+v errors %+v", res.Stats, res.Errors)
 	}
+	// A screen window below two samples fails every candidate with the
+	// baseline's range error at the candidate's aligned length.
+	short[1] = series.New("short", cands[1].Values[:100])
+	res, err = Discover(context.Background(), anchor, short, Options{Search: testSearchOpts(), Screen: true, ScreenWindow: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Errors) != 3 || res.Errors[1].Err != "baseline: window size 1 out of range (n=100)" {
+		t.Errorf("screen window 1 not reported per candidate: errors %+v", res.Errors)
+	}
 }
 
 // TestCandidateSeedProperties: seeds are stable, index-sensitive and
@@ -424,20 +434,24 @@ func TestScreenDelays(t *testing.T) {
 	}
 }
 
-// TestDelayAlign: the aligned slices pair x[i] with y[i+tau].
+// TestDelayAlign: delay tau pairs the anchor's window at a with the
+// candidate's at a+tau, for every start where both windows fit.
 func TestDelayAlign(t *testing.T) {
-	x := []float64{0, 1, 2, 3, 4}
-	y := []float64{10, 11, 12, 13, 14}
-	xs, ys := delayAlign(x, y, 2)
-	if len(xs) != 3 || xs[0] != 0 || ys[0] != 12 {
-		t.Errorf("tau=2 alignment wrong: %v %v", xs, ys)
-	}
-	xs, ys = delayAlign(x, y, -2)
-	if len(xs) != 3 || xs[0] != 2 || ys[0] != 10 {
-		t.Errorf("tau=-2 alignment wrong: %v %v", xs, ys)
-	}
-	if xs, ys = delayAlign(x, y, 7); xs != nil || ys != nil {
-		t.Errorf("out-of-range tau must align to nothing, got %v %v", xs, ys)
+	const n, size = 5, 2
+	for tau := -7; tau <= 7; tau++ {
+		a, b, count := delayStarts(n, size, tau)
+		want := 0
+		for i := 0; i+size <= n; i++ {
+			if j := i + tau; j >= 0 && j+size <= n {
+				if want == 0 && (i != a || j != b) {
+					t.Errorf("tau=%d: first pair at (%d, %d), want (%d, %d)", tau, a, b, i, j)
+				}
+				want++
+			}
+		}
+		if max(count, 0) != want {
+			t.Errorf("tau=%d: %d window pairs, want %d", tau, count, want)
+		}
 	}
 }
 

@@ -8,10 +8,11 @@ import (
 )
 
 // TestFingerprintUnchangedByDedupe pins the discovery journal fingerprints
-// to the exact hex values the pre-dedupe hand-rolled serialization emitted
-// (captured before fingerprint was rewired through checkpoint.HashOptions).
-// Discovery journals and the committed resume goldens key on these bytes: if
-// this test fails, every existing journal entry silently stops replaying.
+// to exact hex values. They matched the pre-dedupe hand-rolled serialization
+// until checkpoint.AlgorithmVersion entered the hashed bytes, and change
+// again only with that version or the HashOptions layout. Discovery
+// journals key on these bytes: if this test fails unexpectedly, every
+// existing journal entry silently stops replaying.
 func TestFingerprintUnchangedByDedupe(t *testing.T) {
 	full := core.Options{
 		SMin: 6, SMax: 96, TDMax: 30,
@@ -34,13 +35,13 @@ func TestFingerprintUnchangedByDedupe(t *testing.T) {
 		opts         core.Options
 		want         string
 	}{
-		{"full", "anchor", "cand", 512, 7, full, "8cb7b31bf228bb36"},
-		{"zero", "a", "b", 0, 0, core.Options{}, "47de2f0efee2e7cb"},
-		{"seeded", "x", "y", 100, 3, core.Options{Seed: -9}, "5bb5f1868142f65f"},
+		{"full", "anchor", "cand", 512, 7, full, "7a94b243262b0595"},
+		{"zero", "a", "b", 0, 0, core.Options{}, "2c8638e4d14147e8"},
+		{"seeded", "x", "y", 100, 3, core.Options{Seed: -9}, "188c61ba51524932"},
 	}
 	for _, tc := range cases {
 		if got := fingerprint(tc.anchor, tc.cand, tc.n, tc.index, tc.opts); got != tc.want {
-			t.Errorf("%s: fingerprint = %s, want %s (pre-dedupe bytes)", tc.name, got, tc.want)
+			t.Errorf("%s: fingerprint = %s, want %s", tc.name, got, tc.want)
 		}
 	}
 }

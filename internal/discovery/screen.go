@@ -3,6 +3,7 @@ package discovery
 import (
 	"context"
 	"fmt"
+	"math"
 
 	"tycos/internal/baseline"
 )
@@ -11,9 +12,38 @@ import (
 type screenOutcome struct {
 	// maxR is the best |r| any sliding window achieved at any grid delay.
 	maxR float64
-	// windows / degenerate aggregate baseline.SlideStats over the delay grid.
+	// windows / degenerate count the window positions scored over the delay
+	// grid and those the degenerate-window contract skipped (SlideStats'
+	// Windows and Degenerate, summed over the grid).
 	windows    int
 	degenerate int
+}
+
+// screener is what every candidate's screen reads: the delay grid and the
+// anchor's window moments. Discover builds it once, before the screen
+// phase; it is read-only while the screen runs.
+type screener struct {
+	window int
+	delays []int
+	anchor baseline.WindowMoments
+}
+
+// screenScratch is one screen worker's scratch, reused for every candidate
+// the worker screens: the candidate's window moments and the |r| of one
+// delay's window positions.
+type screenScratch struct {
+	cand baseline.WindowMoments
+	rs   []float64
+}
+
+// newScreener builds the delay grid and the anchor's moments.
+func newScreener(anchor []float64, opts Options) *screener {
+	s := &screener{window: opts.ScreenWindow, delays: screenDelays(opts.Search.TDMax, opts.ScreenStride)}
+	// Reset fails only for a window below two samples or longer than the
+	// anchor. Every candidate's length check or own Reset then fails first
+	// and reports it, so the screen never reads the unset moments.
+	_ = s.anchor.Reset(anchor, s.window)
+	return s
 }
 
 // screenCandidate runs the cheap sliding-PCC statistic over a coarse delay
@@ -26,7 +56,7 @@ type screenOutcome struct {
 // threshold. Degenerate (zero-variance) windows never contribute evidence in
 // either direction — see the baseline package's degenerate-window contract.
 // Cancellation cuts at the scheduler loop: the screen itself is pure compute.
-func (e *engine) screenCandidate(_ context.Context, i int) {
+func (e *engine) screenCandidate(_ context.Context, worker, i int) {
 	st := &e.slots[i]
 	defer func() {
 		if r := recover(); r != nil {
@@ -45,7 +75,7 @@ func (e *engine) screenCandidate(_ context.Context, i int) {
 		st.screened = true
 		return
 	}
-	out, err := screenPair(e.anchor.Values[:n], cand.Values[:n], e.opts)
+	out, err := e.screen.screen(&e.scratch[worker], cand.Values[:n])
 	if err != nil {
 		st.err = err
 		st.screened = true
@@ -56,27 +86,32 @@ func (e *engine) screenCandidate(_ context.Context, i int) {
 	st.pruned = out.maxR < e.opts.ScreenThreshold
 }
 
-// screenPair computes the screen statistic for one aligned pair: the maximum
-// sliding-window |r| over the delay grid 0, ±stride, …, ±TDMax. Threshold 0
-// makes SlidingPCCDetail merge every non-degenerate position into runs that
-// carry the maximum |r| seen inside — exactly the statistic the prune
-// decision needs, for one pass per delay.
-func screenPair(x, y []float64, opts Options) (screenOutcome, error) {
+// screen computes the screen statistic for a candidate already cut to the
+// aligned length n (at most the anchor's): the maximum sliding-window |r|
+// over the delay grid 0, ±stride, …, ±TDMax, where delay τ pairs the
+// anchor's window at a with the candidate's at a+τ. The candidate's moments
+// are computed once, and each window pair costs one cross-product.
+func (s *screener) screen(sc *screenScratch, cand []float64) (screenOutcome, error) {
 	var out screenOutcome
-	for _, tau := range screenDelays(opts.Search.TDMax, opts.ScreenStride) {
-		xs, ys := delayAlign(x, y, tau)
-		if len(xs) < opts.ScreenWindow {
+	if err := sc.cand.Reset(cand, s.window); err != nil {
+		return out, err
+	}
+	for _, tau := range s.delays {
+		a, b, count := delayStarts(len(cand), s.window, tau)
+		if count <= 0 {
 			continue
 		}
-		runs, stats, err := baseline.SlidingPCCDetail(xs, ys, opts.ScreenWindow, 0)
-		if err != nil {
-			return out, err
+		if cap(sc.rs) < count {
+			sc.rs = make([]float64, len(cand)-s.window+1)
 		}
-		out.windows += stats.Windows
-		out.degenerate += stats.Degenerate
-		for _, w := range runs {
-			if w.MI > out.maxR {
-				out.maxR = w.MI
+		rs := sc.rs[:count]
+		baseline.AbsR(rs, &s.anchor, a, &sc.cand, b)
+		out.windows += count
+		for _, r := range rs {
+			if math.IsNaN(r) {
+				out.degenerate++
+			} else if r > out.maxR {
+				out.maxR = r
 			}
 		}
 	}
@@ -94,19 +129,13 @@ func screenDelays(tdMax, stride int) []int {
 	return delays
 }
 
-// delayAlign slices x and y so that x[i] lines up with y[i+tau] in the
-// original indexing: the candidate shifted tau steps later than the anchor
-// (negative tau: earlier). The overlap shrinks by |tau|.
-func delayAlign(x, y []float64, tau int) ([]float64, []float64) {
-	n := len(x)
+// delayStarts returns where delay tau's window pairs begin on two series of
+// aligned length n — the anchor's window at a pairs with the candidate's at
+// b = a + tau — and how many size-sample pairs fit while both stay inside
+// the series (count ≤ 0: none).
+func delayStarts(n, size, tau int) (a, b, count int) {
 	if tau >= 0 {
-		if tau >= n {
-			return nil, nil
-		}
-		return x[:n-tau], y[tau:]
+		return 0, tau, n - tau - size + 1
 	}
-	if -tau >= n {
-		return nil, nil
-	}
-	return x[-tau:], y[:n+tau]
+	return -tau, 0, n + tau - size + 1
 }
