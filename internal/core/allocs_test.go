@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"reflect"
 	"runtime/debug"
 	"testing"
@@ -14,22 +15,24 @@ import (
 var raceBuild bool
 
 // TestWarmSearchAllocsPerRestart bounds the heap allocations a warm Search
-// spends per LAHC restart. The climb appends neighbourhoods into a
-// per-searcher buffer, carries pruned directions as flags and re-seeds one
-// acceptor RNG, and at SMax 60 every window takes the batch route, so what
-// remains is per-search set-up and a few bookkeeping allocations per
-// restart. Measured per restart: 4.3 (L) and 14.4 (LMN), and 4.3 and 14.5
-// under the race detector. The bounds sit above the race figures: a fresh
-// rand source per restart (L and LMN) or a map per pruned-direction test
-// (LMN) pushes past them.
+// spends per LAHC restart, on all four variants. The scorer and the
+// climb's buffers (the neighbourhood, the acceptor and its RNG) live in the
+// segment scratch, events are boxed only for an observer, and at SMax 60
+// every window takes the batch route, whose estimators build no k-d tree.
+// What remains is per-search and per-segment set-up and the candidate list.
+// Measured per restart: 0.6 (L and LM) and 1.6 (LN and LMN), and 0.6–0.7
+// and 1.7 under the race detector. A boxed event per restart, or a new
+// acceptor per climb, pushes a variant past its bound.
 func TestWarmSearchAllocsPerRestart(t *testing.T) {
 	p := testPair(23, 1500, 400, 520, 2)
 	for _, tc := range []struct {
 		variant Variant
 		max     float64
 	}{
-		{VariantL, 5},
-		{VariantLMN, 21},
+		{VariantL, 1},
+		{VariantLN, 2.5},
+		{VariantLM, 1},
+		{VariantLMN, 2.5},
 	} {
 		opts := defaultOpts()
 		opts.Variant = tc.variant
@@ -60,8 +63,10 @@ func TestWarmSearchAllocsPerRestart(t *testing.T) {
 // reloads. The collector is paused while measuring, because a collection
 // that lands inside the search shifts the count by one or two. The counts
 // are compared from run to run rather than against fixed numbers, which
-// move with the Go release. Under the race detector sync.Pool drops items
-// at random, so the counts vary and the check is skipped.
+// move with the Go release. Under the race detector the counts vary in
+// steps of three (L read 95, 86, 86 and 92), although no sync.Pool is left
+// on the search path; the cause is not known, so the check is skipped
+// there.
 func TestWarmSearchAllocsRepeat(t *testing.T) {
 	if raceBuild {
 		t.Skip("allocation counts vary under the race detector")
@@ -163,43 +168,130 @@ func TestWarmSearchAllocatesNoMemoTable(t *testing.T) {
 }
 
 // TestFreeScratchHoldsNoSamples checks that scratch on the free list keeps
-// no finished search's series alive: after searches whose τ-planes served
-// estimates, no plane on the list references a sample slice. A plane's
-// slices are views into the pair's arrays, and the list outlives searches.
+// no finished search's series alive. The searches below leave samples in
+// every kind of field the scratch has: τ-planes that served estimates (L and
+// LMN), incremental estimators for windows above the all-pairs bound (LM),
+// and the scorers' pair views. A walk over everything a free scratch
+// references, field by field, must find no slice into a pair's arrays and
+// no estimator, which holds copies of samples. The walk follows every field
+// by reflection, so a field the scratch gains is covered too.
 func TestFreeScratchHoldsNoSamples(t *testing.T) {
-	p := parallelTestPair(900)
-	for _, v := range []Variant{VariantL, VariantLMN} {
+	small := parallelTestPair(900)
+	large := testPair(29, 1200, 300, 600, 1)
+	pairs := []series.Pair{small, large}
+	for _, tc := range []struct {
+		variant    Variant
+		pair       series.Pair
+		smin, smax int
+	}{
+		{VariantL, small, 10, 60},
+		{VariantLMN, small, 10, 60},
+		{VariantLM, large, 130, 200},
+	} {
 		opts := parallelTestOpts()
-		opts.Variant = v
+		opts.Variant = tc.variant
+		opts.SMin, opts.SMax = tc.smin, tc.smax
 		opts.RestartWorkers = 2
 		sink := newCollectSink()
 		opts.Observer = sink
-		if _, err := Search(p, opts); err != nil {
+		res, err := Search(tc.pair, opts)
+		if err != nil {
 			t.Fatal(err)
 		}
-		if sink.counts["mi.plane_estimates"] <= 0 {
-			t.Fatalf("%v: planes served no estimate, so the check proves nothing", v)
+		if tc.variant == VariantLM {
+			if res.Stats.MIIncremental == 0 {
+				t.Fatalf("%v: no incremental move, so the check covers no estimator", tc.variant)
+			}
+		} else if sink.counts["mi.plane_estimates"] <= 0 {
+			t.Fatalf("%v: planes served no estimate, so the check proves nothing", tc.variant)
 		}
 	}
+
+	// The walk must see what a scratch in use holds.
+	live := scratchPool.take()
+	sc := newScorer(small, parallelTestOpts().withDefaults(), nil, live)
+	if _, _, err := sc.both(window.Window{Start: 150, End: 190, Delay: 2}); err != nil {
+		t.Fatal(err)
+	}
+	if held := samplesHeld(reflect.ValueOf(live), "scratch", pairs, map[uintptr]bool{}); len(held) == 0 {
+		t.Fatal("the walk finds nothing in a scratch in use; it proves nothing")
+	}
+	scratchPool.put(live)
+
 	scratchPool.mu.Lock()
 	defer scratchPool.mu.Unlock()
 	if len(scratchPool.free) == 0 {
-		t.Fatal("the free list is empty after two searches")
+		t.Fatal("the free list is empty after three searches")
 	}
 	for i, sc := range scratchPool.free {
-		for j := range sc.planes {
-			pl := reflect.ValueOf(&sc.planes[j].est).Elem()
-			for _, field := range []string{"xs", "ys"} {
-				f := pl.FieldByName(field)
-				if !f.IsValid() {
-					t.Fatalf("mi.Plane has no field %s; update this test", field)
-				}
-				if !f.IsNil() {
-					t.Errorf("free scratch %d: plane %d still references samples (%s)", i, j, field)
-				}
+		for _, path := range samplesHeld(reflect.ValueOf(sc), "scratch", pairs, map[uintptr]bool{}) {
+			t.Errorf("free scratch %d holds a finished search's samples at %s", i, path)
+		}
+	}
+}
+
+// samplesHeld walks everything v references and returns the path of each
+// slice into one of the pairs' sample arrays and of each estimator (a
+// pointer to an internal/mi type). seen stops the walk at a pointer it
+// has followed before.
+func samplesHeld(v reflect.Value, path string, pairs []series.Pair, seen map[uintptr]bool) []string {
+	var held []string
+	switch v.Kind() {
+	case reflect.Pointer, reflect.Interface:
+		if v.IsNil() {
+			return nil
+		}
+		if v.Kind() == reflect.Pointer {
+			if seen[v.Pointer()] {
+				return nil
+			}
+			seen[v.Pointer()] = true
+			if v.Type().Elem().PkgPath() == "tycos/internal/mi" {
+				return []string{path + " (" + v.Type().String() + ")"}
+			}
+		}
+		return samplesHeld(v.Elem(), path, pairs, seen)
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			held = append(held, samplesHeld(v.Field(i), path+"."+v.Type().Field(i).Name, pairs, seen)...)
+		}
+	case reflect.Array:
+		for i := 0; i < v.Len(); i++ {
+			held = append(held, samplesHeld(v.Index(i), fmt.Sprintf("%s[%d]", path, i), pairs, seen)...)
+		}
+	case reflect.Slice:
+		if v.IsNil() {
+			return nil
+		}
+		if v.Type().Elem().Kind() == reflect.Float64 && aliasesSamples(v, pairs) {
+			return []string{path}
+		}
+		all := v.Slice(0, v.Cap())
+		for i := 0; i < all.Len(); i++ {
+			held = append(held, samplesHeld(all.Index(i), fmt.Sprintf("%s[%d]", path, i), pairs, seen)...)
+		}
+	case reflect.Map:
+		for it := v.MapRange(); it.Next(); {
+			held = append(held, samplesHeld(it.Value(), path+"[…]", pairs, seen)...)
+		}
+	}
+	return held
+}
+
+// aliasesSamples reports whether the float64 slice v shares memory with one
+// of the pairs' sample arrays.
+func aliasesSamples(v reflect.Value, pairs []series.Pair) bool {
+	lo := v.Pointer()
+	hi := lo + uintptr(v.Cap())*8
+	for _, p := range pairs {
+		for _, vals := range [][]float64{p.X.Values, p.Y.Values} {
+			a := reflect.ValueOf(vals).Pointer()
+			if lo < a+uintptr(len(vals))*8 && a < hi {
+				return true
 			}
 		}
 	}
+	return false
 }
 
 // scratchMade returns the number of segment scratch allocated so far.

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"sync"
 
+	"tycos/internal/lahc"
 	"tycos/internal/window"
 )
 
@@ -68,13 +69,21 @@ func (m *scoreMemo) put(w window.Window, raw, norm float64) {
 }
 
 // segScratch is the scratch one restart segment's searcher holds for the
-// segment: the score memo, the batch scorer's τ-planes (see
-// batchScorer.plan) and the acceptor RNG, which searcher.run re-seeds at
-// every restart (nil until a segment first needs one).
+// segment: the score memo, the variant's scorer (see newScorer) and the
+// batch scorer's τ-planes (see batchScorer.plan), the acceptor RNG, which
+// searcher.run re-seeds at every restart (nil until a segment first needs
+// one), the acceptor, which every climb renews, and the neighbourhood
+// buffer. What a segment hands to the merge (candidates, events, counters)
+// never lives here: the scratch is back on the free list before the merge
+// reads them.
 type segScratch struct {
-	memo   scoreMemo
-	planes [maxPlanes]tauPlane
-	rng    *rand.Rand
+	memo     scoreMemo
+	batch    batchScorer
+	inc      incScorer
+	planes   [maxPlanes]tauPlane
+	rng      *rand.Rand
+	acceptor lahc.Acceptor
+	nbuf     []window.Window
 }
 
 // scratchList is a mutex-guarded free list of segment scratch, so a warm
@@ -111,10 +120,12 @@ func (l *scratchList) take() *segScratch {
 	return sc
 }
 
-// put frees scratch for the next segment. Its planes drop their references
-// to the segment's samples first: a freed scratch must not keep a finished
-// search's series alive. The caller must not use sc afterwards.
+// put frees scratch for the next segment. Its scorers drop the segment's
+// pair, estimators and null model, and its planes their sample slices,
+// first: a freed scratch must not keep a finished search's series alive.
+// The caller must not use sc afterwards.
 func (l *scratchList) put(sc *segScratch) {
+	sc.batch, sc.inc = batchScorer{}, incScorer{}
 	for i := range sc.planes {
 		sc.planes[i].est.Release()
 	}

@@ -73,14 +73,14 @@ func (s *searcher) prunedDirections(w window.Window) pruneFlags {
 		s.noiseVerdict(w, rawW, fwd, true) {
 		pruned.endForward = true
 		s.stats.PrunedDirections++
-		s.emit(obs.DirectionPruned{Pair: s.pairName, Window: obsWindow(w), Direction: "end-forward"})
+		emit(s, obs.DirectionPruned{Pair: s.pairName, Window: obsWindow(w), Direction: "end-forward"})
 	}
 	back := window.Window{Start: w.Start - p, End: w.Start - 1, Delay: w.Delay}
 	if s.cons.Feasible(window.Window{Start: w.Start - p, End: w.End, Delay: w.Delay}) &&
 		s.noiseVerdict(w, rawW, back, false) {
 		pruned.startBackward = true
 		s.stats.PrunedDirections++
-		s.emit(obs.DirectionPruned{Pair: s.pairName, Window: obsWindow(w), Direction: "start-backward"})
+		emit(s, obs.DirectionPruned{Pair: s.pairName, Window: obsWindow(w), Direction: "start-backward"})
 	}
 	return pruned
 }
@@ -147,7 +147,7 @@ func (s *searcher) initialNoisePruning(from int) (window.Window, bool) {
 			// poisoned accumulation and restart from next (Fig. 7, steps
 			// 3.3–4).
 			s.stats.NoiseBlocks++
-			s.emit(obs.NoiseBlockSkipped{Pair: s.pairName, Block: obsWindow(next)})
+			emit(s, obs.NoiseBlockSkipped{Pair: s.pairName, Block: obsWindow(next)})
 			cur, curRaw, curNorm = next, nextRaw, nextNorm
 			continue
 		}

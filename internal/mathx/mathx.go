@@ -94,18 +94,6 @@ func Harmonic(n int) float64 {
 	return h
 }
 
-// LogSumExp returns log(exp(a) + exp(b)) without intermediate overflow.
-func LogSumExp(a, b float64) float64 {
-	if math.IsInf(a, -1) {
-		return b
-	}
-	if math.IsInf(b, -1) {
-		return a
-	}
-	m := math.Max(a, b)
-	return m + math.Log(math.Exp(a-m)+math.Exp(b-m))
-}
-
 // AlmostEqual reports whether a and b differ by at most tol, treating NaN as
 // unequal to everything and infinities as equal only when identical.
 func AlmostEqual(a, b, tol float64) bool {
@@ -116,36 +104,4 @@ func AlmostEqual(a, b, tol float64) bool {
 		return a == b
 	}
 	return math.Abs(a-b) <= tol
-}
-
-// Clamp limits v to the inclusive range [lo, hi].
-func Clamp(v, lo, hi float64) float64 {
-	if v < lo {
-		return lo
-	}
-	if v > hi {
-		return hi
-	}
-	return v
-}
-
-// ClampInt limits v to the inclusive range [lo, hi].
-func ClampInt(v, lo, hi int) int {
-	if v < lo {
-		return lo
-	}
-	if v > hi {
-		return hi
-	}
-	return v
-}
-
-// MaxAbs returns max(|a|, |b|), the Chebyshev (L∞) norm of the 2-vector
-// (a, b). It is the distance metric of the KSG estimator (paper footnote 1).
-func MaxAbs(a, b float64) float64 {
-	a, b = math.Abs(a), math.Abs(b)
-	if a > b {
-		return a
-	}
-	return b
 }

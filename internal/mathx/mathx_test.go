@@ -96,34 +96,6 @@ func TestHarmonic(t *testing.T) {
 	}
 }
 
-func TestLogSumExp(t *testing.T) {
-	if !AlmostEqual(LogSumExp(0, 0), math.Ln2, 1e-12) {
-		t.Error("LogSumExp(0,0) should be ln 2")
-	}
-	// No overflow for huge inputs.
-	if got := LogSumExp(1000, 1000); !AlmostEqual(got, 1000+math.Ln2, 1e-9) {
-		t.Errorf("LogSumExp(1000,1000) = %v", got)
-	}
-	if got := LogSumExp(math.Inf(-1), 3); got != 3 {
-		t.Errorf("LogSumExp(-inf,3) = %v", got)
-	}
-}
-
-func TestClamp(t *testing.T) {
-	if Clamp(5, 0, 3) != 3 || Clamp(-1, 0, 3) != 0 || Clamp(2, 0, 3) != 2 {
-		t.Error("Clamp wrong")
-	}
-	if ClampInt(5, 0, 3) != 3 || ClampInt(-1, 0, 3) != 0 || ClampInt(2, 0, 3) != 2 {
-		t.Error("ClampInt wrong")
-	}
-}
-
-func TestMaxAbs(t *testing.T) {
-	if MaxAbs(-3, 2) != 3 || MaxAbs(1, -4) != 4 || MaxAbs(0, 0) != 0 {
-		t.Error("MaxAbs wrong")
-	}
-}
-
 func TestAlmostEqualEdgeCases(t *testing.T) {
 	if AlmostEqual(math.NaN(), 1, 1) {
 		t.Error("NaN must not compare equal")

@@ -35,6 +35,33 @@ func TestKSGEstimateAllocs(t *testing.T) {
 	}
 }
 
+// ksgSink keeps TestKSGBuildsNoEngineForKernelWindows' estimator on the
+// heap, so the count does not hinge on escape analysis.
+var ksgSink *KSG
+
+// TestKSGBuildsNoEngineForKernelWindows checks that the k-NN engine is
+// built on first use: a new estimator and one estimate of a window the
+// all-pairs kernel serves allocate only the estimator, on both backends.
+// Windows above the bound, which do build the engine, are covered by the
+// engine differential tests and TestKSGEstimateAllocs.
+func TestKSGBuildsNoEngineForKernelWindows(t *testing.T) {
+	x, y := gaussianPair(rand.New(rand.NewSource(10)), 32, 0.6)
+	for _, backend := range []Backend{BackendKDTree, BackendBrute} {
+		got := testing.AllocsPerRun(10, func() {
+			ksgSink = NewKSG(4, backend)
+			if _, err := ksgSink.Estimate(x, y); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if got != 1 {
+			t.Errorf("%s: NewKSG and one 32-sample estimate allocate %v times, want 1 (the estimator)", backend, got)
+		}
+		if ksgSink.engine != nil {
+			t.Errorf("%s: a kernel window built the engine", backend)
+		}
+	}
+}
+
 // TestIncrementalSlideAllocs pins the steady-state sliding cost: once the
 // state and list slabs and the scratch are warm, a remove+insert+MI step
 // stays off the heap.

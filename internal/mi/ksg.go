@@ -59,11 +59,13 @@ func (b Backend) String() string {
 // A KSG carries a work counter (Estimates) and per-instance reusable scratch
 // (the point buffer and the engine's internal arenas persist across Estimate
 // calls, making the steady state allocation-free). It is therefore not safe
-// for concurrent use; every searcher owns its own instance.
+// for concurrent use; every searcher owns its own instance. The engine is
+// built on the first window above allPairsMax, so an estimator that only
+// sees windows the kernel serves never builds one.
 type KSG struct {
 	k         int
-	display   string
-	engine    knn.Engine
+	backend   Backend
+	engine    knn.Engine // nil until engineSum first needs it
 	estimates int
 
 	// Reusable scratch, grown on first use and retained across calls.
@@ -81,19 +83,11 @@ func NewKSG(k int, backend Backend) *KSG {
 	if k < 1 {
 		k = DefaultK
 	}
-	name := "kdtree"
-	if backend == BackendBrute {
-		name = "brute"
-	}
-	eng, err := knn.NewEngine(name, knn.Config{K: k})
-	if err != nil {
-		panic(err) // unreachable: both names are built in
-	}
-	return &KSG{k: k, display: backend.String(), engine: eng}
+	return &KSG{k: k, backend: backend}
 }
 
 // Name implements Estimator.
-func (e *KSG) Name() string { return fmt.Sprintf("ksg(k=%d,%s)", e.k, e.display) }
+func (e *KSG) Name() string { return fmt.Sprintf("ksg(k=%d,%s)", e.k, e.backend) }
 
 // K returns the configured neighbour count.
 func (e *KSG) K() int { return e.k }
@@ -167,6 +161,17 @@ func (e *KSG) allPairsSum(x, y []float64) float64 {
 // same (distance, index) k-best sets, so the sum does not depend on the
 // backend.
 func (e *KSG) engineSum(x, y []float64) float64 {
+	if e.engine == nil {
+		name := "kdtree"
+		if e.backend == BackendBrute {
+			name = "brute"
+		}
+		eng, err := knn.NewEngine(name, knn.Config{K: e.k})
+		if err != nil {
+			panic(err) // unreachable: both names are built in
+		}
+		e.engine = eng
+	}
 	e.pts = e.pts[:0]
 	for i := range x {
 		e.pts = append(e.pts, knn.Point{X: x[i], Y: y[i]})
