@@ -46,7 +46,7 @@ func BruteForceContext(ctx context.Context, p series.Pair, opts Options) (Result
 		//lint:allow seedflow fixed pre-idiom domain offset; committed goldens and EXPERIMENTS results pin this stream
 		sc.null = buildNullModel(p, opts, rand.New(rand.NewSource(opts.Seed+0x5eed)))
 	}
-	s.scorer = sc
+	s.scorer = &sc
 
 	var hits []window.Scored
 	n := p.Len()

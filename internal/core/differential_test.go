@@ -131,7 +131,7 @@ func replaySequence(t *testing.T, p series.Pair, opts Options, seq []window.Wind
 	routed := newIncScorer(p, opts.K, opts.Normalization)
 	for i, w := range seq {
 		wantRaw, ok := batchReference(t, p, opts.K, w)
-		directRaw, directErr := unrouted(direct, w)
+		directRaw, directErr := unrouted(&direct, w)
 		routedRaw, _, routedErr := routed.both(w)
 		for _, r := range []struct {
 			path string
@@ -286,7 +286,7 @@ func TestIncrementalScorerNormalizedAgreement(t *testing.T) {
 		batchSc := newBatchScorer(p, opts.K, norm)
 		for i, w := range seq {
 			_, wantNorm, wantErr := batchSc.both(w)
-			directRaw, directErr := unrouted(direct, w)
+			directRaw, directErr := unrouted(&direct, w)
 			_, routedNorm, routedErr := routed.both(w)
 			for _, r := range []struct {
 				path string

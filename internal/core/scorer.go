@@ -80,8 +80,10 @@ type tauPlane struct {
 	start, end int
 }
 
-func newBatchScorer(p series.Pair, k int, norm mi.Normalization) *batchScorer {
-	return &batchScorer{pair: p, est: mi.NewKSG(k, mi.BackendKDTree), norm: norm}
+// newBatchScorer returns a batch scorer over p with no null model and no
+// τ-planes. It is a value so that a segment can set one up in its scratch.
+func newBatchScorer(p series.Pair, k int, norm mi.Normalization) batchScorer {
+	return batchScorer{pair: p, est: mi.NewKSG(k, mi.BackendKDTree), norm: norm}
 }
 
 func (s *batchScorer) both(w window.Window) (float64, float64, error) {
@@ -236,8 +238,10 @@ type incState struct {
 // three delays; a few extra slots cover the climb's recent τ history.
 const maxIncStates = 6
 
-func newIncScorer(p series.Pair, k int, norm mi.Normalization) *incScorer {
-	return &incScorer{pair: p, k: k, norm: norm, small: *newBatchScorer(p, k, norm)}
+// newIncScorer returns an incremental scorer over p with no null model, no
+// cached estimators and no τ-planes, as a value like newBatchScorer.
+func newIncScorer(p series.Pair, k int, norm mi.Normalization) incScorer {
+	return incScorer{pair: p, k: k, norm: norm, small: newBatchScorer(p, k, norm)}
 }
 
 func (s *incScorer) both(w window.Window) (float64, float64, error) {

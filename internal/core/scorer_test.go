@@ -85,7 +85,8 @@ func TestIncScorerLRUEviction(t *testing.T) {
 		t.Error("the least recently used delay was not evicted")
 	}
 	// Evicted delays still score correctly (through a rebuild).
-	_, b, _ := newBatchScorer(p, 4, mi.NormMaxEntropy).both(window.Window{Start: 50, End: 190, Delay: -5})
+	ref := newBatchScorer(p, 4, mi.NormMaxEntropy)
+	_, b, _ := ref.both(window.Window{Start: 50, End: 190, Delay: -5})
 	_, i, err := inc.both(window.Window{Start: 50, End: 190, Delay: -5})
 	if err != nil || !sameBits(b, i) {
 		t.Errorf("evicted delay rescores wrong: %v vs %v (%v)", b, i, err)
@@ -187,7 +188,8 @@ func TestNoiseVerdictOnKnownStructure(t *testing.T) {
 	p := series.MustPair(series.New("x", x), series.New("y", y))
 	opts := Options{SMin: 16, SMax: 150, TDMax: 2, Sigma: 0.3}.withDefaults()
 	s := &searcher{pair: p, opts: opts, cons: opts.constraints(n)}
-	s.scorer = newBatchScorer(p, opts.K, mi.NormMaxEntropy)
+	sc := newBatchScorer(p, opts.K, mi.NormMaxEntropy)
+	s.scorer = &sc
 
 	anchor := window.Window{Start: 40, End: 99, Delay: 0}
 	anchorRaw, _, err := s.scorer.both(anchor)
@@ -251,10 +253,11 @@ func climbSequence(m, k int) (series.Pair, *recorder) {
 		panic(err)
 	}
 	opts := Options{SMin: m - 4, SMax: m + 4, TDMax: 10, Sigma: 0.3, K: k, Normalization: mi.NormMaxEntropy, Variant: VariantLMN}.withDefaults()
-	rec := &recorder{scorer: newBatchScorer(c.Pair, opts.K, opts.Normalization)}
+	sc := newBatchScorer(c.Pair, opts.K, opts.Normalization)
+	rec := &recorder{scorer: &sc}
 	s := &searcher{
 		pair: c.Pair, opts: opts, cons: opts.constraints(c.Pair.Len()), scorer: rec,
-		ctx: context.Background(), seg: segment{limit: c.Pair.Len() - opts.SMin + 1}, memo: new(scoreMemo),
+		ctx: context.Background(), seg: segment{limit: c.Pair.Len() - opts.SMin + 1}, memo: new(scoreMemo), scratch: new(segScratch),
 	}
 	s.run()
 	return c.Pair, rec
