@@ -8,7 +8,6 @@ import (
 	"os"
 	"os/signal"
 	"strings"
-	"sync"
 	"syscall"
 
 	"tycos"
@@ -117,13 +116,10 @@ func runDiscover(args []string, stdout, stderr io.Writer) int {
 		opts.Journal = journal
 	}
 	if *progress {
-		// OnProgress runs on the engine's workers concurrently; the lock keeps
-		// the \r-rewritten line whole.
-		var mu sync.Mutex
+		// The engine calls OnProgress one call at a time, so each
+		// \r-rewritten line is whole and the last one reads N/N.
 		opts.OnProgress = func(p tycos.DiscoveryProgress) {
-			mu.Lock()
 			fmt.Fprintf(stderr, "\rtycos: %s %d/%d  %-24s", p.Phase, p.Done, p.Total, p.Candidate)
-			mu.Unlock()
 		}
 		defer fmt.Fprintln(stderr)
 	}

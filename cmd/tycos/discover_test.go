@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 )
@@ -144,7 +145,8 @@ func TestDiscoverSubcommandUsageErrors(t *testing.T) {
 }
 
 // TestDiscoverSubcommandProgress: -progress renders screen and confirm phase
-// lines on stderr.
+// lines on stderr, and each phase ends at N/N. The screen prunes the
+// flatlined column, so the confirm phase counts only the survivors.
 func TestDiscoverSubcommandProgress(t *testing.T) {
 	in := writeFleetCSV(t)
 	code, _, stderr := runCLI(t, "discover", "-in", in, "-anchor", "anchor",
@@ -152,7 +154,18 @@ func TestDiscoverSubcommandProgress(t *testing.T) {
 	if code != exitOK {
 		t.Fatalf("exit %d\nstderr:\n%s", code, stderr)
 	}
-	if !strings.Contains(stderr, "screen ") || !strings.Contains(stderr, "confirm ") {
-		t.Errorf("progress phases missing on stderr:\n%q", stderr)
+	for _, phase := range []string{"screen", "confirm"} {
+		lines := regexp.MustCompile(phase+` (\d+)/(\d+)`).FindAllStringSubmatch(stderr, -1)
+		if len(lines) == 0 {
+			t.Errorf("%s progress missing on stderr:\n%q", phase, stderr)
+			continue
+		}
+		last := lines[len(lines)-1]
+		if last[1] != last[2] {
+			t.Errorf("%s progress ends at %s/%s, want N/N:\n%q", phase, last[1], last[2], stderr)
+		}
+	}
+	if !strings.Contains(stderr, "screen 4/4") || !strings.Contains(stderr, "confirm 3/3") {
+		t.Errorf("want screen 4/4 and confirm 3/3 (flat pruned):\n%q", stderr)
 	}
 }

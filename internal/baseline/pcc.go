@@ -10,6 +10,7 @@ import (
 	"math"
 	"slices"
 
+	"tycos/internal/freelist"
 	"tycos/internal/window"
 )
 
@@ -195,6 +196,16 @@ func (m *WindowMoments) Reset(v []float64, size int) error {
 		m.mean[a], m.ss[a] = mean, ss
 	}
 	return nil
+}
+
+// Release drops the series the moments were computed from, so idle
+// moments keep no series alive, and any moment slice above
+// freelist.MaxBytes. The next Reset reuses what is kept.
+func (m *WindowMoments) Release() {
+	m.v = nil
+	m.mean = freelist.Trim(m.mean)
+	m.ss = freelist.Trim(m.ss)
+	m.flat = freelist.Trim(m.flat)
 }
 
 // AbsR sets dst[i] to |r| between x's window starting at a+i and y's

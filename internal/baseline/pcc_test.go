@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"tycos/internal/freelist"
 )
 
 func TestPearsonExactCases(t *testing.T) {
@@ -263,5 +265,51 @@ func TestSlidingPCCErrors(t *testing.T) {
 	}
 	if _, err := SlidingPCC([]float64{1, 2}, []float64{1, 2}, 5, 0.5); err == nil {
 		t.Error("oversize window must fail")
+	}
+}
+
+// TestWindowMomentsRelease checks that Release drops the series and any
+// moment slice above the retention bound, and that moments reset after a
+// release score window pairs to the same bits.
+func TestWindowMomentsRelease(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	x, y := make([]float64, 200), make([]float64, 200)
+	for i := range x {
+		x[i] = rng.NormFloat64()
+		y[i] = x[i] + rng.NormFloat64()
+	}
+	var mx, my WindowMoments
+	score := func() []float64 {
+		if err := mx.Reset(x, 16); err != nil {
+			t.Fatal(err)
+		}
+		if err := my.Reset(y, 16); err != nil {
+			t.Fatal(err)
+		}
+		rs := make([]float64, len(x)-15)
+		AbsR(rs, &mx, 0, &my, 0)
+		return rs
+	}
+	want := score()
+	mx.Release()
+	if mx.v != nil || mx.mean == nil {
+		t.Fatalf("Release kept the series or dropped a small moment slice")
+	}
+	got := score()
+	for i := range got {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("position %d: |r| %v after a release, %v before", i, got[i], want[i])
+		}
+	}
+	long := make([]float64, freelist.MaxBytes/8+16)
+	for i := range long {
+		long[i] = rng.NormFloat64()
+	}
+	if err := mx.Reset(long, 16); err != nil {
+		t.Fatal(err)
+	}
+	mx.Release()
+	if mx.mean != nil || mx.ss != nil {
+		t.Error("Release kept moment slices above the retention bound")
 	}
 }

@@ -2,8 +2,8 @@ package core
 
 import (
 	"math/rand"
-	"sync"
 
+	"tycos/internal/freelist"
 	"tycos/internal/lahc"
 	"tycos/internal/window"
 )
@@ -69,13 +69,13 @@ func (m *scoreMemo) put(w window.Window, raw, norm float64) {
 }
 
 // segScratch is the scratch one restart segment's searcher holds for the
-// segment: the score memo, the variant's scorer (see newScorer) and the
-// batch scorer's τ-planes (see batchScorer.plan), the acceptor RNG, which
-// searcher.run re-seeds at every restart (nil until a segment first needs
-// one), the acceptor, which every climb renews, and the neighbourhood
-// buffer. What a segment hands to the merge (candidates, events, counters)
-// never lives here: the scratch is back on the free list before the merge
-// reads them.
+// segment: the score memo, the variant's scorer (see newScorer) with its KSG
+// estimator, the batch scorer's τ-planes (see batchScorer.plan), the
+// acceptor RNG, which searcher.run re-seeds at every restart (nil until a
+// segment first needs one), the acceptor, which every climb renews, and the
+// neighbourhood buffer. What a segment hands to the merge (candidates,
+// events, counters) never lives here: the scratch is back on the free list
+// before the merge reads them.
 type segScratch struct {
 	memo     scoreMemo
 	batch    batchScorer
@@ -86,52 +86,24 @@ type segScratch struct {
 	nbuf     []window.Window
 }
 
-// scratchList is a mutex-guarded free list of segment scratch, so a warm
-// search allocates none. A segment takes one scratch and returns it when it
-// ends, so the list never holds more than the most segments that ever ran
-// at once: the restart workers of every search in flight. A sync.Pool
-// would not do: an item in one P's private slot is invisible to the
-// others, so a warm two-worker search could miss a pooled table, and a
-// collection may drop pooled items.
-type scratchList struct {
-	mu   sync.Mutex
-	free []*segScratch
-	made int // scratch allocated so far
-}
+// segPool is the free list of segment scratch, so a warm search allocates
+// none. A segment takes one scratch and returns it when it ends, so the
+// list never holds more than the most segments that ever ran at once: the
+// restart workers of every search in flight.
+var segPool = freelist.New((*segScratch).release)
 
-var scratchPool scratchList
-
-// take returns scratch with an empty memo: a freed one when the list holds
-// one, a new one otherwise. The planes are Reset before each use.
-func (l *scratchList) take() *segScratch {
-	l.mu.Lock()
-	var sc *segScratch
-	if n := len(l.free); n > 0 {
-		sc = l.free[n-1]
-		l.free = l.free[:n-1]
-	} else {
-		l.made++
-	}
-	l.mu.Unlock()
-	if sc == nil {
-		return new(segScratch)
-	}
+// release readies scratch for the free list. The memo is emptied for the
+// next segment. The scorers drop the segment's pair, estimators (their KSG's
+// point buffer and engine with them) and null model, and the planes their
+// sample slices: a freed scratch must not keep a finished search's series
+// alive. An outsized acceptor history is dropped.
+func (sc *segScratch) release() {
 	sc.memo = scoreMemo{}
-	return sc
-}
-
-// put frees scratch for the next segment. Its scorers drop the segment's
-// pair, estimators and null model, and its planes their sample slices,
-// first: a freed scratch must not keep a finished search's series alive.
-// The caller must not use sc afterwards.
-func (l *scratchList) put(sc *segScratch) {
 	sc.batch, sc.inc = batchScorer{}, incScorer{}
 	for i := range sc.planes {
 		sc.planes[i].est.Release()
 	}
-	l.mu.Lock()
-	l.free = append(l.free, sc)
-	l.mu.Unlock()
+	sc.acceptor.Release()
 }
 
 // plan tells the scorer which windows of the neighbourhood it is about to

@@ -246,8 +246,11 @@ func searchPairOnce(ctx context.Context, x, y series.Series, opts Options, timeo
 		ctx, cancel = context.WithTimeout(ctx, timeout)
 		defer cancel()
 	}
-	if err := faultinject.Fire(x.Name + "/" + y.Name); err != nil {
-		return Result{}, err
+	// The pair's fault key is built only when a fault is armed.
+	if faultinject.Enabled() {
+		if err := faultinject.Fire(x.Name + "/" + y.Name); err != nil {
+			return Result{}, err
+		}
 	}
 	p, err := series.NewPair(x, y)
 	if err != nil {

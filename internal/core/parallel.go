@@ -9,6 +9,8 @@ import (
 	"sync/atomic"
 
 	"tycos/internal/faultinject"
+	"tycos/internal/freelist"
+	"tycos/internal/mi"
 	"tycos/internal/obs"
 	"tycos/internal/series"
 	"tycos/internal/window"
@@ -55,25 +57,24 @@ type segment struct {
 // one window length that its predecessor's final climb may already cover.
 const segmentSpanFactor = 4
 
-// planSegments cuts the feasible scan positions [0, n−SMin] into fixed-span
-// segments. The plan depends only on n and the options — never on the worker
-// count — so every RestartWorkers value walks the identical restart
-// decomposition. A single segment (small inputs) degenerates to the paper's
-// fully sequential restart chain. The span uses min(SMax, n), which no
-// window exceeds, so a huge SMax cannot overflow it into a loop that never
-// advances.
-func planSegments(n int, opts Options) []segment {
+// planSegments appends to dst the plan that cuts the feasible scan
+// positions [0, n−SMin] into fixed-span segments. The plan depends only on
+// n and the options — never on the worker count — so every RestartWorkers
+// value walks the identical restart decomposition. A single segment (small
+// inputs) degenerates to the paper's fully sequential restart chain. The
+// span uses min(SMax, n), which no window exceeds, so a huge SMax cannot
+// overflow it into a loop that never advances.
+func planSegments(dst []segment, n int, opts Options) []segment {
 	span := segmentSpanFactor * min(opts.SMax, n)
 	lastStart := n - opts.SMin
-	var segs []segment
 	for from := 0; from <= lastStart; from += span {
 		limit := from + span
 		if limit > lastStart+1 {
 			limit = lastStart + 1
 		}
-		segs = append(segs, segment{index: len(segs), from: from, limit: limit})
+		dst = append(dst, segment{index: len(dst), from: from, limit: limit})
 	}
-	return segs
+	return dst
 }
 
 // restartWorkers resolves Options.RestartWorkers against the plan: ≤0 means
@@ -122,8 +123,10 @@ func restartSeed(root int64, seg, restart int) int64 {
 
 // segmentResult is one segment's contribution, produced worker-locally and
 // merged by the coordinator in segment order. events and counters are
-// collected for an observed search only. Nothing in it may live in the
-// segment scratch, which returns to the free list before the merge reads it.
+// collected for an observed search only. cands is the segment's candidate
+// buffer in the search scratch; nothing in a segmentResult lives in the
+// segment scratch, which returns to the free list before the merge reads
+// it.
 type segmentResult struct {
 	cands    []window.Scored
 	stats    Stats
@@ -131,6 +134,50 @@ type segmentResult struct {
 	events   []obs.Event
 	counters []counter
 	stop     StopReason
+}
+
+// searchScratch is one search's scratch, held from planning to the end of
+// the merge. It carries what every segment reads, read-only during the
+// fan-out: the jittered pair, the options, the constraints, the calibrated
+// null model and the event label ("" unless observed). And it holds the
+// search's buffers: the segment plan, the segment results and, on the
+// parallel path, their panic slots, one candidate buffer per segment, the
+// merged candidate list, the top-K tracker and the accepted set. Every
+// segment writes only its own slots and buffer. Nothing the caller receives
+// lives here: the result's windows are copied out of the set.
+type searchScratch struct {
+	ctx      context.Context
+	pair     series.Pair
+	opts     Options
+	cons     window.Constraints
+	null     *nullModel
+	pairName string
+
+	segs    []segment
+	results []segmentResult
+	panics  []*workerPanic
+	cands   [][]window.Scored
+	merged  []window.Scored
+	topk    mi.TopK
+	set     window.Set
+}
+
+// searchPool is the free list of search scratch: one per search in flight.
+var searchPool = freelist.New((*searchScratch).release)
+
+// release empties the scratch for the free list. It drops the search's
+// inputs, and the results their events and counters; the buffers are
+// emptied and kept unless one is above freelist.MaxBytes (the candidate
+// buffers count as one).
+func (sc *searchScratch) release() {
+	sc.ctx, sc.pair, sc.opts, sc.null, sc.pairName = nil, series.Pair{}, Options{}, nil, ""
+	sc.segs = freelist.Trim(sc.segs)
+	sc.results = freelist.Trim(sc.results)
+	sc.panics = freelist.Trim(sc.panics)
+	sc.cands = freelist.TrimAll(sc.cands)
+	sc.merged = freelist.Trim(sc.merged)
+	sc.topk.Reset(0, 0)
+	sc.set.Reset()
 }
 
 // segmentFaultKey names a segment for the faultinject registry; robustness
@@ -142,22 +189,23 @@ func segmentFaultKey(pairName string, seg int) string {
 	return fmt.Sprintf("segment:%s:%d", pairName, seg)
 }
 
-// runSegmentsSequential processes segments in order on the calling
-// goroutine, chaining the evaluation count through evalBase so a
-// deterministic MaxEvaluations budget is charged against the whole search,
-// not per segment. Segments after a stop never run — exactly the prefix the
-// merge of a parallel run reconstructs by discarding post-stop segments.
-func runSegmentsSequential(ctx context.Context, p series.Pair, opts Options, cons window.Constraints, null *nullModel, pairName string, segs []segment) []segmentResult {
-	results := make([]segmentResult, 0, len(segs))
+// sequential processes the segments in order on the calling goroutine,
+// chaining the evaluation count through evalBase so a deterministic
+// MaxEvaluations budget is charged against the whole search, not per
+// segment. Segments after a stop never run — exactly the prefix the merge
+// of a parallel run reconstructs by discarding post-stop segments.
+func (sc *searchScratch) sequential(segs []segment) []segmentResult {
+	results := sc.results[:0]
 	evalBase := 0
 	for _, seg := range segs {
-		sr := runSegment(ctx, p, opts, cons, null, pairName, seg, evalBase)
+		sr := sc.segment(seg, evalBase)
 		results = append(results, sr)
 		if sr.stop != "" {
 			break
 		}
 		evalBase += sr.stats.WindowsEvaluated
 	}
+	sc.results = results
 	return results
 }
 
@@ -172,16 +220,17 @@ func (w *workerPanic) String() string {
 	return fmt.Sprintf("%v\n\nrestart worker stack:\n%s", w.value, w.stack)
 }
 
-// runSegmentsParallel fans the segments out over a pool of workers. Workers
-// pull the next unprocessed segment index (work stealing keeps long segments
-// from serialising the tail) and write results into the per-segment slot, so
-// no ordering information leaks from the schedule. A panic inside a segment
-// is captured with its stack and rethrown on the calling goroutine after the
+// parallel fans the segments out over a pool of workers. Workers pull the
+// next unprocessed segment index (work stealing keeps long segments from
+// serialising the tail) and write results into the per-segment slot, so no
+// ordering information leaks from the schedule. A panic inside a segment is
+// captured with its stack and rethrown on the calling goroutine after the
 // pool drains — same crash semantics as the sequential path, which is what
 // the sweep-level fault isolation relies on.
-func runSegmentsParallel(ctx context.Context, p series.Pair, opts Options, cons window.Constraints, null *nullModel, pairName string, segs []segment, workers int) []segmentResult {
-	results := make([]segmentResult, len(segs))
-	panics := make([]*workerPanic, len(segs))
+func (sc *searchScratch) parallel(segs []segment, workers int) []segmentResult {
+	sc.results = freelist.Grow(sc.results, len(segs))
+	sc.panics = freelist.Grow(sc.panics, len(segs))
+	results, panics := sc.results, sc.panics
 	var next int32
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -195,11 +244,11 @@ func runSegmentsParallel(ctx context.Context, p series.Pair, opts Options, cons 
 				}
 				func() {
 					defer func() {
-						if r := recover(); r != nil {
-							panics[i] = &workerPanic{value: r, stack: debug.Stack()}
+						if v := recover(); v != nil {
+							panics[i] = &workerPanic{value: v, stack: debug.Stack()}
 						}
 					}()
-					results[i] = runSegment(ctx, p, opts, cons, null, pairName, segs[i], 0)
+					results[i] = sc.segment(segs[i], 0)
 				}()
 			}
 		}()
@@ -213,33 +262,40 @@ func runSegmentsParallel(ctx context.Context, p series.Pair, opts Options, cons 
 	return results
 }
 
-// runSegment runs one segment's chained restart loop with fully private
-// state: its own scorer (and with it all incremental-MI and k-NN caches), its
-// own score memo, stats, candidates and event buffer. evalBase charges
-// evaluations spent by earlier segments against this segment's deterministic
-// budget (sequential mode only; parallel runs never carry a budget).
-func runSegment(ctx context.Context, p series.Pair, opts Options, cons window.Constraints, null *nullModel, pairName string, seg segment, evalBase int) segmentResult {
-	if err := faultinject.Fire(segmentFaultKey(pairName, seg.index)); err != nil {
-		panic(err)
+// segment runs one segment's chained restart loop with fully private state:
+// its own scorer (and with it all incremental-MI and k-NN caches), its own
+// score memo, stats and event buffer, and its own candidate buffer from the
+// search scratch. evalBase charges evaluations spent by earlier segments
+// against this segment's deterministic budget (sequential mode only;
+// parallel runs never carry a budget). The fault key is built only when a
+// fault is armed.
+func (sc *searchScratch) segment(seg segment, evalBase int) segmentResult {
+	if faultinject.Enabled() {
+		if err := faultinject.Fire(segmentFaultKey(pairLabel(sc.pair), seg.index)); err != nil {
+			panic(err)
+		}
 	}
-	scratch := scratchPool.take()
+	scratch := segPool.Take()
 	s := &searcher{
-		pair:      p,
-		opts:      opts,
-		cons:      cons,
-		scorer:    newScorer(p, opts, null, scratch),
-		null:      null,
-		ctx:       ctx,
+		pair:      sc.pair,
+		opts:      sc.opts,
+		cons:      sc.cons,
+		scorer:    newScorer(sc.pair, sc.opts, sc.null, scratch),
+		null:      sc.null,
+		ctx:       sc.ctx,
 		seg:       seg,
 		evalBase:  evalBase,
-		observing: opts.Observer != nil,
-		pairName:  pairName,
+		observing: sc.opts.Observer != nil,
+		cands:     sc.cands[seg.index],
+		pairName:  sc.pairName,
 		scratch:   scratch,
 	}
-	if !opts.bypassMemo {
+	if !sc.opts.bypassMemo {
 		s.memo = &scratch.memo
 	}
 	s.run()
+	// The buffer stays with the search scratch, grown or not.
+	sc.cands[seg.index] = s.cands
 	sr := segmentResult{
 		cands:    s.cands,
 		stats:    s.stats,
@@ -252,7 +308,7 @@ func runSegment(ctx context.Context, p series.Pair, opts Options, cons window.Co
 	}
 	// The scorer is done: counters are captured, so the segment's scratch
 	// goes back to the free list. None of sr lives in it.
-	scratchPool.put(scratch)
+	segPool.Put(scratch)
 	return sr
 }
 

@@ -61,7 +61,7 @@ func parallelTestPair(n int) series.Pair {
 func TestPlanSegmentsCoversScanPositions(t *testing.T) {
 	opts := parallelTestOpts().withDefaults()
 	for _, n := range []int{70, 250, 1000, 1501, 5000} {
-		segs := planSegments(n, opts)
+		segs := planSegments(nil, n, opts)
 		if len(segs) == 0 {
 			t.Fatalf("n=%d: empty plan", n)
 		}
@@ -84,7 +84,7 @@ func TestPlanSegmentsCoversScanPositions(t *testing.T) {
 			t.Errorf("n=%d: plan ends at %d, want %d", n, got, lastStart+1)
 		}
 	}
-	if segs := planSegments(70, opts); len(segs) != 1 {
+	if segs := planSegments(nil, 70, opts); len(segs) != 1 {
 		t.Errorf("small input: got %d segments, want 1", len(segs))
 	}
 }
@@ -136,7 +136,7 @@ func TestRestartWorkersByteIdentical(t *testing.T) {
 	if len(base.res.Windows) < 2 {
 		t.Fatalf("want ≥2 windows from the two embedded regions, got %d", len(base.res.Windows))
 	}
-	if segs := planSegments(p.Len(), parallelTestOpts().withDefaults()); len(segs) < 4 {
+	if segs := planSegments(nil, p.Len(), parallelTestOpts().withDefaults()); len(segs) < 4 {
 		t.Fatalf("test needs ≥4 segments to be meaningful, plan has %d", len(segs))
 	}
 	for _, workers := range []int{2, 8} {
@@ -354,12 +354,12 @@ func finishWithin(d time.Duration, what string, f func()) {
 func TestHugeSMaxPlansAndSearchesLikeN(t *testing.T) {
 	const n = 200
 	base := Options{SMin: 6, SMax: n}.withDefaults()
-	want := planSegments(n, base)
+	want := planSegments(nil, n, base)
 	for _, sMax := range []int{n + 1, 1 << 61, 1 << 62, math.MaxInt} {
 		opts := base
 		opts.SMax = sMax
 		var got []segment
-		finishWithin(2*time.Second, fmt.Sprintf("planSegments(SMax=%d)", sMax), func() { got = planSegments(n, opts) })
+		finishWithin(2*time.Second, fmt.Sprintf("planSegments(SMax=%d)", sMax), func() { got = planSegments(nil, n, opts) })
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("SMax=%d: plan %+v, want the SMax=n plan %+v", sMax, got, want)
 		}

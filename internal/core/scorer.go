@@ -54,7 +54,7 @@ type counter struct {
 // of the current neighbourhood where it can (see plan).
 type batchScorer struct {
 	pair   series.Pair
-	est    *mi.KSG
+	est    mi.KSG
 	norm   mi.Normalization
 	null   *nullModel
 	nBatch int
@@ -81,9 +81,12 @@ type tauPlane struct {
 }
 
 // newBatchScorer returns a batch scorer over p with no null model and no
-// τ-planes. It is a value so that a segment can set one up in its scratch.
+// τ-planes. It is a value, its estimator too, so that a segment can set one
+// up in its scratch without an allocation.
 func newBatchScorer(p series.Pair, k int, norm mi.Normalization) batchScorer {
-	return batchScorer{pair: p, est: mi.NewKSG(k, mi.BackendKDTree), norm: norm}
+	sc := batchScorer{pair: p, norm: norm}
+	sc.est.Renew(k, mi.BackendKDTree)
+	return sc
 }
 
 func (s *batchScorer) both(w window.Window) (float64, float64, error) {

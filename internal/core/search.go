@@ -1,12 +1,14 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"math"
 	"math/rand"
-	"sort"
+	"slices"
 
+	"tycos/internal/freelist"
 	"tycos/internal/mi"
 	"tycos/internal/obs"
 	"tycos/internal/series"
@@ -108,7 +110,11 @@ func SearchContext(ctx context.Context, p series.Pair, opts Options) (Result, er
 	}
 	p = jitterPair(p, opts.Jitter, opts.Seed)
 	sink := opts.Observer
-	pairName := pairLabel(p)
+	// Only an observed search's events carry the pair's label.
+	var pairName string
+	if sink != nil {
+		pairName = pairLabel(p)
+	}
 	// When the caller put a trace span in the context (e.g. the daemon's
 	// per-request root span), every observation of this search is stamped
 	// with a deterministic child span: the observer is wrapped once here, so
@@ -146,16 +152,23 @@ func SearchContext(ctx context.Context, p series.Pair, opts Options) (Result, er
 		}
 	}
 
-	cons := opts.constraints(p.Len())
-	segs := planSegments(p.Len(), opts)
+	// The search scratch goes back to the free list when the search
+	// returns, after the result is copied out of it.
+	sc := searchPool.Take()
+	defer searchPool.Put(sc)
+	sc.ctx, sc.pair, sc.opts, sc.null, sc.pairName = ctx, p, opts, null, pairName
+	sc.cons = opts.constraints(p.Len())
+	sc.segs = planSegments(sc.segs, p.Len(), opts)
+	segs := sc.segs
+	sc.cands = freelist.Grow(sc.cands, len(segs))
 	workers := restartWorkers(opts, len(segs))
 
 	climbStart := clockNow()
 	var segResults []segmentResult
 	if workers <= 1 {
-		segResults = runSegmentsSequential(ctx, p, opts, cons, null, pairName, segs)
+		segResults = sc.sequential(segs)
 	} else {
-		segResults = runSegmentsParallel(ctx, p, opts, cons, null, pairName, segs, workers)
+		segResults = sc.parallel(segs, workers)
 	}
 
 	// Merge in segment order — never completion order. Everything after the
@@ -165,11 +178,11 @@ func SearchContext(ctx context.Context, p series.Pair, opts Options) (Result, er
 	var (
 		stats        Stats
 		memoHits     int
-		candidates   []window.Scored
 		stop         StopReason
 		counterNames []string
 		counterVals  map[string]int64
 	)
+	candidates := sc.merged
 	restartOffset := 0
 	for _, sr := range segResults {
 		if sink != nil {
@@ -208,6 +221,7 @@ func SearchContext(ctx context.Context, p series.Pair, opts Options) (Result, er
 			break
 		}
 	}
+	sc.merged = candidates
 	timing.Climb = clockSince(climbStart)
 	if sink != nil {
 		sink.PhaseEnd(obs.PhaseClimb, timing.Climb)
@@ -220,7 +234,8 @@ func SearchContext(ctx context.Context, p series.Pair, opts Options) (Result, er
 			opts.onCandidate(c)
 		}
 		if topk == nil && opts.TopK > 0 {
-			topk = mi.NewTopK(opts.TopK, c.MI)
+			topk = &sc.topk
+			topk.Reset(opts.TopK, c.MI)
 		}
 		if topk != nil {
 			topk.Offer(c.MI)
@@ -230,17 +245,17 @@ func SearchContext(ctx context.Context, p series.Pair, opts Options) (Result, er
 	if topk != nil {
 		threshold = topk.Threshold()
 	}
-	var set window.Set
+	// The accepted set is built in scratch; Items copies it out once.
 	for _, c := range candidates {
 		if c.MI >= threshold {
-			set.Insert(c)
+			sc.set.Insert(c)
 		}
 	}
-	items := set.Items()
+	items := sc.set.Items()
 	if topk != nil && len(items) > opts.TopK {
-		sort.Slice(items, func(i, j int) bool { return items[i].MI > items[j].MI })
+		slices.SortFunc(items, func(a, b window.Scored) int { return cmp.Compare(b.MI, a.MI) })
 		items = items[:opts.TopK]
-		sort.Slice(items, func(i, j int) bool { return items[i].Start < items[j].Start })
+		slices.SortFunc(items, func(a, b window.Scored) int { return cmp.Compare(a.Start, b.Start) })
 	}
 	if stop == "" {
 		stop = StopCompleted

@@ -156,8 +156,11 @@ func (s *Server) searchOne(t *task) (res core.Result, err error) {
 	if err := faultinject.Fire("daemon/search"); err != nil {
 		return core.Result{}, err
 	}
-	if err := faultinject.Fire("daemon/search/" + t.pairName); err != nil {
-		return core.Result{}, err
+	// The per-pair key is built only when a fault is armed.
+	if faultinject.Enabled() {
+		if err := faultinject.Fire("daemon/search/" + t.pairName); err != nil {
+			return core.Result{}, err
+		}
 	}
 	return core.SearchContext(t.ctx, t.pair, t.opts)
 }

@@ -28,17 +28,19 @@
 package discovery
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"hash/fnv"
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"tycos/internal/checkpoint"
 	"tycos/internal/core"
+	"tycos/internal/freelist"
 	"tycos/internal/mi"
 	"tycos/internal/obs"
 	"tycos/internal/series"
@@ -85,9 +87,11 @@ type Options struct {
 	// every worker count. Must be safe for concurrent use (the progress
 	// callback aside, the engine itself serialises emission).
 	Observer obs.Sink
-	// OnProgress, when non-nil, is called once per resolved candidate, in
-	// completion order (schedule-dependent, unlike everything else). For
-	// live CLI progress; must be fast and safe for concurrent use.
+	// OnProgress, when non-nil, is called once per candidate resolved in
+	// a phase, in completion order (schedule-dependent, unlike everything
+	// else), one call at a time: within a phase Done counts up by one from
+	// 1 and ends at Total. For live CLI progress; must be fast, since the
+	// workers wait for it.
 	OnProgress func(Progress)
 }
 
@@ -126,7 +130,8 @@ type Progress struct {
 	Phase string
 	// Done counts candidates resolved in this phase so far; Total is the
 	// phase's candidate count (the full fleet for screen, survivors for
-	// confirm).
+	// confirm: the candidates the screen neither pruned nor failed), fixed
+	// when the phase starts.
 	Done, Total int
 	// Candidate names the series just resolved; Pruned marks a screen
 	// decision against it.
@@ -211,17 +216,17 @@ const shardSpan = 4
 // shard is one contiguous candidate index range [from, to).
 type shard struct{ from, to int }
 
-// planShards cuts the fleet into fixed-width shards.
-func planShards(n int) []shard {
-	var shards []shard
+// planShards appends to dst the plan that cuts the fleet into fixed-width
+// shards.
+func planShards(dst []shard, n int) []shard {
 	for from := 0; from < n; from += shardSpan {
 		to := from + shardSpan
 		if to > n {
 			to = n
 		}
-		shards = append(shards, shard{from: from, to: to})
+		dst = append(dst, shard{from: from, to: to})
 	}
-	return shards
+	return dst
 }
 
 // splitmix64 is the SplitMix64 finalizer, the same per-coordinate seed mixer
@@ -262,11 +267,14 @@ func fingerprint(anchor, cand string, n, index int, o core.Options) string {
 // candState is one candidate's slot: workers write it, the merge reads it in
 // fleet order. Exactly one worker ever touches a slot.
 type candState struct {
-	name        string
-	err         error
-	screened    bool
-	pruned      bool
-	screen      screenOutcome
+	name     string
+	err      error
+	screened bool
+	pruned   bool
+	screen   screenOutcome
+	// survivor marks a candidate that entered confirmation: the screen
+	// (when it ran) neither pruned nor failed it.
+	survivor    bool
 	searched    bool
 	replayed    bool
 	done        bool
@@ -275,24 +283,59 @@ type candState struct {
 	buf         *eventBuffer
 }
 
-// engine carries one Discover call's shared state.
+// engine carries one Discover pass: its inputs, read-only while the
+// workers run, and its scratch, taken from a free list so that a warm pass
+// allocates only what it returns. The scratch is the candidate slots, the
+// shard plan, the screener, one screenScratch per screen worker, and the
+// merge's ranking and adaptive threshold. Nothing the caller receives
+// lives here: the merge copies the ranking out, and each slot's result and
+// error are the candidate's own.
 type engine struct {
 	anchor series.Series
 	cands  []series.Series
 	opts   Options
+
 	slots  []candState
-
-	// screen holds the delay grid and the anchor's window moments (nil when
-	// screening is off); scratch holds one screenScratch per screen worker.
-	screen  *screener
+	shards []shard
+	// screen holds the delay grid and the anchor's window moments (unset
+	// when screening is off); scratch holds one screenScratch per screen
+	// worker.
+	screen  screener
 	scratch []screenScratch
+	scored  []Candidate
+	topk    mi.TopK
 
-	progressMu   sync.Mutex
-	progressDone int
+	progressMu    sync.Mutex
+	progressDone  int
+	progressTotal int
 
 	// lostWorkers counts scheduler workers killed by an escaped panic (see
 	// runShards); nonzero forces Partial even when every slot resolved.
 	lostWorkers int32
+}
+
+// passPool is the free list of pass scratch: one per Discover in flight.
+var passPool = freelist.New((*engine).release)
+
+// release empties a pass's scratch for the free list: it drops the inputs,
+// the slots' results, errors and event buffers, the anchor and the last
+// candidates the screen read, and every buffer above the retention bound.
+func (e *engine) release() {
+	e.anchor, e.cands, e.opts = series.Series{}, nil, Options{}
+	e.slots = freelist.Trim(e.slots)
+	e.shards = freelist.Trim(e.shards)
+	e.screen.release()
+	all := e.scratch[:cap(e.scratch)]
+	for i := range all {
+		all[i].release()
+	}
+	e.scratch = all[:0]
+	if !freelist.Fits[screenScratch](cap(all)) {
+		e.scratch = nil
+	}
+	e.scored = freelist.Trim(e.scored)
+	e.topk.Reset(0, 0)
+	e.progressDone, e.progressTotal, e.lostWorkers = 0, 0, 0
 }
 
 // Discover ranks the candidates against the anchor. See the package comment
@@ -307,45 +350,55 @@ func Discover(ctx context.Context, anchor series.Series, candidates []series.Ser
 	if len(candidates) == 0 {
 		return Result{}, fmt.Errorf("discovery: no candidates")
 	}
-	e := &engine{
-		anchor: anchor,
-		cands:  candidates,
-		opts:   opts,
-		slots:  make([]candState, len(candidates)),
-	}
+	e := passPool.Take()
+	defer passPool.Put(e)
+	e.anchor, e.cands, e.opts = anchor, candidates, opts
+	e.slots = freelist.Grow(e.slots, len(candidates))
 	for i := range e.slots {
 		e.slots[i].name = candidates[i].Name
 		if opts.Observer != nil {
 			e.slots[i].buf = &eventBuffer{}
 		}
 	}
-	shards := planShards(len(candidates))
+	e.shards = planShards(e.shards, len(candidates))
 
 	if opts.Screen {
-		e.screen = newScreener(anchor.Values, opts)
-		e.scratch = make([]screenScratch, e.workers(len(shards)))
-		e.runShards(ctx, shards, e.screenCandidate, "screen")
+		e.screen.reset(anchor.Values, opts)
+		e.scratch = freelist.Grow(e.scratch, e.workers())
+		e.resetProgress(len(candidates))
+		e.runShards(ctx, e.screenCandidate, "screen")
 	}
-	e.resetProgress()
-	e.runShards(ctx, shards, e.searchCandidate, "confirm")
+	// The survivors, and with them the confirm total, are fixed at the
+	// screen barrier: every candidate the screen neither pruned nor failed
+	// enters confirmation.
+	survivors := 0
+	for i := range e.slots {
+		st := &e.slots[i]
+		st.survivor = !st.pruned && st.err == nil
+		if st.survivor {
+			survivors++
+		}
+	}
+	e.resetProgress(survivors)
+	e.runShards(ctx, e.searchCandidate, "confirm")
 
 	return e.merge(ctx), nil
 }
 
-// workers is the number of workers runShards starts for a plan of the
-// given number of shards.
-func (e *engine) workers(shards int) int {
-	return min(e.opts.Workers, shards)
+// workers is the number of workers runShards starts for the shard plan.
+func (e *engine) workers() int {
+	return min(e.opts.Workers, len(e.shards))
 }
 
 // runShards fans the shard plan over the worker pool: workers atomically
 // pull the next shard and process its candidates in index order, writing
 // only their own slots and their own scratch (work's worker argument, in
 // [0, workers)). No ordering information leaks from the schedule.
-func (e *engine) runShards(ctx context.Context, shards []shard, work func(ctx context.Context, worker, i int), phase string) {
+func (e *engine) runShards(ctx context.Context, work func(ctx context.Context, worker, i int), phase string) {
+	shards := e.shards
 	var next int32
 	var wg sync.WaitGroup
-	for w := 0; w < e.workers(len(shards)); w++ {
+	for w := 0; w < e.workers(); w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -382,12 +435,12 @@ func (e *engine) runShards(ctx context.Context, shards []shard, work func(ctx co
 	wg.Wait()
 }
 
-// searchCandidate confirms one candidate: journal replay when possible,
+// searchCandidate confirms one survivor: journal replay when possible,
 // otherwise a full search with the candidate's derived seed. Panics are
 // isolated to the candidate.
 func (e *engine) searchCandidate(ctx context.Context, _, i int) {
 	st := &e.slots[i]
-	if st.err != nil || st.pruned {
+	if !st.survivor {
 		return
 	}
 	defer func() {
@@ -461,33 +514,28 @@ func (e *engine) journalKeys(i, n int) (string, string) {
 	return e.anchor.Name, e.slots[i].name + "\x1f" + fingerprint(e.anchor.Name, e.slots[i].name, n, i, e.opts.Search)
 }
 
-// resetProgress restarts the OnProgress counter between phases.
-func (e *engine) resetProgress() {
+// resetProgress restarts the OnProgress counter for a phase of total
+// candidates.
+func (e *engine) resetProgress(total int) {
 	e.progressMu.Lock()
-	e.progressDone = 0
+	e.progressDone, e.progressTotal = 0, total
 	e.progressMu.Unlock()
 }
 
-// progress delivers one OnProgress notification (completion order).
+// progress delivers one OnProgress notification (completion order) for a
+// candidate resolved in the phase: every screened candidate, and in the
+// confirm phase only the survivors. The callback runs under the lock, so
+// calls arrive one at a time with Done in order; the deferred unlock frees
+// the lock should the callback panic.
 func (e *engine) progress(phase string, i int) {
-	if e.opts.OnProgress == nil {
+	if e.opts.OnProgress == nil || (phase == "confirm" && !e.slots[i].survivor) {
 		return
 	}
 	e.progressMu.Lock()
+	defer e.progressMu.Unlock()
 	e.progressDone++
-	done := e.progressDone
-	e.progressMu.Unlock()
-	total := len(e.cands)
-	if phase == "confirm" && e.opts.Screen {
-		total = 0
-		for j := range e.slots {
-			if !e.slots[j].pruned && e.slots[j].err == nil {
-				total++
-			}
-		}
-	}
 	e.opts.OnProgress(Progress{
-		Phase: phase, Done: done, Total: total,
+		Phase: phase, Done: e.progressDone, Total: e.progressTotal,
 		Candidate: e.slots[i].name, Pruned: e.slots[i].pruned,
 	})
 }
@@ -497,8 +545,9 @@ func (e *engine) progress(phase string, i int) {
 func (e *engine) merge(ctx context.Context) Result {
 	out := Result{Anchor: e.anchor.Name}
 	out.Stats.Candidates = len(e.slots)
-	topk := mi.NewTopK(e.opts.TopK, e.opts.Search.Sigma)
-	var scored []Candidate
+	topk := &e.topk
+	topk.Reset(e.opts.TopK, e.opts.Search.Sigma)
+	scored := e.scored[:0]
 	for i := range e.slots {
 		st := &e.slots[i]
 		if st.buf != nil {
@@ -553,17 +602,23 @@ func (e *engine) merge(ctx context.Context) Result {
 	if ctx.Err() != nil || out.Stats.Unfinished > 0 || atomic.LoadInt32(&e.lostWorkers) > 0 {
 		out.Partial = true
 	}
-	sort.SliceStable(scored, func(a, b int) bool {
+	e.scored = scored
+	slices.SortStableFunc(scored, func(a, b Candidate) int {
 		//lint:allow floateq ranking needs a total order; exact score equality is precisely when the index tie-break applies
-		if scored[a].Score != scored[b].Score {
-			return scored[a].Score > scored[b].Score
+		if a.Score != b.Score {
+			if a.Score > b.Score {
+				return -1
+			}
+			return 1
 		}
-		return scored[a].Index < scored[b].Index
+		return cmp.Compare(a.Index, b.Index)
 	})
-	if len(scored) > e.opts.TopK {
-		scored = scored[:e.opts.TopK]
+	// The ranking is built in scratch; the result gets its own copy of the
+	// top K (nil when nothing scored, as before).
+	if k := min(len(scored), e.opts.TopK); k > 0 {
+		out.Ranked = make([]Candidate, k)
+		copy(out.Ranked, scored)
 	}
-	out.Ranked = scored
 	out.Threshold = topk.Threshold()
 	e.emitTotals(out.Stats)
 	return out

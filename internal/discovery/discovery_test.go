@@ -424,12 +424,12 @@ func TestCandidateSeedProperties(t *testing.T) {
 // TestScreenDelays: the grid is symmetric, holds delay 0 exactly once and
 // never exceeds TDMax.
 func TestScreenDelays(t *testing.T) {
-	grid := screenDelays(10, 3)
+	grid := screenDelays(nil, 10, 3)
 	want := []int{0, 3, -3, 6, -6, 9, -9}
 	if !reflect.DeepEqual(grid, want) {
 		t.Errorf("screenDelays(10,3) = %v, want %v", grid, want)
 	}
-	if got := screenDelays(0, 1); !reflect.DeepEqual(got, []int{0}) {
+	if got := screenDelays(nil, 0, 1); !reflect.DeepEqual(got, []int{0}) {
 		t.Errorf("screenDelays(0,1) = %v, want [0]", got)
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"math"
 
 	"tycos/internal/baseline"
+	"tycos/internal/freelist"
 )
 
 // screenOutcome records one candidate's pre-screen pass.
@@ -20,8 +21,8 @@ type screenOutcome struct {
 }
 
 // screener is what every candidate's screen reads: the delay grid and the
-// anchor's window moments. Discover builds it once, before the screen
-// phase; it is read-only while the screen runs.
+// anchor's window moments. Discover sets it up once per pass, before the
+// screen phase; it is read-only while the screen runs.
 type screener struct {
 	window int
 	delays []int
@@ -36,14 +37,27 @@ type screenScratch struct {
 	rs   []float64
 }
 
-// newScreener builds the delay grid and the anchor's moments.
-func newScreener(anchor []float64, opts Options) *screener {
-	s := &screener{window: opts.ScreenWindow, delays: screenDelays(opts.Search.TDMax, opts.ScreenStride)}
+// reset builds the delay grid and the anchor's moments in place.
+func (s *screener) reset(anchor []float64, opts Options) {
+	s.window = opts.ScreenWindow
+	s.delays = screenDelays(s.delays[:0], opts.Search.TDMax, opts.ScreenStride)
 	// Reset fails only for a window below two samples or longer than the
 	// anchor. Every candidate's length check or own Reset then fails first
 	// and reports it, so the screen never reads the unset moments.
 	_ = s.anchor.Reset(anchor, s.window)
-	return s
+}
+
+// release drops the anchor and any buffer above the retention bound.
+func (s *screener) release() {
+	s.delays = freelist.Trim(s.delays)
+	s.anchor.Release()
+}
+
+// release drops the last candidate and any buffer above the retention
+// bound.
+func (sc *screenScratch) release() {
+	sc.cand.Release()
+	sc.rs = freelist.Trim(sc.rs)
 }
 
 // screenCandidate runs the cheap sliding-PCC statistic over a coarse delay
@@ -118,15 +132,15 @@ func (s *screener) screen(sc *screenScratch, cand []float64) (screenOutcome, err
 	return out, nil
 }
 
-// screenDelays builds the symmetric delay grid 0, ±stride, ±2·stride, … up
-// to tdMax. Delay 0 is always present, so an undelayed correlation can never
-// be grid-stepped over.
-func screenDelays(tdMax, stride int) []int {
-	delays := []int{0}
+// screenDelays appends to dst the symmetric delay grid 0, ±stride,
+// ±2·stride, … up to tdMax. Delay 0 is always present, so an undelayed
+// correlation can never be grid-stepped over.
+func screenDelays(dst []int, tdMax, stride int) []int {
+	dst = append(dst, 0)
 	for tau := stride; tau <= tdMax; tau += stride {
-		delays = append(delays, tau, -tau)
+		dst = append(dst, tau, -tau)
 	}
-	return delays
+	return dst
 }
 
 // delayStarts returns where delay tau's window pairs begin on two series of

@@ -35,7 +35,8 @@ func checkScreen(t *testing.T, anchor, cand []float64, window, tdMax, stride int
 		return
 	}
 	opts := Options{Search: core.Options{TDMax: tdMax}, ScreenWindow: window, ScreenStride: stride}
-	s := newScreener(anchor, opts)
+	var s screener
+	s.reset(anchor, opts)
 	var sc screenScratch
 	got, err := s.screen(&sc, cand[:n])
 	if err != nil {
@@ -187,12 +188,13 @@ func fleetScreenEngine() *engine {
 		Search: core.Options{SMin: 8, SMax: 32, TDMax: 8},
 		Screen: true, ScreenWindow: 32, ScreenThreshold: 0.9, Workers: 1,
 	}.withDefaults()
-	return &engine{
+	e := &engine{
 		anchor: anchor, cands: cands, opts: opts,
 		slots:   make([]candState, len(cands)),
-		screen:  newScreener(anchor.Values, opts),
 		scratch: make([]screenScratch, 1),
 	}
+	e.screen.reset(anchor.Values, opts)
+	return e
 }
 
 // TestScreenWarmAllocs: screening a candidate with warm worker scratch

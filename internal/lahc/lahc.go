@@ -10,7 +10,11 @@
 // and 16–18), which is what Acceptor implements.
 package lahc
 
-import "math/rand"
+import (
+	"math/rand"
+
+	"tycos/internal/freelist"
+)
 
 // DefaultHistoryLength is the history size used when none is configured.
 const DefaultHistoryLength = 16
@@ -40,6 +44,15 @@ func (a *Acceptor) Renew(length int, initial float64, rng *rand.Rand) {
 		a.history[i] = initial
 	}
 	a.rng = rng
+}
+
+// Release drops a's history when it is above freelist.MaxBytes, so that an
+// acceptor kept in free scratch pins no outsized history; the next Renew
+// regrows it.
+func (a *Acceptor) Release() {
+	if !freelist.Fits[float64](cap(a.history)) {
+		a.history = nil
+	}
 }
 
 // Consider applies the acceptance policies of Algorithm 1 to a candidate

@@ -4,6 +4,8 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+
+	"tycos/internal/freelist"
 )
 
 func TestAcceptorBasicPolicies(t *testing.T) {
@@ -152,5 +154,27 @@ func TestLAHCEscapesPlateau(t *testing.T) {
 	}
 	if math.IsNaN(cur) {
 		t.Error("objective corrupted")
+	}
+}
+
+// TestReleaseDropsOutsizedHistory checks that Release keeps a history
+// within the retention bound, drops a longer one, and that the acceptor
+// renews as before either way.
+func TestReleaseDropsOutsizedHistory(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for _, tc := range []struct {
+		length int
+		kept   bool
+	}{{DefaultHistoryLength, true}, {freelist.MaxBytes/8 + 1, false}} {
+		var a Acceptor
+		a.Renew(tc.length, 0.5, rng)
+		a.Release()
+		if kept := a.history != nil; kept != tc.kept {
+			t.Errorf("length %d: history kept %v, want %v", tc.length, kept, tc.kept)
+		}
+		a.Renew(tc.length, 0.25, rng)
+		if h := a.History(); len(h) != tc.length || h[0] != 0.25 {
+			t.Errorf("length %d: renewed history has %d slots starting %v", tc.length, len(h), h[0])
+		}
 	}
 }

@@ -210,4 +210,16 @@ func TestTopK(t *testing.T) {
 	if NewTopK(0, 0).k != 1 {
 		t.Error("k must clamp to 1")
 	}
+	// Reset makes a used tracker a new one, reusing its storage.
+	tk.Reset(2, 0.3)
+	if tk.Len() != 0 || tk.Threshold() != 0.3 {
+		t.Errorf("after Reset: len %d, threshold %v, want 0 and the new seed", tk.Len(), tk.Threshold())
+	}
+	if n := testing.AllocsPerRun(10, func() {
+		tk.Reset(2, 0.3)
+		tk.Offer(0.4)
+		tk.Offer(0.6)
+	}); n != 0 || tk.Threshold() != 0.4 {
+		t.Errorf("a reset tracker allocates %v times and reads %v, want 0 and 0.4", n, tk.Threshold())
+	}
 }

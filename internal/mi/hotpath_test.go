@@ -62,6 +62,67 @@ func TestKSGBuildsNoEngineForKernelWindows(t *testing.T) {
 	}
 }
 
+// TestKSGRenewMatchesFresh checks that a renewed estimator is a new one:
+// after estimates at another k and backend, Renew gives the bits of
+// NewKSG and counts Estimates from zero, on windows on both sides of the
+// all-pairs bound, and so does a renewed zero KSG. A renewal that keeps k
+// and the backend keeps the warm engine, so it estimates without
+// allocating.
+func TestKSGRenewMatchesFresh(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	small, smallY := gaussianPair(rng, 40, 0.5)
+	large, largeY := gaussianPair(rng, 300, 0.5)
+	est := NewKSG(6, BackendBrute)
+	for _, w := range [][2][]float64{{small, smallY}, {large, largeY}} {
+		if _, err := est.Estimate(w[0], w[1]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, backend := range []Backend{BackendKDTree, BackendBrute} {
+		est.Renew(3, backend)
+		fresh := NewKSG(3, backend)
+		for _, w := range [][2][]float64{{small, smallY}, {large, largeY}} {
+			got, err := est.Estimate(w[0], w[1])
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := fresh.Estimate(w[0], w[1])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got != want {
+				t.Errorf("%s, m=%d: renewed estimate %v, new %v", backend, len(w[0]), got, want)
+			}
+		}
+		if est.Estimates() != 2 {
+			t.Errorf("%s: renewed estimator counts %d estimates, want 2", backend, est.Estimates())
+		}
+	}
+	var zero KSG
+	zero.Renew(0, BackendKDTree)
+	for _, w := range [][2][]float64{{small, smallY}, {large, largeY}} {
+		got, err := zero.Estimate(w[0], w[1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := NewKSG(0, BackendKDTree).Estimate(w[0], w[1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != want {
+			t.Errorf("m=%d: renewed zero KSG estimate %v, new %v", len(w[0]), got, want)
+		}
+	}
+	est.Renew(3, BackendBrute)
+	if got := testing.AllocsPerRun(5, func() {
+		if _, err := est.Estimate(large, largeY); err != nil {
+			t.Fatal(err)
+		}
+	}); got != 0 {
+		t.Errorf("an estimate after a renewal that kept k and the backend allocates %v times, want 0", got)
+	}
+}
+
 // TestIncrementalSlideAllocs pins the steady-state sliding cost: once the
 // state and list slabs and the scratch are warm, a remove+insert+MI step
 // stays off the heap.

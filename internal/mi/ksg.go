@@ -54,7 +54,7 @@ func (b Backend) String() string {
 // A max(count−1, 1) floor guards the digamma against a count collapsing to
 // 1 under floating-point boundary rounding on degenerate data.
 //
-// The zero value is not usable; construct with NewKSG.
+// The zero value is not usable; construct with NewKSG, or Renew one.
 //
 // A KSG carries a work counter (Estimates) and per-instance reusable scratch
 // (the point buffer and the engine's internal arenas persist across Estimate
@@ -84,6 +84,21 @@ func NewKSG(k int, backend Backend) *KSG {
 		k = DefaultK
 	}
 	return &KSG{k: k, backend: backend}
+}
+
+// Renew sets e up as NewKSG(k, backend) would, so that a KSG can be a
+// value (a zero one included) inside a longer-lived struct: a renewed
+// estimator gives the bits of a new one and counts its Estimates from zero.
+// It keeps its point buffer, and its engine when k and the backend are
+// unchanged.
+func (e *KSG) Renew(k int, backend Backend) {
+	if k < 1 {
+		k = DefaultK
+	}
+	if k != e.k || backend != e.backend {
+		e.engine = nil
+	}
+	e.k, e.backend, e.estimates = k, backend, 0
 }
 
 // Name implements Estimator.

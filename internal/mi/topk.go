@@ -1,6 +1,10 @@
 package mi
 
-import "sort"
+import (
+	"sort"
+
+	"tycos/internal/freelist"
+)
 
 // TopK implements the adaptive threshold of Section 6.3.2: it maintains the
 // K highest MI values seen so far, and Threshold() reports the current
@@ -15,10 +19,19 @@ type TopK struct {
 // NewTopK returns a tracker that keeps the k highest values, with the given
 // initial threshold (the MI of the initial window w₀ per the paper).
 func NewTopK(k int, seed float64) *TopK {
+	t := new(TopK)
+	t.Reset(k, seed)
+	return t
+}
+
+// Reset empties t and sets it up as NewTopK(k, seed) would, so a tracker
+// can be a value inside reusable scratch. It keeps the storage of the
+// retained values unless that is above freelist.MaxBytes.
+func (t *TopK) Reset(k int, seed float64) {
 	if k < 1 {
 		k = 1
 	}
-	return &TopK{k: k, seed: seed}
+	t.k, t.seed, t.vals = k, seed, freelist.Trim(t.vals)
 }
 
 // Offer records a candidate MI value and reports whether it entered the

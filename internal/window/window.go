@@ -8,8 +8,12 @@
 package window
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
+
+	"tycos/internal/freelist"
 )
 
 // Window is a time-delay window w = ([Start, End], Delay) over a series pair:
@@ -163,13 +167,17 @@ type Set struct {
 	items []Scored
 }
 
-// Items returns the accepted windows sorted by start index.
+// Items returns a copy of the accepted windows sorted by start index.
 func (s *Set) Items() []Scored {
 	out := make([]Scored, len(s.items))
 	copy(out, s.items)
-	sort.Slice(out, func(i, j int) bool { return out[i].Start < out[j].Start })
+	slices.SortFunc(out, func(a, b Scored) int { return cmp.Compare(a.Start, b.Start) })
 	return out
 }
+
+// Reset empties the set for reuse. It keeps the storage unless that is
+// above freelist.MaxBytes.
+func (s *Set) Reset() { s.items = freelist.Trim(s.items) }
 
 // Len returns the number of accepted windows.
 func (s *Set) Len() int { return len(s.items) }
