@@ -10,6 +10,7 @@ import (
 	"tycos/internal/freelist"
 	"tycos/internal/freelist/freelisttest"
 	"tycos/internal/mi"
+	"tycos/internal/obs"
 	"tycos/internal/series"
 	"tycos/internal/window"
 )
@@ -18,36 +19,52 @@ import (
 // Search on all four variants. The scorer and the climb's buffers live in
 // the segment scratch; the plan, the segment results, the candidate
 // buffers, the merged candidates and the accepted set live in the search
-// scratch; and events are boxed only for an observer. At SMax 60 every
-// window takes the batch route, whose estimators build no k-d tree. What
-// remains is the result's windows: 1 allocation per search on every
-// variant, under the race detector too, over 40–126 restarts. A boxed
-// event per restart, a new acceptor per climb or a candidate list grown
-// afresh pushes a variant past its bound. The collector is paused, as in
-// TestWarmSearchAllocsRepeat.
+// scratch; events are boxed only for a sink that reads them one by one;
+// and a search observed by the bare registry hands it one total per event
+// kind. At SMax 60 every window takes the batch route, whose estimators
+// build no k-d tree. What remains is the result's windows: 1 allocation
+// per search on every variant, unobserved or registry-observed, under the
+// race detector too, over 40–126 restarts. Two restart workers add one
+// closure each. A boxed event per restart, a new acceptor per climb or a
+// candidate list grown afresh pushes a variant past its bound. The
+// collector is paused, as in TestWarmSearchAllocsRepeat.
 func TestWarmSearchAllocsPerSearch(t *testing.T) {
 	p := testPair(23, 1500, 400, 520, 2)
-	for _, v := range []Variant{VariantL, VariantLN, VariantLM, VariantLMN} {
-		opts := defaultOpts()
-		opts.Variant = v
-		opts.RestartWorkers = 1
-		res, err := Search(p, opts) // warms the segment and search scratch
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Stats.Restarts < 10 || len(res.Windows) == 0 {
-			t.Fatalf("%v: %d restarts, %d windows; the bound needs a longer scan with a result", v, res.Stats.Restarts, len(res.Windows))
-		}
-		gc := debug.SetGCPercent(-1)
-		allocs := testing.AllocsPerRun(3, func() {
-			if _, err := Search(p, opts); err != nil {
+	for _, tc := range []struct {
+		name     string
+		workers  int
+		registry bool
+		bound    float64
+	}{
+		{"unobserved", 1, false, 2},
+		{"registry", 1, true, 2},
+		{"unobserved/2-workers", 2, false, 4},
+	} {
+		for _, v := range []Variant{VariantL, VariantLN, VariantLM, VariantLMN} {
+			opts := defaultOpts()
+			opts.Variant = v
+			opts.RestartWorkers = tc.workers
+			if tc.registry {
+				opts.Observer = obs.NewRegistry()
+			}
+			res, err := Search(p, opts) // warms the scratch and the registry's series
+			if err != nil {
 				t.Fatal(err)
 			}
-		})
-		debug.SetGCPercent(gc)
-		t.Logf("%v: %.0f allocations per search over %d restarts", v, allocs, res.Stats.Restarts)
-		if allocs > 2 {
-			t.Errorf("%v: %.0f allocations per search, want ≤ 2", v, allocs)
+			if res.Stats.Restarts < 10 || len(res.Windows) == 0 {
+				t.Fatalf("%s/%v: %d restarts, %d windows; the bound needs a longer scan with a result", tc.name, v, res.Stats.Restarts, len(res.Windows))
+			}
+			gc := debug.SetGCPercent(-1)
+			allocs := testing.AllocsPerRun(3, func() {
+				if _, err := Search(p, opts); err != nil {
+					t.Fatal(err)
+				}
+			})
+			debug.SetGCPercent(gc)
+			t.Logf("%s/%v: %.0f allocations per search over %d restarts", tc.name, v, allocs, res.Stats.Restarts)
+			if allocs > tc.bound {
+				t.Errorf("%s/%v: %.0f allocations per search, want ≤ %.0f", tc.name, v, allocs, tc.bound)
+			}
 		}
 	}
 }

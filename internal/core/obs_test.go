@@ -5,7 +5,9 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
+	"maps"
 	"math/rand"
 	"strings"
 	"sync"
@@ -234,6 +236,76 @@ func TestObserverDoesNotAlterSearch(t *testing.T) {
 	for i := range plain.Windows {
 		if plain.Windows[i] != observed.Windows[i] {
 			t.Errorf("window %d differs: %v vs %v", i, plain.Windows[i], observed.Windows[i])
+		}
+	}
+}
+
+// TestRegistryTalliesMatchStream checks the counting path. A search observed
+// by the bare registry hands it one total per event kind; the same search
+// observed through a fan-out to a registry and a trace streams every event.
+// Both registries must end with the same event, counter and phase totals,
+// on all four variants at 1 and 2 restart workers. The noise variants
+// prune directions and skip noise blocks, and a search that accepts no
+// window must leave no CandidateAccepted series behind, as the stream
+// leaves none.
+func TestRegistryTalliesMatchStream(t *testing.T) {
+	p := noisyPair(3, 500, 220, 300)
+	type search struct {
+		variant Variant
+		workers int
+		sigma   float64
+	}
+	var searches []search
+	for _, v := range []Variant{VariantL, VariantLN, VariantLM, VariantLMN} {
+		searches = append(searches, search{v, 1, 0}, search{v, 2, 0})
+	}
+	searches = append(searches, search{VariantLMN, 1, 5})
+	for _, tc := range searches {
+		name := fmt.Sprintf("%v/%d-workers/sigma-%g", tc.variant, tc.workers, tc.sigma)
+		opts := defaultOpts()
+		opts.Variant = tc.variant
+		opts.RestartWorkers = tc.workers
+		if tc.sigma > 0 {
+			opts.Sigma = tc.sigma
+		}
+		tallied, streamed := obs.NewRegistry(), obs.NewRegistry()
+		opts.Observer = tallied
+		res, err := Search(p, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tc.sigma > 0 && len(res.Windows) > 0 {
+			t.Fatalf("%s: %d windows accepted; the case needs none", name, len(res.Windows))
+		}
+		opts.Observer = obs.Multi(streamed, obs.NewTraceWriter(io.Discard))
+		if _, err := Search(p, opts); err != nil {
+			t.Fatal(err)
+		}
+		got, want := tallied.Snapshot(), streamed.Snapshot()
+		if !maps.Equal(got.Events, want.Events) {
+			t.Errorf("%s: tallied events %v, streamed %v", name, got.Events, want.Events)
+		}
+		if !maps.Equal(got.Counters, want.Counters) {
+			t.Errorf("%s: tallied counters %v, streamed %v", name, got.Counters, want.Counters)
+		}
+		if len(got.Phases) != len(want.Phases) {
+			t.Errorf("%s: %d phases timed, streamed %d", name, len(got.Phases), len(want.Phases))
+		}
+		for ph, h := range want.Phases {
+			if got.Phases[ph].Count != h.Count {
+				t.Errorf("%s: phase %s timed %d times, streamed %d", name, ph, got.Phases[ph].Count, h.Count)
+			}
+		}
+		// The totals must cover every kind the search emits.
+		if got.Events["ClimbFinished"] != int64(res.Stats.Restarts) || res.Stats.Restarts == 0 {
+			t.Errorf("%s: %d ClimbFinished for %d restarts", name, got.Events["ClimbFinished"], res.Stats.Restarts)
+		}
+		if got.Events["CandidateAccepted"] != int64(len(res.Windows)) {
+			t.Errorf("%s: %d CandidateAccepted for %d windows", name, got.Events["CandidateAccepted"], len(res.Windows))
+		}
+		if tc.variant.noise() && (got.Events["DirectionPruned"] == 0 || got.Events["NoiseBlockSkipped"] == 0) {
+			t.Errorf("%s: the noise search pruned %d directions and skipped %d blocks; the check needs both",
+				name, got.Events["DirectionPruned"], got.Events["NoiseBlockSkipped"])
 		}
 	}
 }

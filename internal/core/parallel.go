@@ -122,29 +122,32 @@ func restartSeed(root int64, seg, restart int) int64 {
 }
 
 // segmentResult is one segment's contribution, produced worker-locally and
-// merged by the coordinator in segment order. events and counters are
-// collected for an observed search only. cands is the segment's candidate
-// buffer in the search scratch; nothing in a segmentResult lives in the
-// segment scratch, which returns to the free list before the merge reads
-// it.
+// merged by the coordinator in segment order. Events (buffered or tallied)
+// and the scorer's counts are collected for an observed search only. cands
+// is the segment's candidate buffer in the search scratch; nothing in a
+// segmentResult lives in the segment scratch, which returns to the free
+// list before the merge reads it.
 type segmentResult struct {
 	cands    []window.Scored
 	stats    Stats
 	memoHits int
 	events   []obs.Event
-	counters []counter
+	tally    eventTally
+	counts   scorerCounts
 	stop     StopReason
 }
 
 // searchScratch is one search's scratch, held from planning to the end of
 // the merge. It carries what every segment reads, read-only during the
 // fan-out: the jittered pair, the options, the constraints, the calibrated
-// null model and the event label ("" unless observed). And it holds the
-// search's buffers: the segment plan, the segment results and, on the
-// parallel path, their panic slots, one candidate buffer per segment, the
-// merged candidate list, the top-K tracker and the accepted set. Every
-// segment writes only its own slots and buffer. Nothing the caller receives
-// lives here: the result's windows are copied out of the set.
+// null model, the event label ("" unless a streaming sink observes) and
+// whether the segments tally their events. And it holds the search's
+// buffers: the segment plan, the segment results and, on the parallel
+// path, their panic slots, cursor and wait group, one candidate buffer per
+// segment, the merged candidate list, the top-K tracker and the accepted
+// set. Every segment writes only its own slots and buffer. Nothing the
+// caller receives lives here: the result's windows are copied out of the
+// set.
 type searchScratch struct {
 	ctx      context.Context
 	pair     series.Pair
@@ -152,10 +155,13 @@ type searchScratch struct {
 	cons     window.Constraints
 	null     *nullModel
 	pairName string
+	tallying bool
 
 	segs    []segment
 	results []segmentResult
 	panics  []*workerPanic
+	next    atomic.Int32
+	wg      sync.WaitGroup
 	cands   [][]window.Scored
 	merged  []window.Scored
 	topk    mi.TopK
@@ -166,11 +172,11 @@ type searchScratch struct {
 var searchPool = freelist.New((*searchScratch).release)
 
 // release empties the scratch for the free list. It drops the search's
-// inputs, and the results their events and counters; the buffers are
-// emptied and kept unless one is above freelist.MaxBytes (the candidate
-// buffers count as one).
+// inputs, and the results their events; the buffers are emptied and kept
+// unless one is above freelist.MaxBytes (the candidate buffers count as
+// one).
 func (sc *searchScratch) release() {
-	sc.ctx, sc.pair, sc.opts, sc.null, sc.pairName = nil, series.Pair{}, Options{}, nil, ""
+	sc.ctx, sc.pair, sc.opts, sc.null, sc.pairName, sc.tallying = nil, series.Pair{}, Options{}, nil, "", false
 	sc.segs = freelist.Trim(sc.segs)
 	sc.results = freelist.Trim(sc.results)
 	sc.panics = freelist.Trim(sc.panics)
@@ -226,19 +232,19 @@ func (w *workerPanic) String() string {
 // ordering information leaks from the schedule. A panic inside a segment is
 // captured with its stack and rethrown on the calling goroutine after the
 // pool drains — same crash semantics as the sequential path, which is what
-// the sweep-level fault isolation relies on.
+// the sweep-level fault isolation relies on. The cursor and the wait group
+// live in the scratch, so a warm fan-out allocates one closure per worker.
 func (sc *searchScratch) parallel(segs []segment, workers int) []segmentResult {
 	sc.results = freelist.Grow(sc.results, len(segs))
 	sc.panics = freelist.Grow(sc.panics, len(segs))
 	results, panics := sc.results, sc.panics
-	var next int32
-	var wg sync.WaitGroup
+	sc.next.Store(0)
 	for w := 0; w < workers; w++ {
-		wg.Add(1)
+		sc.wg.Add(1)
 		go func() {
-			defer wg.Done()
+			defer sc.wg.Done()
 			for {
-				i := int(atomic.AddInt32(&next, 1)) - 1
+				i := int(sc.next.Add(1)) - 1
 				if i >= len(segs) {
 					return
 				}
@@ -253,7 +259,7 @@ func (sc *searchScratch) parallel(segs []segment, workers int) []segmentResult {
 			}
 		}()
 	}
-	wg.Wait()
+	sc.wg.Wait()
 	for _, pv := range panics {
 		if pv != nil {
 			panic(pv)
@@ -286,6 +292,7 @@ func (sc *searchScratch) segment(seg segment, evalBase int) segmentResult {
 		seg:       seg,
 		evalBase:  evalBase,
 		observing: sc.opts.Observer != nil,
+		tallying:  sc.tallying,
 		cands:     sc.cands[seg.index],
 		pairName:  sc.pairName,
 		scratch:   scratch,
@@ -301,12 +308,13 @@ func (sc *searchScratch) segment(seg segment, evalBase int) segmentResult {
 		stats:    s.stats,
 		memoHits: s.memoHits,
 		events:   s.events,
+		tally:    s.tally,
 		stop:     s.stop,
 	}
 	if s.observing {
-		sr.counters = s.scorer.counters()
+		sr.counts = s.scorer.counts()
 	}
-	// The scorer is done: counters are captured, so the segment's scratch
+	// The scorer is done: its counts are captured, so the segment's scratch
 	// goes back to the free list. None of sr lives in it.
 	segPool.Put(scratch)
 	return sr

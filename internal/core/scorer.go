@@ -5,6 +5,7 @@ import (
 	"math/rand"
 
 	"tycos/internal/mi"
+	"tycos/internal/obs"
 	"tycos/internal/series"
 	"tycos/internal/window"
 )
@@ -38,16 +39,40 @@ type scorer interface {
 	plan(nbs []window.Window, skip uint32)
 	// stats exposes the work counters accumulated so far.
 	stats() (batch, incremental int)
-	// counters exposes the estimator-level work counters beneath stats()
-	// (KSG estimations, incremental point operations) for the observability
-	// layer. Called once per search, at the end.
-	counters() []counter
+	// counts exposes the estimator-level work totals beneath stats() (KSG
+	// estimations, incremental point operations) for the observability
+	// layer. Called once per segment of an observed search, at its end.
+	counts() scorerCounts
 }
 
-// counter is one named estimator-level work total.
-type counter struct {
-	name  string
-	value int64
+// scorerCounts are a scorer's estimator-level work totals. The merge sums
+// them over a search's segments and emits them as the mi.* counters.
+type scorerCounts struct {
+	estimates int               // every KSG estimate, τ-planes' included
+	planes    int               // the estimates τ-planes served
+	inc       mi.IncrementalOps // the incremental estimators' point work
+}
+
+// add adds another segment's totals to c.
+func (c *scorerCounts) add(o scorerCounts) {
+	c.estimates += o.estimates
+	c.planes += o.planes
+	c.inc.Add(o.inc)
+}
+
+// emit publishes the totals as counters in a fixed order. Only an
+// incremental variant's scorer moves estimators, so only it reports their
+// work.
+func (c *scorerCounts) emit(sink obs.Sink, incremental bool) {
+	sink.Count("mi.ksg_estimates", int64(c.estimates))
+	sink.Count("mi.plane_estimates", int64(c.planes))
+	if !incremental {
+		return
+	}
+	sink.Count("mi.inc_inserts", int64(c.inc.Inserts))
+	sink.Count("mi.inc_removes", int64(c.inc.Removes))
+	sink.Count("mi.inc_refreshes", int64(c.inc.Refreshes))
+	sink.Count("mi.inc_requeries", int64(c.inc.Requeries))
 }
 
 // batchScorer re-estimates every window independently, from the τ-planes
@@ -188,11 +213,8 @@ func (s *batchScorer) plan(nbs []window.Window, skip uint32) {
 
 func (s *batchScorer) stats() (int, int) { return s.nBatch, 0 }
 
-func (s *batchScorer) counters() []counter {
-	return []counter{
-		{"mi.ksg_estimates", int64(s.est.Estimates() + s.nPlane)},
-		{"mi.plane_estimates", int64(s.nPlane)},
-	}
+func (s *batchScorer) counts() scorerCounts {
+	return scorerCounts{estimates: s.est.Estimates() + s.nPlane, planes: s.nPlane}
 }
 
 // incScorer keeps incremental KSG estimators positioned at recently scored
@@ -222,8 +244,8 @@ type incScorer struct {
 	nInc     int // incremental moves
 
 	// retired accumulates the op counters an estimator gathered before a
-	// rebuild reloaded it (Reload zeroes them), so counters() reports the
-	// whole search's point-level work, not just the current positions'.
+	// rebuild reloaded it (Reload zeroes them), so counts() reports the
+	// whole segment's point-level work, not just the current positions'.
 	retired mi.IncrementalOps
 
 	ids []int // reusable id scratch for rebuilds
@@ -412,7 +434,7 @@ func (s *incScorer) rebuild(w window.Window, slot *incState) (*incState, error) 
 	if inc == nil {
 		inc = mi.NewIncremental(s.k)
 	} else {
-		s.retire(inc)
+		s.retired.Add(inc.Ops())
 	}
 	inc.Reload(s.ids, xs, ys)
 	*slot = incState{inc: inc, cur: w, lastUse: s.tick}
@@ -420,35 +442,18 @@ func (s *incScorer) rebuild(w window.Window, slot *incState) (*incState, error) 
 	return slot, nil
 }
 
-// retire folds an estimator's op counters into the running totals.
-func (s *incScorer) retire(inc *mi.Incremental) {
-	ops := inc.Ops()
-	s.retired.Inserts += ops.Inserts
-	s.retired.Removes += ops.Removes
-	s.retired.Refreshes += ops.Refreshes
-	s.retired.Requeries += ops.Requeries
-}
-
 // stats counts routed batch estimates and rebuilds as from-scratch work.
 func (s *incScorer) stats() (int, int) { return s.small.nBatch + s.nRebuild, s.nInc }
 
-func (s *incScorer) counters() []counter {
-	total := s.retired
+func (s *incScorer) counts() scorerCounts {
+	c := s.small.counts()
+	c.inc = s.retired
 	for i := range s.states {
 		if st := &s.states[i]; st.inc != nil {
-			ops := st.inc.Ops()
-			total.Inserts += ops.Inserts
-			total.Removes += ops.Removes
-			total.Refreshes += ops.Refreshes
-			total.Requeries += ops.Requeries
+			c.inc.Add(st.inc.Ops())
 		}
 	}
-	return append(s.small.counters(),
-		counter{"mi.inc_inserts", int64(total.Inserts)},
-		counter{"mi.inc_removes", int64(total.Removes)},
-		counter{"mi.inc_refreshes", int64(total.Refreshes)},
-		counter{"mi.inc_requeries", int64(total.Requeries)},
-	)
+	return c
 }
 
 // jitterPair returns the pair with deterministic uniform dither of amplitude

@@ -17,9 +17,10 @@ import (
 
 // searcher carries the worker-local state of one restart segment's scan:
 // chained LAHC restarts over the segment's scan positions with a private
-// scorer, private stats, private candidate list and a private event buffer,
-// so segments can run on concurrent workers without any shared mutable state
-// (see parallel.go for the decomposition and its determinism rules).
+// scorer, private stats, private candidate list and a private event buffer
+// or tally, so segments can run on concurrent workers without any shared
+// mutable state (see parallel.go for the decomposition and its determinism
+// rules).
 type searcher struct {
 	pair   series.Pair
 	opts   Options
@@ -47,10 +48,58 @@ type searcher struct {
 	// carry a budget, see restartWorkers).
 	evalBase int
 
-	observing bool        // Options.Observer != nil: buffer events for replay
-	events    []obs.Event // worker-local buffer, replayed in merge order
+	// observing is set for an observed search. Its events are counted by
+	// kind in tally when the observer only counts them (tallying), and
+	// otherwise buffered in events, replayed in merge order.
+	observing bool
+	tallying  bool
+	tally     eventTally
+	events    []obs.Event
 	cands     []window.Scored
-	pairName  string // "x/y" event label, "" for unnamed series
+	pairName  string // "x/y" event label, "" for unnamed series or a tally
+}
+
+// kindCounter is a sink that only counts events, by kind: the bare
+// obs.Registry. A search observed by one hands it one total per kind
+// instead of every event, so no event is boxed, buffered or replayed. No
+// wrapper or fan-out implements it, so every other sink receives the
+// ordered event stream.
+type kindCounter interface {
+	// CountKind adds n events of the kind to the sink's totals.
+	CountKind(kind string, n int64)
+}
+
+// tallyKinds are the event kinds a segment emits, in the order the merge
+// hands their totals to a kindCounter.
+var tallyKinds = [...]string{
+	obs.RestartStarted{}.Kind(),
+	obs.ClimbFinished{}.Kind(),
+	obs.DirectionPruned{}.Kind(),
+	obs.NoiseBlockSkipped{}.Kind(),
+}
+
+// eventTally counts events by kind, indexed like tallyKinds.
+type eventTally [len(tallyKinds)]int64
+
+// add counts one event of the kind.
+func (t *eventTally) add(kind string) {
+	for i, k := range tallyKinds {
+		if k == kind {
+			t[i]++
+			return
+		}
+	}
+	panic("core: no tally for event kind " + kind)
+}
+
+// countInto hands the counter each kind's total, skipping kinds the search
+// never emitted, which per-event delivery would not have registered.
+func (t *eventTally) countInto(c kindCounter) {
+	for i, n := range t {
+		if n > 0 {
+			c.CountKind(tallyKinds[i], n)
+		}
+	}
 }
 
 // obsWindow converts a search window into its observability mirror.
@@ -66,13 +115,17 @@ func pairLabel(p series.Pair) string {
 	return p.X.Name + "/" + p.Y.Name
 }
 
-// emit buffers an event for ordered replay by the coordinator. Workers never
-// touch Options.Observer directly: replaying buffered events in segment order
-// keeps the trace identical for every RestartWorkers value. emit is generic
-// so that the event is boxed into an obs.Event inside the check: an
-// unobserved search allocates nothing for its events.
+// emit tallies an event by kind, or buffers it for ordered replay by the
+// coordinator. Workers never touch Options.Observer directly: replaying
+// buffered events in segment order keeps the trace identical for every
+// RestartWorkers value. emit is generic so that the event is boxed into an
+// obs.Event only when it is buffered: an unobserved or tallying search
+// allocates nothing for its events.
 func emit[E obs.Event](s *searcher, e E) {
-	if s.observing {
+	switch {
+	case s.tallying:
+		s.tally.add(e.Kind())
+	case s.observing:
 		s.events = append(s.events, e)
 	}
 }
@@ -110,26 +163,35 @@ func SearchContext(ctx context.Context, p series.Pair, opts Options) (Result, er
 	}
 	p = jitterPair(p, opts.Jitter, opts.Seed)
 	sink := opts.Observer
-	// Only an observed search's events carry the pair's label.
-	var pairName string
+	var (
+		searchSpan obs.SpanContext
+		counter    kindCounter
+		pairName   string
+	)
 	if sink != nil {
-		pairName = pairLabel(p)
-	}
-	// When the caller put a trace span in the context (e.g. the daemon's
-	// per-request root span), every observation of this search is stamped
-	// with a deterministic child span: the observer is wrapped once here, so
-	// worker event buffers stay raw and the byte-identical merge contract is
-	// untouched. The child is qualified by the pair so a sweep's searches get
-	// distinct spans under one request. With no span in the context (or no
-	// observer) this is a no-op and the nil-sink hot path stays free.
-	var searchSpan obs.SpanContext
-	if sink != nil {
-		if sc, ok := obs.SpanFromContext(ctx); ok {
+		// When the caller put a trace span in the context (e.g. the
+		// daemon's per-request root span), every observation of this search
+		// is stamped with a deterministic child span: the observer is
+		// wrapped once here, so worker event buffers stay raw and the
+		// byte-identical merge contract is untouched. The child is
+		// qualified by the pair so a sweep's searches get distinct spans
+		// under one request. With no span in the context this is a no-op.
+		parent, spanned := obs.SpanFromContext(ctx)
+		// An unstamped sink that only counts events gets one total per
+		// kind. The pair's label rides on every other sink's events and on
+		// the span's name.
+		if !spanned {
+			counter, _ = sink.(kindCounter)
+		}
+		if counter == nil {
+			pairName = pairLabel(p)
+		}
+		if spanned {
 			name := "search"
 			if pairName != "" {
 				name += ":" + pairName
 			}
-			searchSpan = sc.Child(name)
+			searchSpan = parent.Child(name)
 			sink = obs.WithSpan(sink, searchSpan)
 		}
 	}
@@ -157,6 +219,7 @@ func SearchContext(ctx context.Context, p series.Pair, opts Options) (Result, er
 	sc := searchPool.Take()
 	defer searchPool.Put(sc)
 	sc.ctx, sc.pair, sc.opts, sc.null, sc.pairName = ctx, p, opts, null, pairName
+	sc.tallying = counter != nil
 	sc.cons = opts.constraints(p.Len())
 	sc.segs = planSegments(sc.segs, p.Len(), opts)
 	segs := sc.segs
@@ -176,42 +239,25 @@ func SearchContext(ctx context.Context, p series.Pair, opts Options) (Result, er
 	// never ran, and reconstructing exactly that prefix here is what keeps
 	// partial results deterministic and mode-independent.
 	var (
-		stats        Stats
-		memoHits     int
-		stop         StopReason
-		counterNames []string
-		counterVals  map[string]int64
+		stats    Stats
+		memoHits int
+		stop     StopReason
+		tally    eventTally
+		counts   scorerCounts
 	)
 	candidates := sc.merged
 	restartOffset := 0
 	for _, sr := range segResults {
-		if sink != nil {
-			// Only an observed search's segments collect events and
-			// counters: nothing else reads them.
-			for _, e := range sr.events {
-				// Restart indices are worker-local; renumber into the global
-				// merge order so traces read like one sequential search.
-				switch ev := e.(type) {
-				case obs.RestartStarted:
-					ev.Restart += restartOffset
-					sink.Event(ev)
-				case obs.ClimbFinished:
-					ev.Restart += restartOffset
-					sink.Event(ev)
-				default:
-					sink.Event(e)
-				}
+		// Only an observed search's segments report events and counters:
+		// nothing else reads them.
+		if counter != nil {
+			for i, n := range sr.tally {
+				tally[i] += n
 			}
-			for _, c := range sr.counters {
-				if counterVals == nil {
-					counterVals = make(map[string]int64)
-				}
-				if _, seen := counterVals[c.name]; !seen {
-					counterNames = append(counterNames, c.name)
-				}
-				counterVals[c.name] += c.value
-			}
+		} else if sink != nil {
+			replay(sink, sr.events, restartOffset)
 		}
+		counts.add(sr.counts)
 		candidates = append(candidates, sr.cands...)
 		addStats(&stats, sr.stats)
 		memoHits += sr.memoHits
@@ -222,6 +268,9 @@ func SearchContext(ctx context.Context, p series.Pair, opts Options) (Result, er
 		}
 	}
 	sc.merged = candidates
+	if counter != nil {
+		tally.countInto(counter)
+	}
 	timing.Climb = clockSince(climbStart)
 	if sink != nil {
 		sink.PhaseEnd(obs.PhaseClimb, timing.Climb)
@@ -269,11 +318,18 @@ func SearchContext(ctx context.Context, p series.Pair, opts Options) (Result, er
 	stats.Timing = timing
 	if sink != nil {
 		sink.PhaseEnd(obs.PhaseFinalize, timing.Finalize)
-		// One CandidateAccepted per returned window, in output order.
-		for _, it := range items {
-			sink.Event(obs.CandidateAccepted{Pair: pairName, Window: obsWindow(it.Window), Score: it.MI})
+		// One CandidateAccepted per returned window, in output order; a
+		// kind counter gets their number (none for no window, as above).
+		if counter != nil {
+			if len(items) > 0 {
+				counter.CountKind(obs.CandidateAccepted{}.Kind(), int64(len(items)))
+			}
+		} else {
+			for _, it := range items {
+				sink.Event(obs.CandidateAccepted{Pair: pairName, Window: obsWindow(it.Window), Score: it.MI})
+			}
 		}
-		emitCounters(sink, opts, stats, memoHits, counterNames, counterVals)
+		emitCounters(sink, opts, stats, memoHits, &counts)
 		if searchSpan.Valid() {
 			sink.Event(obs.SpanFinished{Name: "search", DurationNS: int64(timing.Total)})
 		}
@@ -281,12 +337,30 @@ func SearchContext(ctx context.Context, p series.Pair, opts Options) (Result, er
 	return Result{Windows: items, Stats: stats, Partial: stop != StopCompleted}, nil
 }
 
+// replay delivers a segment's buffered events to the sink in order. Restart
+// indices are segment-local; renumbering them into the global merge order
+// makes a trace read like one sequential search.
+func replay(sink obs.Sink, events []obs.Event, restartOffset int) {
+	for _, e := range events {
+		switch ev := e.(type) {
+		case obs.RestartStarted:
+			ev.Restart += restartOffset
+			sink.Event(ev)
+		case obs.ClimbFinished:
+			ev.Restart += restartOffset
+			sink.Event(ev)
+		default:
+			sink.Event(e)
+		}
+	}
+}
+
 // emitCounters publishes the search's final counter totals to the observer.
 // Totals are emitted once per search rather than per increment, so counters
-// never touch the climb's hot path; scorer-level counters arrive pre-merged
-// across segments in first-seen order. memo_hits counts the
-// windows_evaluated that the segments' score memos answered.
-func emitCounters(sink obs.Sink, opts Options, stats Stats, memoHits int, names []string, vals map[string]int64) {
+// never touch the climb's hot path; scorer-level counters arrive summed
+// across segments. memo_hits counts the windows_evaluated that the
+// segments' score memos answered.
+func emitCounters(sink obs.Sink, opts Options, stats Stats, memoHits int, counts *scorerCounts) {
 	sink.Count("windows_evaluated", int64(stats.WindowsEvaluated))
 	sink.Count("memo_hits", int64(memoHits))
 	sink.Count("restarts", int64(stats.Restarts))
@@ -296,9 +370,7 @@ func emitCounters(sink obs.Sink, opts Options, stats Stats, memoHits int, names 
 		sink.Count("pruned_directions", int64(stats.PrunedDirections))
 		sink.Count("noise_blocks", int64(stats.NoiseBlocks))
 	}
-	for _, name := range names {
-		sink.Count(name, vals[name])
-	}
+	counts.emit(sink, opts.Variant.incremental())
 }
 
 // run executes the segment's chained restart loop: climb, record the local

@@ -286,8 +286,9 @@ type candState struct {
 // engine carries one Discover pass: its inputs, read-only while the
 // workers run, and its scratch, taken from a free list so that a warm pass
 // allocates only what it returns. The scratch is the candidate slots, the
-// shard plan, the screener, one screenScratch per screen worker, and the
-// merge's ranking and adaptive threshold. Nothing the caller receives
+// shard plan with its cursor and wait group, the screener, one
+// screenScratch per screen worker, and the merge's ranking and adaptive
+// threshold. Nothing the caller receives
 // lives here: the merge copies the ranking out, and each slot's result and
 // error are the candidate's own.
 type engine struct {
@@ -308,6 +309,10 @@ type engine struct {
 	progressMu    sync.Mutex
 	progressDone  int
 	progressTotal int
+
+	// next and wg are runShards' shard cursor and wait group.
+	next atomic.Int32
+	wg   sync.WaitGroup
 
 	// lostWorkers counts scheduler workers killed by an escaped panic (see
 	// runShards); nonzero forces Partial even when every slot resolved.
@@ -366,7 +371,7 @@ func Discover(ctx context.Context, anchor series.Series, candidates []series.Ser
 		e.screen.reset(anchor.Values, opts)
 		e.scratch = freelist.Grow(e.scratch, e.workers())
 		e.resetProgress(len(candidates))
-		e.runShards(ctx, e.screenCandidate, "screen")
+		e.runShards(ctx, (*engine).screenCandidate, "screen")
 	}
 	// The survivors, and with them the confirm total, are fixed at the
 	// screen barrier: every candidate the screen neither pruned nor failed
@@ -380,7 +385,7 @@ func Discover(ctx context.Context, anchor series.Series, candidates []series.Ser
 		}
 	}
 	e.resetProgress(survivors)
-	e.runShards(ctx, e.searchCandidate, "confirm")
+	e.runShards(ctx, (*engine).searchCandidate, "confirm")
 
 	return e.merge(ctx), nil
 }
@@ -390,18 +395,24 @@ func (e *engine) workers() int {
 	return min(e.opts.Workers, len(e.shards))
 }
 
+// shardWork processes candidate i on the given worker, in [0, workers).
+// The engine's phases pass their methods as method expressions, which,
+// unlike bound method values, allocate nothing.
+type shardWork func(e *engine, ctx context.Context, worker, i int)
+
 // runShards fans the shard plan over the worker pool: workers atomically
 // pull the next shard and process its candidates in index order, writing
-// only their own slots and their own scratch (work's worker argument, in
-// [0, workers)). No ordering information leaks from the schedule.
-func (e *engine) runShards(ctx context.Context, work func(ctx context.Context, worker, i int), phase string) {
+// only their own slots and their own scratch (work's worker argument). No
+// ordering information leaks from the schedule. The cursor and the wait
+// group live in the pass scratch, so a warm fan-out allocates one closure
+// per worker.
+func (e *engine) runShards(ctx context.Context, work shardWork, phase string) {
 	shards := e.shards
-	var next int32
-	var wg sync.WaitGroup
+	e.next.Store(0)
 	for w := 0; w < e.workers(); w++ {
-		wg.Add(1)
+		e.wg.Add(1)
 		go func() {
-			defer wg.Done()
+			defer e.wg.Done()
 			// Last-resort fault isolation: candidate-level panics are
 			// recovered inside the work funcs, so anything reaching here
 			// escaped them (a user OnProgress callback, say). It loses this
@@ -413,7 +424,7 @@ func (e *engine) runShards(ctx context.Context, work func(ctx context.Context, w
 				}
 			}()
 			for {
-				si := int(atomic.AddInt32(&next, 1)) - 1
+				si := int(e.next.Add(1)) - 1
 				if si >= len(shards) {
 					return
 				}
@@ -426,13 +437,13 @@ func (e *engine) runShards(ctx context.Context, work func(ctx context.Context, w
 					if ctx.Err() != nil {
 						continue
 					}
-					work(ctx, w, i)
+					work(e, ctx, w, i)
 					e.progress(phase, i)
 				}
 			}
 		}()
 	}
-	wg.Wait()
+	e.wg.Wait()
 }
 
 // searchCandidate confirms one survivor: journal replay when possible,

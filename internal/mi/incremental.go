@@ -93,6 +93,14 @@ type IncrementalOps struct {
 	Requeries int
 }
 
+// Add adds another estimator's counters to o.
+func (o *IncrementalOps) Add(p IncrementalOps) {
+	o.Inserts += p.Inserts
+	o.Removes += p.Removes
+	o.Refreshes += p.Refreshes
+	o.Requeries += p.Requeries
+}
+
 // Ops returns the work counters accumulated since construction.
 func (inc *Incremental) Ops() IncrementalOps { return inc.ops }
 

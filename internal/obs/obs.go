@@ -16,6 +16,12 @@
 // Prometheus /metrics scrape, in memory bounded by the number of names
 // rather than by traffic) — composable with Multi. All sinks are safe for
 // concurrent use, which a multi-pair sweep's workers require.
+//
+// Every sink receives the search's ordered event stream, except one that
+// only counts events by kind: a bare Registry, which the search hands one
+// total per kind through Registry.CountKind, so that observing a search
+// with it boxes and buffers no event. Wrapping it (WithSpan, Multi with
+// another sink) restores the stream.
 package obs
 
 import "time"

@@ -1,10 +1,9 @@
 package obs
 
 import (
-	"bufio"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -25,6 +24,11 @@ import (
 //	phase timings  → tycos_search_phase_duration_seconds{phase="climb"}
 //	gauges         → tycos_<name>
 //
+// Since it only counts events by kind, it also takes a kind's total at once
+// (CountKind): a search observed by the bare registry, with no other sink
+// beside it and no span to stamp, hands it one total per event kind instead
+// of the event stream, which every other sink still receives.
+//
 // Snapshot reads the same aggregate back keyed the way the Sink received it,
 // which is what tycosd's /statusz serves. Memory is bounded by the number of
 // distinct names, kinds and phases, never by traffic.
@@ -32,6 +36,8 @@ import (
 // Hot-path behaviour: after a family/series exists, every update is a
 // read-locked map lookup plus an atomic op — no allocation. Creating a
 // series (first sight of a name or label value) takes the write lock once.
+// WritePrometheus renders into one reused buffer, so a scrape's allocations
+// do not grow with the number of series.
 type Registry struct {
 	mu       sync.RWMutex
 	families map[string]*family
@@ -245,6 +251,13 @@ func sanitizeName(name string) string {
 // identically.
 func (r *Registry) Event(e Event) { r.events.With(e.Kind()).Inc() }
 
+// CountKind adds n events of one kind at once, exactly as n Event calls
+// would. A search observed by the bare registry reports its events this
+// way, one total per kind, instead of as a stream. A type that embeds a
+// Registry and overrides Event inherits CountKind too, so searches skip its
+// Event unless it overrides CountKind as well.
+func (r *Registry) CountKind(kind string, n int64) { r.events.With(kind).Add(n) }
+
 // Count implements Sink: dynamic counters surface as
 // tycos_<sanitized name>_total.
 func (r *Registry) Count(name string, delta int64) {
@@ -329,104 +342,153 @@ func values(byKey map[string]*Series) map[string]int64 {
 	return out
 }
 
-// escapeLabel escapes a label value for the text exposition format.
-func escapeLabel(v string) string {
-	if !strings.ContainsAny(v, `\"`+"\n") {
-		return v
-	}
-	v = strings.ReplaceAll(v, `\`, `\\`)
-	v = strings.ReplaceAll(v, "\n", `\n`)
-	return strings.ReplaceAll(v, `"`, `\"`)
-}
+// renderChunk is the size at which WritePrometheus hands its buffer to the
+// writer.
+const renderChunk = 4096
 
-// labelPairs renders {k="v",...} for a series, with extra appended last
-// (used for histogram le bounds). Empty schema and no extra renders "".
-func labelPairs(names, values []string, extraName, extraValue string) string {
-	if len(names) == 0 && extraName == "" {
-		return ""
+// leBounds are the histogram le label values the way Prometheus clients
+// print them: each finite bucket's upper bound, then +Inf.
+var leBounds = func() (out [HistogramBuckets + 1]string) {
+	for i := 0; i < HistogramBuckets; i++ {
+		out[i] = strconv.FormatFloat(HistogramUpper(i), 'g', -1, 64)
 	}
-	var b strings.Builder
-	b.WriteByte('{')
-	for i, n := range names {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		b.WriteString(n)
-		b.WriteString(`="`)
-		b.WriteString(escapeLabel(values[i]))
-		b.WriteString(`"`)
-	}
-	if extraName != "" {
-		if len(names) > 0 {
-			b.WriteByte(',')
-		}
-		b.WriteString(extraName)
-		b.WriteString(`="`)
-		b.WriteString(extraValue)
-		b.WriteString(`"`)
-	}
-	b.WriteByte('}')
-	return b.String()
-}
+	out[HistogramBuckets] = "+Inf"
+	return out
+}()
 
-// formatBound renders a histogram upper bound the way Prometheus clients do.
-func formatBound(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
+// keyedSeries is one series of a family with its key, the joined label
+// values the renderer sorts by.
+type keyedSeries struct {
+	key    string
+	series *Series
+}
 
 // WritePrometheus renders every family in text exposition format (version
 // 0.0.4): families sorted by name, one HELP and TYPE line each, series
 // sorted by label values, histograms as cumulative le-buckets plus _sum and
-// _count. The output is what GET /metrics serves.
+// _count. The output is what GET /metrics serves. Every line is appended
+// to one buffer, handed to w whenever it passes renderChunk bytes, and one
+// series list sized for the largest family serves every family, so a
+// render's allocations do not grow with the number of series.
 func (r *Registry) WritePrometheus(w io.Writer) error {
 	r.mu.RLock()
-	names := make([]string, 0, len(r.families))
-	for name := range r.families {
-		names = append(names, name)
-	}
-	fams := make([]*family, 0, len(names))
-	sort.Strings(names)
-	for _, name := range names {
-		fams = append(fams, r.families[name])
+	fams := make([]*family, 0, len(r.families))
+	for _, f := range r.families {
+		fams = append(fams, f)
 	}
 	r.mu.RUnlock()
-
-	bw := bufio.NewWriter(w)
+	slices.SortFunc(fams, func(a, b *family) int { return strings.Compare(a.name, b.name) })
+	most := 0
 	for _, f := range fams {
 		f.mu.RLock()
-		keys := make([]string, 0, len(f.series))
-		for k := range f.series {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		series := make([]*Series, 0, len(keys))
-		for _, k := range keys {
-			series = append(series, f.series[k])
+		most = max(most, len(f.series))
+		f.mu.RUnlock()
+	}
+	list := make([]keyedSeries, 0, most)
+	b := make([]byte, 0, 2*renderChunk)
+	for _, f := range fams {
+		f.mu.RLock()
+		list = list[:0]
+		for k, s := range f.series {
+			list = append(list, keyedSeries{key: k, series: s})
 		}
 		f.mu.RUnlock()
-		if len(series) == 0 {
+		if len(list) == 0 {
 			continue // a family with no series renders nothing, like client_golang
 		}
-		fmt.Fprintf(bw, "# HELP %s %s\n", f.name, f.help)
-		fmt.Fprintf(bw, "# TYPE %s %s\n", f.name, f.kind)
-		for _, s := range series {
-			switch f.kind {
-			case kindCounter, kindGauge:
-				fmt.Fprintf(bw, "%s%s %d\n", f.name, labelPairs(f.labels, s.labels, "", ""), s.Value())
-			case kindHistogram:
-				snap := s.hist.Snapshot()
-				cum := int64(0)
-				for i := 0; i < HistogramBuckets; i++ {
-					cum += snap.Buckets[i]
-					fmt.Fprintf(bw, "%s_bucket%s %d\n", f.name,
-						labelPairs(f.labels, s.labels, "le", formatBound(HistogramUpper(i))), cum)
+		slices.SortFunc(list, func(a, b keyedSeries) int { return strings.Compare(a.key, b.key) })
+		b = append(b, "# HELP "...)
+		b = append(b, f.name...)
+		b = append(b, ' ')
+		b = append(b, f.help...)
+		b = append(b, "\n# TYPE "...)
+		b = append(b, f.name...)
+		b = append(b, ' ')
+		b = append(b, f.kind.String()...)
+		b = append(b, '\n')
+		for _, ks := range list {
+			b = f.appendSeries(b, ks.series)
+			if len(b) >= renderChunk {
+				if _, err := w.Write(b); err != nil {
+					return err
 				}
-				fmt.Fprintf(bw, "%s_bucket%s %d\n", f.name,
-					labelPairs(f.labels, s.labels, "le", "+Inf"), snap.Count)
-				fmt.Fprintf(bw, "%s_sum%s %s\n", f.name,
-					labelPairs(f.labels, s.labels, "", ""), strconv.FormatFloat(snap.Sum, 'g', -1, 64))
-				fmt.Fprintf(bw, "%s_count%s %d\n", f.name,
-					labelPairs(f.labels, s.labels, "", ""), snap.Count)
+				b = b[:0]
 			}
 		}
 	}
-	return bw.Flush()
+	if len(b) == 0 {
+		return nil
+	}
+	_, err := w.Write(b)
+	return err
+}
+
+// appendSeries appends a series' sample lines: one for a counter or gauge,
+// the cumulative buckets, _sum and _count for a histogram.
+func (f *family) appendSeries(b []byte, s *Series) []byte {
+	if f.kind != kindHistogram {
+		b = appendSampleName(b, f.name, "", f.labels, s.labels, "")
+		b = strconv.AppendInt(b, s.Value(), 10)
+		return append(b, '\n')
+	}
+	snap := s.hist.Snapshot()
+	cum := int64(0)
+	for i := 0; i < HistogramBuckets; i++ {
+		cum += snap.Buckets[i]
+		b = appendSampleName(b, f.name, "_bucket", f.labels, s.labels, leBounds[i])
+		b = strconv.AppendInt(b, cum, 10)
+		b = append(b, '\n')
+	}
+	b = appendSampleName(b, f.name, "_bucket", f.labels, s.labels, leBounds[HistogramBuckets])
+	b = strconv.AppendInt(b, snap.Count, 10)
+	b = appendSampleName(append(b, '\n'), f.name, "_sum", f.labels, s.labels, "")
+	b = strconv.AppendFloat(b, snap.Sum, 'g', -1, 64)
+	b = appendSampleName(append(b, '\n'), f.name, "_count", f.labels, s.labels, "")
+	b = strconv.AppendInt(b, snap.Count, 10)
+	return append(b, '\n')
+}
+
+// appendSampleName appends a sample line up to its value: the name, the
+// suffix and {k="v",...}, with an le pair (a histogram bound) last, then a
+// space. An empty schema with no le bound appends no braces.
+func appendSampleName(b []byte, name, suffix string, names, values []string, le string) []byte {
+	b = append(b, name...)
+	b = append(b, suffix...)
+	if len(names) == 0 && le == "" {
+		return append(b, ' ')
+	}
+	b = append(b, '{')
+	for i, n := range names {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = appendLabel(b, n, values[i])
+	}
+	if le != "" {
+		if len(names) > 0 {
+			b = append(b, ',')
+		}
+		b = appendLabel(b, "le", le)
+	}
+	return append(b, "} "...)
+}
+
+// appendLabel appends name="value", the value escaped for the text
+// exposition format.
+func appendLabel(b []byte, name, value string) []byte {
+	b = append(b, name...)
+	b = append(b, `="`...)
+	for i := 0; i < len(value); i++ {
+		switch c := value[i]; c {
+		case '\\':
+			b = append(b, `\\`...)
+		case '\n':
+			b = append(b, `\n`...)
+		case '"':
+			b = append(b, `\"`...)
+		default:
+			b = append(b, c)
+		}
+	}
+	return append(b, '"')
 }

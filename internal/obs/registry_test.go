@@ -165,15 +165,16 @@ func TestSanitizeName(t *testing.T) {
 
 // TestRegistryWarmSinkAllocs pins the Sink hot path: once a counter or gauge
 // name, event kind or phase has been seen, emitting it again allocates
-// nothing.
+// nothing, and neither does a search's per-kind event total (CountKind).
 func TestRegistryWarmSinkAllocs(t *testing.T) {
 	r := NewRegistry()
 	var ev Event = ClimbFinished{} // boxed once, as an emitter holds it
 	for name, emit := range map[string]func(){
-		"Count":    func() { r.Count("daemon.search_requests", 1) },
-		"Gauge":    func() { r.Gauge("runtime.heap_bytes", 3) },
-		"PhaseEnd": func() { r.PhaseEnd(PhaseClimb, time.Millisecond) },
-		"Event":    func() { r.Event(ev) },
+		"Count":     func() { r.Count("daemon.search_requests", 1) },
+		"Gauge":     func() { r.Gauge("runtime.heap_bytes", 3) },
+		"PhaseEnd":  func() { r.PhaseEnd(PhaseClimb, time.Millisecond) },
+		"Event":     func() { r.Event(ev) },
+		"CountKind": func() { r.CountKind("ClimbFinished", 3) },
 	} {
 		emit() // first sight registers the series
 		if n := testing.AllocsPerRun(100, emit); n != 0 {
