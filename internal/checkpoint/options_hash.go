@@ -3,6 +3,7 @@ package checkpoint
 import (
 	"fmt"
 	"io"
+	"math"
 
 	"tycos/internal/core"
 )
@@ -34,4 +35,26 @@ func HashOptions(w io.Writer, o core.Options) {
 		o.HistoryLength, o.MinImprovement, int(o.Normalization), o.TopK,
 		int(o.Variant), o.Jitter, o.MaxEvaluations, o.SignificanceLevel)
 	fmt.Fprintf(w, "|%d", o.Seed)
+}
+
+// HashValues writes the FNV-64a digest of the values' IEEE-754 bits (each
+// value's eight bytes, least significant first) to w as "d<hex>|". A
+// journal fingerprint folds it in for each series a search reads, so a
+// journaled answer is replayed only for the same data, not merely for data
+// of the same names and length.
+func HashValues(w io.Writer, values []float64) {
+	const (
+		offset = 14695981039346656037
+		prime  = 1099511628211
+	)
+	h := uint64(offset)
+	for _, v := range values {
+		b := math.Float64bits(v)
+		for i := 0; i < 8; i++ {
+			h ^= b & 0xff
+			h *= prime
+			b >>= 8
+		}
+	}
+	fmt.Fprintf(w, "d%016x|", h)
 }

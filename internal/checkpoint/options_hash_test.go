@@ -2,6 +2,10 @@ package checkpoint
 
 import (
 	"bytes"
+	"encoding/binary"
+	"fmt"
+	"hash/fnv"
+	"math"
 	"reflect"
 	"testing"
 
@@ -102,6 +106,42 @@ func TestHashOptionsCoversAllFields(t *testing.T) {
 		}
 		if !moved {
 			t.Errorf("result-affecting field %s does not move the hash bytes; journaled results would replay across a change to it", field.Name)
+		}
+	}
+}
+
+// TestHashValues pins HashValues against hash/fnv over the values'
+// little-endian IEEE-754 bytes, and checks that the digest sees a value's
+// every bit, the sign of zero and the order of the values.
+func TestHashValues(t *testing.T) {
+	values := []float64{0, 1.5, -2.25, math.Pi, math.SmallestNonzeroFloat64, math.Inf(-1)}
+	ref := fnv.New64a()
+	for _, v := range values {
+		var b [8]byte
+		binary.LittleEndian.PutUint64(b[:], math.Float64bits(v))
+		ref.Write(b[:])
+	}
+	var buf bytes.Buffer
+	HashValues(&buf, values)
+	if want := fmt.Sprintf("d%016x|", ref.Sum64()); buf.String() != want {
+		t.Fatalf("HashValues wrote %q, want %q", buf.String(), want)
+	}
+	digest := func(vs ...float64) string {
+		var b bytes.Buffer
+		HashValues(&b, vs)
+		return b.String()
+	}
+	if digest() != "dcbf29ce484222325|" {
+		t.Errorf("empty digest %q, want the FNV-64a offset basis", digest())
+	}
+	for _, pair := range [][2][]float64{
+		{{1, 2}, {2, 1}},
+		{{0}, {math.Copysign(0, -1)}},
+		{{1}, {math.Nextafter(1, 2)}},
+		{{1}, {1, 1}},
+	} {
+		if digest(pair[0]...) == digest(pair[1]...) {
+			t.Errorf("%v and %v share a digest", pair[0], pair[1])
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"math/rand"
 	"runtime/debug"
@@ -25,20 +26,25 @@ import (
 // build no k-d tree. What remains is the result's windows: 1 allocation
 // per search on every variant, unobserved or registry-observed, under the
 // race detector too, over 40–126 restarts. Two restart workers add one
-// closure each. A boxed event per restart, a new acceptor per climb or a
+// closure each. A search bound to a warm score table, observed by the
+// registry, makes the same one: its probes and stores go to the table's
+// fixed sets. A boxed event per restart, a new acceptor per climb or a
 // candidate list grown afresh pushes a variant past its bound. The
 // collector is paused, as in TestWarmSearchAllocsRepeat.
 func TestWarmSearchAllocsPerSearch(t *testing.T) {
 	p := testPair(23, 1500, 400, 520, 2)
+	table := NewScoreTable()
 	for _, tc := range []struct {
 		name     string
 		workers  int
 		registry bool
 		bound    float64
+		table    bool
 	}{
-		{"unobserved", 1, false, 2},
-		{"registry", 1, true, 2},
-		{"unobserved/2-workers", 2, false, 4},
+		{"unobserved", 1, false, 2, false},
+		{"registry", 1, true, 2, false},
+		{"unobserved/2-workers", 2, false, 4, false},
+		{"registry/score-table", 1, true, 2, true},
 	} {
 		for _, v := range []Variant{VariantL, VariantLN, VariantLM, VariantLMN} {
 			opts := defaultOpts()
@@ -47,7 +53,12 @@ func TestWarmSearchAllocsPerSearch(t *testing.T) {
 			if tc.registry {
 				opts.Observer = obs.NewRegistry()
 			}
-			res, err := Search(p, opts) // warms the scratch and the registry's series
+			var h TableHandle
+			if tc.table {
+				h = table.Handle(0)
+			}
+			search := func() (Result, error) { return SearchTable(context.Background(), p, opts, h) }
+			res, err := search() // warms the scratch, the registry's series and the table
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -56,7 +67,7 @@ func TestWarmSearchAllocsPerSearch(t *testing.T) {
 			}
 			gc := debug.SetGCPercent(-1)
 			allocs := testing.AllocsPerRun(3, func() {
-				if _, err := Search(p, opts); err != nil {
+				if _, err := search(); err != nil {
 					t.Fatal(err)
 				}
 			})
@@ -236,7 +247,7 @@ func TestFreeScratchHoldsNoSamples(t *testing.T) {
 
 	// The walk must see what scratch in use holds.
 	live := segPool.Take()
-	sc := newScorer(small, parallelTestOpts().withDefaults(), nil, live)
+	sc := newScorer(small, parallelTestOpts().withDefaults(), nil, TableHandle{}, live)
 	if _, _, err := sc.both(window.Window{Start: 150, End: 190, Delay: 2}); err != nil {
 		t.Fatal(err)
 	}

@@ -29,7 +29,11 @@ import (
 //  2. Every worker owns all of its mutable state — scorer, incremental-MI
 //     estimators, k-NN structures, stats, event buffer. The only shared
 //     inputs (the jittered pair, the constraints, the calibrated null model)
-//     are read-only after construction.
+//     are read-only after construction. The one piece of shared mutable
+//     state is a bound search's score table (scoretable.go), and it is
+//     invisible in results and Stats: a hit returns the bits the estimate
+//     it replaces would give and counts as that estimate, so no worker can
+//     tell which other workers or searches filled it.
 //  3. Each restart's LAHC acceptor is seeded from a per-(segment, restart)
 //     split of the root seed, never from a shared stream.
 //  4. Workers never publish results; the coordinator merges segment outputs
@@ -154,6 +158,7 @@ type searchScratch struct {
 	opts     Options
 	cons     window.Constraints
 	null     *nullModel
+	table    TableHandle
 	pairName string
 	tallying bool
 
@@ -176,7 +181,7 @@ var searchPool = freelist.New((*searchScratch).release)
 // unless one is above freelist.MaxBytes (the candidate buffers count as
 // one).
 func (sc *searchScratch) release() {
-	sc.ctx, sc.pair, sc.opts, sc.null, sc.pairName, sc.tallying = nil, series.Pair{}, Options{}, nil, "", false
+	sc.ctx, sc.pair, sc.opts, sc.null, sc.table, sc.pairName, sc.tallying = nil, series.Pair{}, Options{}, nil, TableHandle{}, "", false
 	sc.segs = freelist.Trim(sc.segs)
 	sc.results = freelist.Trim(sc.results)
 	sc.panics = freelist.Trim(sc.panics)
@@ -286,7 +291,7 @@ func (sc *searchScratch) segment(seg segment, evalBase int) segmentResult {
 		pair:      sc.pair,
 		opts:      sc.opts,
 		cons:      sc.cons,
-		scorer:    newScorer(sc.pair, sc.opts, sc.null, scratch),
+		scorer:    newScorer(sc.pair, sc.opts, sc.null, sc.table, scratch),
 		null:      sc.null,
 		ctx:       sc.ctx,
 		seg:       seg,
@@ -321,20 +326,21 @@ func (sc *searchScratch) segment(seg segment, evalBase int) segmentResult {
 }
 
 // newScorer sets up the variant's scorer afresh in the segment scratch, over
-// the pair and sharing the read-only null model, with the scratch's τ-planes
-// for its batch estimates (none when planes are bypassed).
-func newScorer(p series.Pair, opts Options, null *nullModel, scratch *segScratch) scorer {
+// the pair and sharing the read-only null model and the search's score
+// table, with the scratch's τ-planes for its batch estimates (none when
+// planes are bypassed).
+func newScorer(p series.Pair, opts Options, null *nullModel, table TableHandle, scratch *segScratch) scorer {
 	var planes []tauPlane
 	if !opts.bypassPlanes {
 		planes = scratch.planes[:]
 	}
 	if opts.Variant.incremental() {
 		scratch.inc = newIncScorer(p, opts.K, opts.Normalization)
-		scratch.inc.null, scratch.inc.small.planes = null, planes
+		scratch.inc.null, scratch.inc.small.planes, scratch.inc.small.table = null, planes, table
 		return &scratch.inc
 	}
 	scratch.batch = newBatchScorer(p, opts.K, opts.Normalization)
-	scratch.batch.null, scratch.batch.planes = null, planes
+	scratch.batch.null, scratch.batch.planes, scratch.batch.table = null, planes, table
 	return &scratch.batch
 }
 

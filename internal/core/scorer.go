@@ -50,6 +50,7 @@ type scorer interface {
 type scorerCounts struct {
 	estimates int               // every KSG estimate, τ-planes' included
 	planes    int               // the estimates τ-planes served
+	hits      int               // the estimates a score table served instead
 	inc       mi.IncrementalOps // the incremental estimators' point work
 }
 
@@ -57,15 +58,19 @@ type scorerCounts struct {
 func (c *scorerCounts) add(o scorerCounts) {
 	c.estimates += o.estimates
 	c.planes += o.planes
+	c.hits += o.hits
 	c.inc.Add(o.inc)
 }
 
-// emit publishes the totals as counters in a fixed order. Only an
-// incremental variant's scorer moves estimators, so only it reports their
-// work.
-func (c *scorerCounts) emit(sink obs.Sink, incremental bool) {
+// emit publishes the totals as counters in a fixed order. Only a search
+// bound to a score table reports its hits, and only an incremental
+// variant's scorer moves estimators, so only it reports their work.
+func (c *scorerCounts) emit(sink obs.Sink, incremental, bound bool) {
 	sink.Count("mi.ksg_estimates", int64(c.estimates))
 	sink.Count("mi.plane_estimates", int64(c.planes))
+	if bound {
+		sink.Count("score_table_hits", int64(c.hits))
+	}
 	if !incremental {
 		return
 	}
@@ -75,8 +80,9 @@ func (c *scorerCounts) emit(sink obs.Sink, incremental bool) {
 	sink.Count("mi.inc_requeries", int64(c.inc.Requeries))
 }
 
-// batchScorer re-estimates every window independently, from the τ-planes
-// of the current neighbourhood where it can (see plan).
+// batchScorer re-estimates every window independently, from the score
+// table or the τ-planes of the current neighbourhood where it can (see
+// plan).
 type batchScorer struct {
 	pair   series.Pair
 	est    mi.KSG
@@ -90,6 +96,17 @@ type batchScorer struct {
 	planes []tauPlane
 	live   int
 	nPlane int
+
+	// table is the search's score table, the zero handle when it binds none
+	// (see scoretable.go). probes are the current neighbourhood's lookups,
+	// the first nProbe of them, and lone the last lookup of a window no plan
+	// covered. nHit counts the estimates the table served, which nBatch also
+	// counts.
+	table  TableHandle
+	probes [maxProbes]tableProbe
+	nProbe int
+	lone   tableProbe
+	nHit   int
 }
 
 // maxPlanes is the number of τ-planes a neighbourhood can have: its windows
@@ -136,12 +153,20 @@ func (s *batchScorer) scoreNull(w window.Window, null *nullModel) (float64, floa
 }
 
 // estimate returns the raw KSG estimate of w, with the samples it was
-// estimated on: from a τ-plane that holds w, or from scratch. Both give the
-// same bits (mi.Plane's contract), so the path does not show.
+// estimated on: from the score table, from a τ-plane that holds w, or from
+// scratch. All three give the same bits (mi.Plane's contract, and the
+// table holds only such estimates), so the path does not show. A fresh
+// estimate enters the table.
 func (s *batchScorer) estimate(w window.Window) (raw float64, xs, ys []float64, err error) {
 	xs, ys, err = s.pair.DelaySlice(w.Start, w.End, w.Delay)
 	if err != nil {
 		return 0, nil, nil, err
+	}
+	p := s.probe(w)
+	if p != nil && p.hit {
+		s.nHit++
+		s.nBatch++
+		return p.raw, xs, ys, nil
 	}
 	raw, ok := s.planeEstimate(w)
 	if ok {
@@ -149,8 +174,68 @@ func (s *batchScorer) estimate(w window.Window) (raw float64, xs, ys []float64, 
 	} else if raw, err = s.est.Estimate(xs, ys); err != nil {
 		return 0, nil, nil, err
 	}
+	if p != nil {
+		s.table.t.store(s.table, p.key, raw)
+		p.raw, p.hit = raw, true
+	}
 	s.nBatch++
 	return raw, xs, ys, nil
+}
+
+// probe returns w's table lookup: the one plan made for the neighbourhood,
+// or else a lookup made now. It returns nil when the search binds no table
+// or the key cannot hold w.
+func (s *batchScorer) probe(w window.Window) *tableProbe {
+	if s.table.t == nil {
+		return nil
+	}
+	for i := range s.probes[:s.nProbe] {
+		if s.probes[i].w == w {
+			return &s.probes[i]
+		}
+	}
+	p, ok := s.lookup(w)
+	if !ok {
+		return nil
+	}
+	s.lone = p
+	return &s.lone
+}
+
+// lookup looks w up in the table, or reports false when the key cannot
+// hold w.
+func (s *batchScorer) lookup(w window.Window) (tableProbe, bool) {
+	key, ok := tableKey(s.table.id, w)
+	if !ok {
+		return tableProbe{}, false
+	}
+	raw, hit := s.table.t.lookup(s.table, key)
+	return tableProbe{w: w, key: key, raw: raw, hit: hit}, true
+}
+
+// probeAll looks up in the table every window of the neighbourhood that
+// will reach the scorer, keeping the answers for estimate, and returns skip
+// with the hits added: they need no τ-plane.
+func (s *batchScorer) probeAll(nbs []window.Window, skip uint32) uint32 {
+	s.nProbe = 0
+	if s.table.t == nil {
+		return skip
+	}
+	for i, w := range nbs {
+		if skip&(1<<i) != 0 {
+			continue
+		}
+		p, ok := s.lookup(w)
+		if !ok {
+			continue
+		}
+		s.probes[s.nProbe] = p
+		s.nProbe++
+		if p.hit {
+			skip |= 1 << i
+		}
+	}
+	return skip
 }
 
 // planeEstimate estimates w from the live τ-plane of its delay, if that
@@ -165,10 +250,11 @@ func (s *batchScorer) planeEstimate(w window.Window) (float64, bool) {
 	return 0, false
 }
 
-// plan builds a τ-plane for each delay at which at least two of the
-// neighbourhood's windows reach the scorer: the union of those windows,
-// sliced once, with their intersection as the core. Every window of a
-// neighbourhood moves each end of the same range by −Δ, 0 or +Δ, so the
+// plan looks the neighbourhood's windows up in the score table (see
+// probeAll), then builds a τ-plane for each delay at which at least two of
+// the windows the table did not answer reach the scorer: the union of those
+// windows, sliced once, with their intersection as the core. Every window of
+// a neighbourhood moves each end of the same range by −Δ, 0 or +Δ, so the
 // windows of one delay share all but at most 4Δ points. A delay whose
 // windows' edges (the union less the core) outnumber their core gets no
 // plane: there a plane costs about what the windows cost one by one. Over
@@ -178,6 +264,7 @@ func (s *batchScorer) planeEstimate(w window.Window) (float64, bool) {
 // above the all-pairs bound, a core of k points or fewer) is estimated
 // from scratch as before.
 func (s *batchScorer) plan(nbs []window.Window, skip uint32) {
+	skip = s.probeAll(nbs, skip)
 	s.live = 0
 	for i := 0; i < len(nbs) && s.live < len(s.planes); {
 		delay := nbs[i].Delay
@@ -214,7 +301,7 @@ func (s *batchScorer) plan(nbs []window.Window, skip uint32) {
 func (s *batchScorer) stats() (int, int) { return s.nBatch, 0 }
 
 func (s *batchScorer) counts() scorerCounts {
-	return scorerCounts{estimates: s.est.Estimates() + s.nPlane, planes: s.nPlane}
+	return scorerCounts{estimates: s.est.Estimates() + s.nPlane, planes: s.nPlane, hits: s.nHit}
 }
 
 // incScorer keeps incremental KSG estimators positioned at recently scored

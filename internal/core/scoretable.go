@@ -1,0 +1,280 @@
+package core
+
+import (
+	"sync"
+	"sync/atomic"
+
+	"tycos/internal/mi"
+	"tycos/internal/window"
+)
+
+// The score table: raw KSG estimates shared across searches. A service that
+// searches the same stored pair again and again (another seed, σ, TopK or
+// SMax) re-estimates mostly windows an earlier search already estimated.
+// The score memo (memo.go) cannot see them: it lives and dies with one
+// restart segment. A ScoreTable is one fixed-size, concurrency-safe table
+// that every search bound to it reads and fills, keyed by (pair handle,
+// window); the handle names one pair's data at one KSG k.
+//
+// Only the batch scorer's estimates enter it: windows of at most
+// mi.KernelServes samples, which the packed key can hold. An incremental
+// variant's larger windows still move their estimators, so the estimator
+// positions and the MIIncremental and rebuild counts follow the unbound
+// sequence.
+//
+// The table is invisible in results and Stats. A raw estimate is a pure
+// function of the window's samples and k, so a hit returns the bits a fresh
+// estimate would give, and it counts as the batch estimate it replaces
+// (Stats.MIBatch). Only the mi.* counters see fewer estimates; a bound
+// search reports the estimates the table served as score_table_hits.
+//
+// Sizing: 3,072 sets of 16 ways, each way an 8-byte key, the 8-byte
+// estimate and a 2-byte age, 864 KiB in all. Share of the batch estimates a
+// table answered on daemon-mixed's request stream (16 pairs of 400 samples,
+// LMN, SMax 40, a fresh seed for 80 % of searches), 16-byte entries:
+//
+//	table    8-way LRU  16-way segmented LRU
+//	512 KiB  50 %       —
+//	768 KiB  —          75.5 %
+//	1 MiB    71 %       79 %
+//
+// An unbounded table would answer 89.7 %. Segmented LRU evicts the entries
+// no search has hit before the ones it has: a climb's one-off windows make
+// most of the stream, and they would otherwise push out the windows every
+// search of the pair passes through.
+const (
+	tableWays    = 16
+	tableSets    = 3072
+	tableStripes = 256 // mutexes; set i is guarded by stripe i % tableStripes
+
+	// TableHandles is the number of handles a table issues before it has to
+	// reset: the packed key holds a 16-bit handle, and 0 marks an empty way.
+	TableHandles = 1<<16 - 1
+
+	ageReferenced = 1 << 15 // set once a search has hit the entry
+	ageRank       = ageReferenced - 1
+)
+
+// tableSet is one set: ways addressed by key, 0 for an empty way. The
+// low bits of an age are the way's recency rank among the set's entries (0
+// the most recent); the high bit marks an entry some search hit.
+type tableSet struct {
+	keys [tableWays]uint64
+	vals [tableWays]float64
+	ages [tableWays]uint16
+}
+
+// paddedMutex keeps each stripe's mutex on a cache line of its own.
+type paddedMutex struct {
+	sync.Mutex
+	_ [56]byte
+}
+
+// ScoreTable is a fixed-size, concurrency-safe table of raw KSG estimates,
+// shared by the searches bound to it through SearchTable. It is allocated
+// once and reused, never grown; NewScoreTable documents its size.
+type ScoreTable struct {
+	sets    []tableSet
+	stripes [tableStripes]paddedMutex
+
+	// handleMu orders handle issuance and Reset. epoch names the handles
+	// issued since the last Reset; it changes only while every stripe is
+	// held, so a probe or store that checks it under its stripe never
+	// touches an entry of another epoch. next is the next handle to issue.
+	handleMu sync.Mutex
+	epoch    atomic.Uint32
+	next     uint32
+
+	occupied  atomic.Int64
+	evictions atomic.Int64
+}
+
+// TableHandle names one pair's data at one KSG k in a ScoreTable. The zero
+// handle binds nothing.
+type TableHandle struct {
+	t     *ScoreTable
+	id    uint16
+	k     int
+	epoch uint32
+}
+
+// TableStats is a table's fixed capacity in entries, its occupied entries
+// and the entries evicted since it was allocated.
+type TableStats struct {
+	Capacity  int   `json:"capacity"`
+	Occupied  int64 `json:"occupied"`
+	Evictions int64 `json:"evictions"`
+}
+
+// NewScoreTable allocates an empty table of tableSets×tableWays entries
+// (864 KiB).
+func NewScoreTable() *ScoreTable {
+	return &ScoreTable{sets: make([]tableSet, tableSets), next: 1}
+}
+
+// Handle issues a fresh handle for one pair's data at KSG k (k ≤ 0 means
+// mi.DefaultK). The caller must give each distinct pair of series values its
+// own handle, and may use a handle only while the values it names stay the
+// same. A handle is never issued twice between resets; when all are issued,
+// Handle resets the table first, so no key can name two pairs.
+func (t *ScoreTable) Handle(k int) TableHandle {
+	if k <= 0 {
+		k = mi.DefaultK
+	}
+	t.handleMu.Lock()
+	defer t.handleMu.Unlock()
+	if t.next > TableHandles {
+		t.resetLocked()
+	}
+	h := TableHandle{t: t, id: uint16(t.next), k: k, epoch: t.epoch.Load()}
+	t.next++
+	return h
+}
+
+// Live reports whether h was issued by t since its last reset. A stale
+// handle binds nothing: its searches neither read nor fill the table.
+func (t *ScoreTable) Live(h TableHandle) bool {
+	return h.t == t && h.epoch == t.epoch.Load()
+}
+
+// Reset empties the table and makes every handle it issued stale.
+func (t *ScoreTable) Reset() {
+	t.handleMu.Lock()
+	defer t.handleMu.Unlock()
+	t.resetLocked()
+}
+
+// resetLocked is Reset with handleMu held. A table no search has filled
+// keeps its pages untouched.
+func (t *ScoreTable) resetLocked() {
+	for i := range t.stripes {
+		t.stripes[i].Lock()
+	}
+	if t.occupied.Load() > 0 {
+		clear(t.sets)
+		t.occupied.Store(0)
+	}
+	t.epoch.Add(1)
+	t.next = 1
+	for i := range t.stripes {
+		t.stripes[i].Unlock()
+	}
+}
+
+// Stats returns the table's capacity, occupancy and evictions.
+func (t *ScoreTable) Stats() TableStats {
+	return TableStats{Capacity: tableSets * tableWays, Occupied: t.occupied.Load(), Evictions: t.evictions.Load()}
+}
+
+// tableKey packs a handle and a window into a key: handle 16 bits, start 28,
+// size−1 7, delay+4096 13. A window the packing cannot hold reports false
+// and bypasses the table.
+func tableKey(id uint16, w window.Window) (uint64, bool) {
+	size := w.Size()
+	if w.Start < 0 || w.Start >= 1<<28 || size < 1 || size > 1<<7 || w.Delay < -4096 || w.Delay >= 4096 {
+		return 0, false
+	}
+	return uint64(id)<<48 | uint64(w.Start)<<20 | uint64(size-1)<<13 | uint64(w.Delay+4096), true
+}
+
+// setOf returns the index of key's set.
+func setOf(key uint64) int {
+	h := (key * 0x9e3779b97f4a7c15) >> 32
+	return int(h * tableSets >> 32)
+}
+
+// lookup returns key's estimate, if the table holds it for h's epoch, and
+// marks the entry hit and most recent.
+func (t *ScoreTable) lookup(h TableHandle, key uint64) (float64, bool) {
+	i := setOf(key)
+	mu := &t.stripes[i%tableStripes]
+	mu.Lock()
+	defer mu.Unlock()
+	if h.epoch != t.epoch.Load() {
+		return 0, false
+	}
+	s := &t.sets[i]
+	// The loops range over pointers to the set's arrays: ranging over an
+	// array with a value variable copies it first.
+	for w, k := range &s.keys {
+		if k == key {
+			s.promote(w)
+			s.ages[w] |= ageReferenced
+			return s.vals[w], true
+		}
+	}
+	return 0, false
+}
+
+// store enters key's estimate for h's epoch. It takes an empty way, or else
+// evicts the least recent entry no search has hit, or else the least recent
+// entry.
+func (t *ScoreTable) store(h TableHandle, key uint64, raw float64) {
+	i := setOf(key)
+	mu := &t.stripes[i%tableStripes]
+	mu.Lock()
+	defer mu.Unlock()
+	if h.epoch != t.epoch.Load() {
+		return
+	}
+	s := &t.sets[i]
+	victim := -1
+	for w, k := range &s.keys {
+		if k == key {
+			// Another search stored it meanwhile, with the same bits.
+			s.promote(w)
+			return
+		}
+		if k == 0 && victim < 0 {
+			victim = w
+		}
+	}
+	if victim >= 0 {
+		t.occupied.Add(1)
+	} else {
+		t.evictions.Add(1)
+		worst := -1
+		for w, age := range &s.ages {
+			// An entry no search has hit goes before any that one has.
+			p := int(age & ageRank)
+			if age&ageReferenced == 0 {
+				p += tableWays
+			}
+			if p > worst {
+				victim, worst = w, p
+			}
+		}
+	}
+	s.promote(victim)
+	s.keys[victim], s.vals[victim] = key, raw
+	s.ages[victim] &^= ageReferenced
+}
+
+// promote makes way w the set's most recent: the entries more recent than
+// it (all entries, for an empty way) age by one rank, and w takes rank 0.
+// The ranks of a set's entries stay a permutation of 0…entries−1.
+func (s *tableSet) promote(w int) {
+	rank := uint16(tableWays)
+	if s.keys[w] != 0 {
+		rank = s.ages[w] & ageRank
+	}
+	for j, k := range &s.keys {
+		if k != 0 && s.ages[j]&ageRank < rank {
+			s.ages[j]++
+		}
+	}
+	s.ages[w] &^= ageRank
+}
+
+// tableProbe is one window's table lookup: its key, and its estimate when
+// the table held it or the scorer has since estimated it.
+type tableProbe struct {
+	w   window.Window
+	key uint64
+	raw float64
+	hit bool
+}
+
+// maxProbes bounds the windows one neighbourhood probes: plan's skip mask
+// has a bit per window.
+const maxProbes = 32

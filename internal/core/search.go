@@ -153,6 +153,20 @@ func Search(p series.Pair, opts Options) (Result, error) {
 // prefix-consistent output (work done by restart workers past the first
 // stopped segment is discarded to keep it so).
 func SearchContext(ctx context.Context, p series.Pair, opts Options) (Result, error) {
+	return SearchTable(ctx, p, opts, TableHandle{})
+}
+
+// SearchTable is SearchContext bound to a score table through h: the
+// search takes the raw KSG estimates of windows that earlier searches bound
+// to h's handle estimated from the table, and enters the ones it estimates
+// itself (see scoretable.go). h must name p's values at the search's KSG k,
+// as ScoreTable.Handle requires. Windows, Stats and events are those of
+// SearchContext whatever the table holds; an observer also receives the
+// score_table_hits counter. A jittered search binds nothing, and neither do
+// a handle for another k, a stale handle or the zero handle: a jittered
+// pair's values depend on the series' length, so they change as a stored
+// series grows.
+func SearchTable(ctx context.Context, p series.Pair, opts Options, h TableHandle) (Result, error) {
 	start := clockNow()
 	if err := opts.Validate(p.Len()); err != nil {
 		return Result{}, err
@@ -160,6 +174,9 @@ func SearchContext(ctx context.Context, p series.Pair, opts Options) (Result, er
 	opts = opts.withDefaults()
 	if err := p.CheckFinite(); err != nil {
 		return Result{}, errors.New("core: " + err.Error() + " (clean the input with series.FillMissing)")
+	}
+	if h.t == nil || opts.Jitter > 0 || h.k != opts.K || !h.t.Live(h) {
+		h = TableHandle{}
 	}
 	p = jitterPair(p, opts.Jitter, opts.Seed)
 	sink := opts.Observer
@@ -218,7 +235,7 @@ func SearchContext(ctx context.Context, p series.Pair, opts Options) (Result, er
 	// returns, after the result is copied out of it.
 	sc := searchPool.Take()
 	defer searchPool.Put(sc)
-	sc.ctx, sc.pair, sc.opts, sc.null, sc.pairName = ctx, p, opts, null, pairName
+	sc.ctx, sc.pair, sc.opts, sc.null, sc.pairName, sc.table = ctx, p, opts, null, pairName, h
 	sc.tallying = counter != nil
 	sc.cons = opts.constraints(p.Len())
 	sc.segs = planSegments(sc.segs, p.Len(), opts)
@@ -329,7 +346,7 @@ func SearchContext(ctx context.Context, p series.Pair, opts Options) (Result, er
 				sink.Event(obs.CandidateAccepted{Pair: pairName, Window: obsWindow(it.Window), Score: it.MI})
 			}
 		}
-		emitCounters(sink, opts, stats, memoHits, &counts)
+		emitCounters(sink, opts, stats, memoHits, &counts, h.t != nil)
 		if searchSpan.Valid() {
 			sink.Event(obs.SpanFinished{Name: "search", DurationNS: int64(timing.Total)})
 		}
@@ -359,8 +376,9 @@ func replay(sink obs.Sink, events []obs.Event, restartOffset int) {
 // Totals are emitted once per search rather than per increment, so counters
 // never touch the climb's hot path; scorer-level counters arrive summed
 // across segments. memo_hits counts the windows_evaluated that the
-// segments' score memos answered.
-func emitCounters(sink obs.Sink, opts Options, stats Stats, memoHits int, counts *scorerCounts) {
+// segments' score memos answered; a search bound to a score table also
+// reports the estimates the table served.
+func emitCounters(sink obs.Sink, opts Options, stats Stats, memoHits int, counts *scorerCounts, bound bool) {
 	sink.Count("windows_evaluated", int64(stats.WindowsEvaluated))
 	sink.Count("memo_hits", int64(memoHits))
 	sink.Count("restarts", int64(stats.Restarts))
@@ -370,7 +388,7 @@ func emitCounters(sink obs.Sink, opts Options, stats Stats, memoHits int, counts
 		sink.Count("pruned_directions", int64(stats.PrunedDirections))
 		sink.Count("noise_blocks", int64(stats.NoiseBlocks))
 	}
-	counts.emit(sink, opts.Variant.incremental())
+	counts.emit(sink, opts.Variant.incremental(), bound)
 }
 
 // run executes the segment's chained restart loop: climb, record the local

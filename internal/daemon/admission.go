@@ -22,7 +22,8 @@ type task struct {
 	ctx      context.Context
 	pair     series.Pair
 	opts     core.Options
-	jkeyX    string // journal key halves ("" when journaling is off)
+	table    core.TableHandle // the pair's score-table handle
+	jkeyX    string           // journal key halves ("" when journaling is off)
 	jkeyY    string
 	done     chan taskResult
 	pairName string
@@ -162,7 +163,7 @@ func (s *Server) searchOne(t *task) (res core.Result, err error) {
 			return core.Result{}, err
 		}
 	}
-	return core.SearchContext(t.ctx, t.pair, t.opts)
+	return core.SearchTable(t.ctx, t.pair, t.opts, t.table)
 }
 
 // Drain performs the graceful shutdown sequence: stop admitting (readyz and

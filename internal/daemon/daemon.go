@@ -36,6 +36,7 @@ import (
 	"time"
 
 	"tycos/internal/checkpoint"
+	"tycos/internal/core"
 	"tycos/internal/obs"
 )
 
@@ -153,6 +154,12 @@ type Server struct {
 
 	store store
 
+	// table is the process's score table (see scoreTable), and handles the
+	// handle of each stored pair at each KSG k this server has searched.
+	table    *core.ScoreTable
+	handleMu sync.Mutex
+	handles  map[pairKey]core.TableHandle
+
 	// admitMu serialises enqueue attempts against the queue close in
 	// Drain: admitters hold it shared, Drain exclusively, so a send on a
 	// closed queue cannot happen.
@@ -192,11 +199,16 @@ type Server struct {
 func New(cfg Config) (*Server, error) {
 	cfg = cfg.withDefaults()
 	s := &Server{
-		cfg:   cfg,
-		store: store{series: make(map[string][]float64)},
-		queue: make(chan *task, cfg.QueueDepth),
-		mux:   http.NewServeMux(),
+		cfg:     cfg,
+		store:   store{series: make(map[string][]float64)},
+		table:   scoreTable(),
+		handles: make(map[pairKey]core.TableHandle),
+		queue:   make(chan *task, cfg.QueueDepth),
+		mux:     http.NewServeMux(),
 	}
+	// A new server's pairs are new data: the estimates earlier servers left
+	// in the table can serve none of them.
+	s.table.Reset()
 	s.initTelemetry()
 	// Every counter, gauge and event the daemon emits lands in the registry,
 	// which /statusz reads back by name and /metrics renders.
@@ -221,6 +233,41 @@ func New(cfg Config) (*Server, error) {
 
 // Handler returns the daemon's HTTP handler (see routes in handlers.go).
 func (s *Server) Handler() http.Handler { return s.mux }
+
+// scoreTable returns the process's one score table, allocated by the first
+// server: its 864 KiB are allocated once, not per server, and a server
+// resets it when it starts. Servers in one process share it safely, since
+// each holds its own handles and a reset makes every issued handle stale.
+// The table is never persisted.
+var scoreTable = sync.OnceValue(core.NewScoreTable)
+
+// pairKey names a stored pair's data at one KSG k: the series names, which
+// the append-only store never rebinds to other values, and k.
+type pairKey struct {
+	x, y string
+	k    int
+}
+
+// tableHandle returns the score-table handle of the stored pair (x, y) at
+// KSG k, issuing one on the pair's first search and again after the table
+// was reset. A handle stays valid while the server lives because the store
+// only appends: every window a search of the pair can read holds the values
+// it held when the handle was issued. The map holds at most one table's
+// worth of handles: it is emptied when it reaches that many.
+func (s *Server) tableHandle(x, y string, k int) core.TableHandle {
+	key := pairKey{x: x, y: y, k: k}
+	s.handleMu.Lock()
+	defer s.handleMu.Unlock()
+	if h, ok := s.handles[key]; ok && s.table.Live(h) {
+		return h
+	}
+	if len(s.handles) >= core.TableHandles {
+		clear(s.handles)
+	}
+	h := s.table.Handle(k)
+	s.handles[key] = h
+	return h
+}
 
 // store holds the ingested series: append-only float64 columns keyed by
 // name. Appends may grow (reallocate) a column, but existing elements are

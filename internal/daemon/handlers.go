@@ -92,6 +92,7 @@ type statusResponse struct {
 	QueueDepth int              `json:"queue_depth"`
 	Inflight   int64            `json:"inflight"`
 	Series     []seriesInfo     `json:"series"`
+	ScoreTable core.TableStats  `json:"score_table"`
 	Journal    *journalStatus   `json:"journal,omitempty"`
 	Events     map[string]int64 `json:"events"`
 	Counters   map[string]int64 `json:"counters"`
@@ -107,6 +108,7 @@ func (s *Server) handleStatusz(w http.ResponseWriter, r *http.Request) {
 		QueueDepth: len(s.queue),
 		Inflight:   s.inflight.Load(),
 		Series:     s.store.Names(),
+		ScoreTable: s.table.Stats(),
 		Events:     snap.Events,
 		Counters:   snap.Counters,
 		Gauges:     snap.Gauges,
@@ -251,19 +253,23 @@ func (req *searchRequest) options() (core.Options, error) {
 }
 
 // fingerprint hashes everything that determines a search's result — the
-// pair, the data version (append-only, so the lengths), and every
+// pair's names, length and values (the aligned xv and yv), and every
 // result-affecting option — into the journal key, so a journaled result is
-// only ever replayed for a request that would recompute it identically.
-// The option fields are serialized by checkpoint.HashOptions, the one
-// canonical enumeration shared with the discovery engine, so a new
+// only ever replayed for a request that would recompute it identically. The
+// values' digest matters across restarts: the journal outlives the store,
+// so a restarted daemon can hold other values under the same names and
+// lengths. The option fields are serialized by checkpoint.HashOptions, the
+// one canonical enumeration shared with the discovery engine, so a new
 // result-affecting option cannot be threaded into one journal key and
 // forgotten in the other. Wall-clock timeouts are excluded by construction:
 // they are context deadlines, not Options fields, and a timeout either
 // leaves the result untouched or makes it partial, and partial results are
 // never journaled.
-func (req *searchRequest) fingerprint(n int, opts core.Options) string {
+func (req *searchRequest) fingerprint(xv, yv []float64, opts core.Options) string {
 	h := fnv.New64a()
-	fmt.Fprintf(h, "%s\x00%s\x00%d\x00", req.X, req.Y, n)
+	fmt.Fprintf(h, "%s\x00%s\x00%d\x00", req.X, req.Y, len(xv))
+	checkpoint.HashValues(h, xv)
+	checkpoint.HashValues(h, yv)
 	checkpoint.HashOptions(h, opts)
 	return fmt.Sprintf("%016x", h.Sum64())
 }
@@ -359,7 +365,7 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	jx, jy := req.X, req.Y+"\x1f"+req.fingerprint(n, opts)
+	jx, jy := req.X, req.Y+"\x1f"+req.fingerprint(xv[:n], yv[:n], opts)
 	s.sink.Count("daemon.search_requests", 1)
 	if s.journal != nil {
 		if res, ok := s.journal.Lookup(jx, jy); ok {
@@ -402,6 +408,7 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 
 	t := &task{
 		ctx: ctx, pair: pair, opts: opts,
+		table: s.tableHandle(req.X, req.Y, opts.K),
 		jkeyX: jx, jkeyY: jy,
 		done:     make(chan taskResult, 1),
 		pairName: req.X + "/" + req.Y,

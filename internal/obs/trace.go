@@ -2,6 +2,7 @@ package obs
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"io"
 	"strconv"
@@ -36,28 +37,25 @@ type TraceWriter struct {
 	counts map[string]int64
 	err    error
 	now    func() time.Time // test hook; defaults to time.Now
+
+	// line is the line being built and data the payload's encoding, which
+	// enc writes; both are reused, so a warm line allocates nothing of its
+	// own.
+	line []byte
+	data bytes.Buffer
+	enc  *json.Encoder
 }
 
 // NewTraceWriter returns a TraceWriter emitting to w. The caller keeps
 // ownership of w: Close flushes the trace but does not close w.
 func NewTraceWriter(w io.Writer) *TraceWriter {
-	return &TraceWriter{
+	t := &TraceWriter{
 		bw:     bufio.NewWriter(w),
 		counts: make(map[string]int64),
 		now:    time.Now,
 	}
-}
-
-// traceLine is the on-disk shape of one trace line. Trace/span/parent are
-// lower-case hex IDs, omitted for unstamped lines so untraced runs keep the
-// original schema byte for byte.
-type traceLine struct {
-	TS     string `json:"ts"`
-	Event  string `json:"event"`
-	Trace  string `json:"trace,omitempty"`
-	Span   string `json:"span,omitempty"`
-	Parent string `json:"parent,omitempty"`
-	Data   any    `json:"data,omitempty"`
+	t.enc = json.NewEncoder(&t.data)
+	return t
 }
 
 // Event implements Sink. A Traced event is unwrapped: the base event becomes
@@ -107,31 +105,60 @@ func (t *TraceWriter) write(kind string, data any) {
 }
 
 // writeSpan appends one line, stamping trace/span/parent when sc is valid;
-// the caller holds t.mu.
+// the caller holds t.mu. The line is built in t.line with the bytes
+// json.Marshal of a struct of the schema's fields would give: the fields in
+// schema order, lower-case hex IDs, trace/span/parent omitted when unstamped
+// and parent when zero, and data as encoding/json writes it (HTML-escaped,
+// as Marshal does). TestTraceWriterGolden pins those bytes.
 func (t *TraceWriter) writeSpan(kind string, sc SpanContext, data any) {
 	if t.err != nil {
 		return
 	}
-	line := traceLine{
-		TS:    t.now().UTC().Format(time.RFC3339Nano),
-		Event: kind,
-		Data:  data,
-	}
+	b := append(t.line[:0], `{"ts":"`...)
+	b = t.now().UTC().AppendFormat(b, time.RFC3339Nano)
+	b = append(b, `","event":`...)
+	b = appendJSONString(b, kind)
 	if sc.Valid() {
-		line.Trace = strconv.FormatUint(sc.TraceID, 16)
-		line.Span = strconv.FormatUint(sc.SpanID, 16)
+		b = append(b, `,"trace":"`...)
+		b = strconv.AppendUint(b, sc.TraceID, 16)
+		b = append(b, `","span":"`...)
+		b = strconv.AppendUint(b, sc.SpanID, 16)
 		if sc.Parent != 0 {
-			line.Parent = strconv.FormatUint(sc.Parent, 16)
+			b = append(b, `","parent":"`...)
+			b = strconv.AppendUint(b, sc.Parent, 16)
+		}
+		b = append(b, '"')
+	}
+	if data != nil {
+		t.data.Reset()
+		if err := t.enc.Encode(data); err != nil {
+			t.err = err
+			return
+		}
+		// Encode ends the value with a newline, which the line does not
+		// carry inside its braces.
+		b = append(b, `,"data":`...)
+		b = append(b, bytes.TrimSuffix(t.data.Bytes(), []byte{'\n'})...)
+	}
+	b = append(b, "}\n"...)
+	t.line = b
+	if _, err := t.bw.Write(b); err != nil {
+		t.err = err
+	}
+}
+
+// appendJSONString appends s as a JSON string. Event kinds are identifiers,
+// which need no escaping; any other string takes encoding/json's escaping.
+func appendJSONString(b []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < 0x20 || c >= 0x7f || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+			q, _ := json.Marshal(s) // a string always marshals
+			return append(b, q...)
 		}
 	}
-	b, err := json.Marshal(line)
-	if err != nil {
-		t.err = err
-		return
-	}
-	if _, err := t.bw.Write(append(b, '\n')); err != nil {
-		t.err = err
-	}
+	b = append(b, '"')
+	b = append(b, s...)
+	return append(b, '"')
 }
 
 // Flush drains buffered lines to the underlying writer and returns the
