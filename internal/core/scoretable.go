@@ -28,40 +28,51 @@ import (
 // (Stats.MIBatch). Only the mi.* counters see fewer estimates; a bound
 // search reports the estimates the table served as score_table_hits.
 //
-// Sizing: 3,072 sets of 16 ways, each way an 8-byte key, the 8-byte
-// estimate and a 2-byte age, 864 KiB in all. Share of the batch estimates a
-// table answered on daemon-mixed's request stream (16 pairs of 400 samples,
-// LMN, SMax 40, a fresh seed for 80 % of searches), 16-byte entries:
+// Sizing: 4,096 sets of 16 ways, 1 MiB in all. A way is one word beside its
+// 8-byte estimate. The packed key is mixed by a bijection on 64 bits; the
+// mixed key's top 12 bits pick the set, and the word holds the other 52
+// (the remainder) above a valid bit, a hit bit and the way's 4-bit recency
+// rank. A set and a remainder name exactly one key, so a hit never returns
+// another window's estimate. Share of the lookups a table answered after
+// warm-up on a replay of daemon-mixed's request stream (16 pairs of 400
+// samples, LMN, SMax 40, fresh seeds), 416 searches:
 //
-//	table    8-way LRU  16-way segmented LRU
-//	512 KiB  50 %       —
-//	768 KiB  —          75.5 %
-//	1 MiB    71 %       79 %
+//	sets × ways       way    table    answered
+//	3,072 × 16        18 B   864 KiB  79.1 %
+//	2,048 × 27        16 B   864 KiB  85.2 %
+//	4,096 × 16        16 B   1 MiB    88.5 %
+//	6,144 × 16        16 B   1.5 MiB  93.8 %
 //
-// An unbounded table would answer 89.7 %. Segmented LRU evicts the entries
-// no search has hit before the ones it has: a climb's one-off windows make
-// most of the stream, and they would otherwise push out the windows every
-// search of the pair passes through.
+// An unbounded table would answer 94.8 %, and Belady's optimum at 49,152
+// ways 90.6 %; LFU, RRIP and a doorkeeper filter at 49,152 ways all landed
+// within a point of segmented LRU, so the bytes go to ways, not policy.
+// Segmented LRU evicts the entries no search has hit before the ones it
+// has: a climb's one-off windows make most of the stream, and they would
+// otherwise push out the windows every search of the pair passes through.
 const (
 	tableWays    = 16
-	tableSets    = 3072
+	tableSetBits = 12
+	tableSets    = 1 << tableSetBits
 	tableStripes = 256 // mutexes; set i is guarded by stripe i % tableStripes
 
 	// TableHandles is the number of handles a table issues before it has to
-	// reset: the packed key holds a 16-bit handle, and 0 marks an empty way.
+	// reset: the packed key holds a 16-bit handle id, issued from 1.
 	TableHandles = 1<<16 - 1
 
-	ageReferenced = 1 << 15 // set once a search has hit the entry
-	ageRank       = ageReferenced - 1
+	// A way's word: the mixed key's remainder in bits 12–63, then wayValid,
+	// wayHit (set once a search has hit the entry) and the recency rank
+	// among the set's entries in bits 0–3 (0 the most recent). An empty way
+	// is 0; the valid bit keeps an entry whose remainder is 0 apart from it.
+	wayValid = 1 << 5
+	wayHit   = 1 << 4
+	wayRank  = tableWays - 1
+	wayState = wayHit | wayRank
 )
 
-// tableSet is one set: ways addressed by key, 0 for an empty way. The
-// low bits of an age are the way's recency rank among the set's entries (0
-// the most recent); the high bit marks an entry some search hit.
+// tableSet is one set: each way's word, and its estimate.
 type tableSet struct {
-	keys [tableWays]uint64
-	vals [tableWays]float64
-	ages [tableWays]uint16
+	words [tableWays]uint64
+	vals  [tableWays]float64
 }
 
 // paddedMutex keeps each stripe's mutex on a cache line of its own.
@@ -107,7 +118,7 @@ type TableStats struct {
 }
 
 // NewScoreTable allocates an empty table of tableSets×tableWays entries
-// (864 KiB).
+// (1 MiB).
 func NewScoreTable() *ScoreTable {
 	return &ScoreTable{sets: make([]tableSet, tableSets), next: 1}
 }
@@ -177,16 +188,25 @@ func tableKey(id uint16, w window.Window) (uint64, bool) {
 	return uint64(id)<<48 | uint64(w.Start)<<20 | uint64(size-1)<<13 | uint64(w.Delay+4096), true
 }
 
-// setOf returns the index of key's set.
-func setOf(key uint64) int {
-	h := (key * 0x9e3779b97f4a7c15) >> 32
-	return int(h * tableSets >> 32)
+// mix is a bijection on 64 bits: right xor-shifts and multiplications by
+// odd constants (SplitMix64's finalizer without its last shift, which moves
+// no bit into the set index).
+func mix(key uint64) uint64 {
+	key = (key ^ key>>30) * 0xbf58476d1ce4e5b9
+	return (key ^ key>>27) * 0x94d049bb133111eb
+}
+
+// slotOf returns the index of key's set, and the word of a way that holds
+// key, less its hit bit and rank.
+func slotOf(key uint64) (int, uint64) {
+	m := mix(key)
+	return int(m >> (64 - tableSetBits)), m<<tableSetBits | wayValid
 }
 
 // lookup returns key's estimate, if the table holds it for h's epoch, and
 // marks the entry hit and most recent.
 func (t *ScoreTable) lookup(h TableHandle, key uint64) (float64, bool) {
-	i := setOf(key)
+	i, tag := slotOf(key)
 	mu := &t.stripes[i%tableStripes]
 	mu.Lock()
 	defer mu.Unlock()
@@ -194,12 +214,12 @@ func (t *ScoreTable) lookup(h TableHandle, key uint64) (float64, bool) {
 		return 0, false
 	}
 	s := &t.sets[i]
-	// The loops range over pointers to the set's arrays: ranging over an
+	// The loops range over a pointer to the set's array: ranging over an
 	// array with a value variable copies it first.
-	for w, k := range &s.keys {
-		if k == key {
+	for w, word := range &s.words {
+		if word&^wayState == tag {
 			s.promote(w)
-			s.ages[w] |= ageReferenced
+			s.words[w] |= wayHit
 			return s.vals[w], true
 		}
 	}
@@ -210,7 +230,7 @@ func (t *ScoreTable) lookup(h TableHandle, key uint64) (float64, bool) {
 // evicts the least recent entry no search has hit, or else the least recent
 // entry.
 func (t *ScoreTable) store(h TableHandle, key uint64, raw float64) {
-	i := setOf(key)
+	i, tag := slotOf(key)
 	mu := &t.stripes[i%tableStripes]
 	mu.Lock()
 	defer mu.Unlock()
@@ -219,13 +239,13 @@ func (t *ScoreTable) store(h TableHandle, key uint64, raw float64) {
 	}
 	s := &t.sets[i]
 	victim := -1
-	for w, k := range &s.keys {
-		if k == key {
+	for w, word := range &s.words {
+		if word&^wayState == tag {
 			// Another search stored it meanwhile, with the same bits.
 			s.promote(w)
 			return
 		}
-		if k == 0 && victim < 0 {
+		if word == 0 && victim < 0 {
 			victim = w
 		}
 	}
@@ -234,10 +254,10 @@ func (t *ScoreTable) store(h TableHandle, key uint64, raw float64) {
 	} else {
 		t.evictions.Add(1)
 		worst := -1
-		for w, age := range &s.ages {
+		for w, word := range &s.words {
 			// An entry no search has hit goes before any that one has.
-			p := int(age & ageRank)
-			if age&ageReferenced == 0 {
+			p := int(word & wayRank)
+			if word&wayHit == 0 {
 				p += tableWays
 			}
 			if p > worst {
@@ -246,24 +266,23 @@ func (t *ScoreTable) store(h TableHandle, key uint64, raw float64) {
 		}
 	}
 	s.promote(victim)
-	s.keys[victim], s.vals[victim] = key, raw
-	s.ages[victim] &^= ageReferenced
+	s.words[victim], s.vals[victim] = tag, raw
 }
 
 // promote makes way w the set's most recent: the entries more recent than
 // it (all entries, for an empty way) age by one rank, and w takes rank 0.
 // The ranks of a set's entries stay a permutation of 0…entries−1.
 func (s *tableSet) promote(w int) {
-	rank := uint16(tableWays)
-	if s.keys[w] != 0 {
-		rank = s.ages[w] & ageRank
+	rank := uint64(tableWays)
+	if s.words[w] != 0 {
+		rank = s.words[w] & wayRank
 	}
-	for j, k := range &s.keys {
-		if k != 0 && s.ages[j]&ageRank < rank {
-			s.ages[j]++
+	for j, word := range &s.words {
+		if word != 0 && word&wayRank < rank {
+			s.words[j]++
 		}
 	}
-	s.ages[w] &^= ageRank
+	s.words[w] &^= wayRank
 }
 
 // tableProbe is one window's table lookup: its key, and its estimate when

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"math/rand"
 	"reflect"
 	"runtime"
 	"runtime/debug"
@@ -11,7 +12,9 @@ import (
 	"testing"
 
 	"tycos/internal/mi"
+	"tycos/internal/obs"
 	"tycos/internal/series"
+	"tycos/internal/synth"
 	"tycos/internal/window"
 )
 
@@ -360,6 +363,12 @@ func TestScoreTableEvictsUnhitFirst(t *testing.T) {
 	}
 }
 
+// setOf returns the index of key's set.
+func setOf(key uint64) int {
+	i, _ := slotOf(key)
+	return i
+}
+
 func indexOf(keys []uint64, key uint64) int {
 	for i, k := range keys {
 		if k == key {
@@ -403,6 +412,156 @@ func TestTableKeyPacking(t *testing.T) {
 		if _, ok := tableKey(1, w); ok {
 			t.Errorf("%v fits the key", w)
 		}
+	}
+}
+
+// unmix inverts mix: each multiplication by its constant's inverse modulo
+// 2⁶⁴, each right xor-shift by folding the shifted bits back in.
+func unmix(m uint64) uint64 {
+	m *= inverseOdd(0x94d049bb133111eb)
+	m = unxorshift(m, 27)
+	m *= inverseOdd(0xbf58476d1ce4e5b9)
+	return unxorshift(m, 30)
+}
+
+// inverseOdd returns c's inverse modulo 2⁶⁴ by Newton's iteration: an odd
+// c is its own inverse modulo 8, and each step doubles the correct bits.
+func inverseOdd(c uint64) uint64 {
+	inv := c
+	for i := 0; i < 5; i++ {
+		inv *= 2 - c*inv
+	}
+	return inv
+}
+
+// unxorshift returns the x with x ^ x>>s == y: each pass fixes s more of
+// the top bits.
+func unxorshift(y uint64, s uint) uint64 {
+	x := y
+	for i := s; i < 64; i += s {
+		x = y ^ x>>s
+	}
+	return x
+}
+
+// TestTableMixRoundTrip checks that mix is a bijection, so that a set and
+// the remainder a way keeps name exactly one key: unmix recovers every key
+// from its mix, and from its set index and way word.
+func TestTableMixRoundTrip(t *testing.T) {
+	var keys []uint64
+	for _, id := range []uint16{1, TableHandles} {
+		for _, start := range []int{0, 1<<28 - 1} {
+			for _, size := range []int{1, 128} {
+				for _, delay := range []int{-4096, -4095, 4095} {
+					key, ok := tableKey(id, window.Window{Start: start, End: start + size - 1, Delay: delay})
+					if !ok {
+						t.Fatalf("handle %d, start %d, size %d, delay %d: does not fit", id, start, size, delay)
+					}
+					keys = append(keys, key)
+				}
+			}
+		}
+	}
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 100000; i++ {
+		keys = append(keys, rng.Uint64())
+	}
+	keys = append(keys, 0, math.MaxUint64)
+	for _, key := range keys {
+		if got := unmix(mix(key)); got != key {
+			t.Fatalf("unmix(mix(%#x)) = %#x", key, got)
+		}
+		i, word := slotOf(key)
+		if word&wayValid == 0 || word&wayState != 0 {
+			t.Fatalf("key %#x: way word %#x does not carry just the valid bit below the remainder", key, word)
+		}
+		if got := unmix(uint64(i)<<(64-tableSetBits) | word>>tableSetBits); got != key {
+			t.Fatalf("key %#x: set %d and word %#x name %#x", key, i, word, got)
+		}
+	}
+}
+
+// TestScoreTableNoFalseHits fills one set with twice its ways of keys that
+// share their handle and delay, and a key whose remainder is 0, and checks
+// that every lookup returns its own key's estimate or misses: the ways
+// stored last hit, the ones they evicted miss, and none answers for another
+// key.
+func TestScoreTableNoFalseHits(t *testing.T) {
+	table := NewScoreTable()
+	h := table.Handle(0)
+	var keys []uint64
+	target := -1
+	for start := 0; len(keys) < 2*tableWays; start++ {
+		key, _ := tableKey(h.id, window.Window{Start: start, End: start + 15, Delay: 3})
+		if target < 0 {
+			target = setOf(key)
+		}
+		if setOf(key) == target {
+			keys = append(keys, key)
+		}
+	}
+	zero := unmix(uint64(target) << (64 - tableSetBits)) // remainder 0
+	if _, ok := table.lookup(h, zero); ok {
+		t.Fatal("an empty table answered a key whose remainder is 0")
+	}
+	keys = append(keys, zero)
+	for i, key := range keys {
+		table.store(h, key, float64(i))
+	}
+	for i, key := range keys {
+		v, ok := table.lookup(h, key)
+		if want := i >= len(keys)-tableWays; ok != want {
+			t.Errorf("key %d of %d (%#x): hit %v, want %v", i, len(keys), key, ok, want)
+		}
+		if ok && v != float64(i) {
+			t.Errorf("key %d (%#x) returned key %v's estimate", i, key, v)
+		}
+	}
+}
+
+// TestScoreTableReplayHitShare replays a stream shaped like tycosd's on
+// daemon-mixed through one table, at one restart worker so that it is
+// deterministic: a seed-1 search of each of 16 pairs of 400 samples (LMN,
+// SMax 40), then 100 searches at fresh seeds of pairs drawn at random.
+// After that warm-up, the table must serve at least hitFloor of the
+// window estimates the searches ask for. The table reads 0.867 here; a
+// table of 3,072 sets of 16 18-byte ways (864 KiB) reads 0.787 and fails.
+func TestScoreTableReplayHitShare(t *testing.T) {
+	const (
+		pairs    = 16
+		searches = 100
+		hitFloor = 0.85
+	)
+	table := NewScoreTable()
+	ps := make([]series.Pair, pairs)
+	hs := make([]TableHandle, pairs)
+	for p := range ps {
+		c, err := synth.CorrelatedAR(400, 2, 60, 2, int64(9000+p))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ps[p], hs[p] = c.Pair, table.Handle(0)
+	}
+	search := func(p int, seed int64, sink obs.Sink) {
+		opts := Options{SMin: 8, SMax: 40, TDMax: 8, Sigma: 0.3, Variant: VariantLMN, RestartWorkers: 1, Seed: seed, Observer: sink}
+		if _, err := SearchTable(context.Background(), ps[p], opts, hs[p]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for p := range ps {
+		search(p, 1, nil)
+	}
+	sink := newCollectSink()
+	rng := rand.New(rand.NewSource(5))
+	for i := 0; i < searches; i++ {
+		search(rng.Intn(pairs), int64(2+i), sink)
+	}
+	hits, estimates := sink.counts["score_table_hits"], sink.counts["mi.ksg_estimates"]
+	share := float64(hits) / float64(hits+estimates)
+	t.Logf("%d searches after warm-up: %d table hits, %d estimates, share %.4f; table %+v",
+		searches, hits, estimates, share, table.Stats())
+	if share < hitFloor {
+		t.Errorf("the table served %.4f of the estimates after warm-up, want at least %.2f", share, hitFloor)
 	}
 }
 

@@ -141,7 +141,7 @@ func TestScoreTableObservable(t *testing.T) {
 	if err := json.Unmarshal([]byte(body), &st); err != nil {
 		t.Fatal(err)
 	}
-	if st.ScoreTable.Capacity != 3072*16 || st.ScoreTable.Occupied <= 0 || st.ScoreTable.Occupied > int64(st.ScoreTable.Capacity) {
+	if st.ScoreTable.Capacity != scoreTable().Stats().Capacity || st.ScoreTable.Occupied <= 0 || st.ScoreTable.Occupied > int64(st.ScoreTable.Capacity) {
 		t.Errorf("/statusz score_table = %+v", st.ScoreTable)
 	}
 	if !strings.Contains(body, `"evictions":`) {

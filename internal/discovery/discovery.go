@@ -253,13 +253,18 @@ func CandidateSeed(root int64, index int) int64 {
 }
 
 // fingerprint hashes everything that determines one candidate's confirmation
-// result — the pair identity, the aligned length, the candidate's fleet
+// result — the pair identity, the aligned length and values (av and cv, the
+// anchor's and the candidate's first n values), the candidate's fleet
 // position (it seeds the search) and every result-affecting search option —
 // so a journaled result is only replayed for a discovery that would
-// recompute it identically.
-func fingerprint(anchor, cand string, n, index int, o core.Options) string {
+// recompute it identically. The values' digest matters because a journal
+// outlives the data it was written for: a later discovery can bring other
+// values under the same names and lengths.
+func fingerprint(anchor, cand string, av, cv []float64, index int, o core.Options) string {
 	h := fnv.New64a()
-	fmt.Fprintf(h, "discover\x00%s\x00%s\x00%d\x00%d\x00", anchor, cand, n, index)
+	fmt.Fprintf(h, "discover\x00%s\x00%s\x00%d\x00%d\x00", anchor, cand, len(av), index)
+	checkpoint.HashValues(h, av)
+	checkpoint.HashValues(h, cv)
 	checkpoint.HashOptions(h, o)
 	return fmt.Sprintf("%016x", h.Sum64())
 }
@@ -475,8 +480,11 @@ func (e *engine) searchCandidate(ctx context.Context, _, i int) {
 		sOpts.Observer = st.buf
 	}
 
+	// The key hashes the candidate's values: build it once, for the lookup
+	// and the record.
+	var jx, jy string
 	if e.opts.Journal != nil {
-		jx, jy := e.journalKeys(i, n)
+		jx, jy = e.journalKeys(i, n)
 		if res, ok := e.opts.Journal.Lookup(jx, jy); ok {
 			st.res = res
 			st.replayed = true
@@ -512,7 +520,6 @@ func (e *engine) searchCandidate(ctx context.Context, _, i int) {
 	st.searched = true
 	st.done = true
 	if e.opts.Journal != nil && !res.Partial {
-		jx, jy := e.journalKeys(i, n)
 		if err := e.opts.Journal.Record(jx, jy, res); err != nil {
 			// Durability lost, result intact: count it and keep going.
 			st.journalErrs++
@@ -520,9 +527,11 @@ func (e *engine) searchCandidate(ctx context.Context, _, i int) {
 	}
 }
 
-// journalKeys builds the candidate's journal key pair.
+// journalKeys builds the candidate's journal key pair over the first n
+// values of the anchor and the candidate.
 func (e *engine) journalKeys(i, n int) (string, string) {
-	return e.anchor.Name, e.slots[i].name + "\x1f" + fingerprint(e.anchor.Name, e.slots[i].name, n, i, e.opts.Search)
+	name := e.slots[i].name
+	return e.anchor.Name, name + "\x1f" + fingerprint(e.anchor.Name, name, e.anchor.Values[:n], e.cands[i].Values[:n], i, e.opts.Search)
 }
 
 // resetProgress restarts the OnProgress counter for a phase of total

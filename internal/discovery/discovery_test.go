@@ -328,6 +328,48 @@ func containsStr(s, sub string) bool {
 	return false
 }
 
+// TestDiscoverJournalKeyCoversValues is the reversed-data probe: a
+// discovery over a journal a first pass filled, with every candidate's
+// values reversed under the same names and lengths, must replay no
+// candidate and return the ranking a pass without the journal returns.
+func TestDiscoverJournalKeyCoversValues(t *testing.T) {
+	anchor, cands := testFleet(200, 8, map[int]int{1: 0, 5: 3}, 77)
+	opts := Options{Search: testSearchOpts(), TopK: 4, Screen: true, Journal: newMemJournal()}
+	first, err := Discover(context.Background(), anchor, cands, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if first.Stats.Searched == 0 {
+		t.Fatalf("the first pass journaled nothing: %+v", first.Stats)
+	}
+	reversed := make([]series.Series, len(cands))
+	for i, c := range cands {
+		v := make([]float64, c.Len())
+		for j := range v {
+			v[j] = c.Values[len(v)-1-j]
+		}
+		reversed[i] = series.New(c.Name, v)
+	}
+	second, err := Discover(context.Background(), anchor, reversed, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if second.Stats.Replayed != 0 {
+		t.Errorf("%d candidates replayed answers journaled for other values", second.Stats.Replayed)
+	}
+	opts.Journal = nil
+	fresh, err := Discover(context.Background(), anchor, reversed, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if reflect.DeepEqual(first.Ranked, fresh.Ranked) {
+		t.Fatal("reversing the candidates left the ranking as it was: the probe shows nothing")
+	}
+	if !reflect.DeepEqual(second.Ranked, fresh.Ranked) || second.Threshold != fresh.Threshold {
+		t.Errorf("the journaled pass over reversed values ranks\n%+v\nwant the fresh ranking\n%+v", second.Ranked, fresh.Ranked)
+	}
+}
+
 // TestDiscoverSeedChangesInvalidateJournal: a journal written under one root
 // seed must not answer a discovery under another — the fingerprint covers
 // the seed.

@@ -9,8 +9,10 @@ import (
 
 // TestFingerprintUnchangedByDedupe pins the discovery journal fingerprints
 // to exact hex values. They matched the pre-dedupe hand-rolled serialization
-// until checkpoint.AlgorithmVersion entered the hashed bytes, and change
-// again only with that version or the HashOptions layout. Discovery
+// until checkpoint.AlgorithmVersion entered the hashed bytes, and changed
+// again when the digests of the anchor's and the candidate's aligned values
+// did (a journal written before either recomputes once); they change again
+// only with that version, the HashOptions layout or HashValues. Discovery
 // journals key on these bytes: if this test fails unexpectedly, every
 // existing journal entry silently stops replaying.
 func TestFingerprintUnchangedByDedupe(t *testing.T) {
@@ -35,12 +37,16 @@ func TestFingerprintUnchangedByDedupe(t *testing.T) {
 		opts         core.Options
 		want         string
 	}{
-		{"full", "anchor", "cand", 512, 7, full, "7a94b243262b0595"},
-		{"zero", "a", "b", 0, 0, core.Options{}, "2c8638e4d14147e8"},
-		{"seeded", "x", "y", 100, 3, core.Options{Seed: -9}, "188c61ba51524932"},
+		{"full", "anchor", "cand", 512, 7, full, "328c3292612b88f0"},
+		{"zero", "a", "b", 0, 0, core.Options{}, "48b071803a2304a4"},
+		{"seeded", "x", "y", 100, 3, core.Options{Seed: -9}, "4758f077b4c093a2"},
 	}
 	for _, tc := range cases {
-		if got := fingerprint(tc.anchor, tc.cand, tc.n, tc.index, tc.opts); got != tc.want {
+		av, cv := make([]float64, tc.n), make([]float64, tc.n)
+		for i := range av {
+			av[i], cv[i] = float64(i)/4, 1-float64(i*i)/8
+		}
+		if got := fingerprint(tc.anchor, tc.cand, av, cv, tc.index, tc.opts); got != tc.want {
 			t.Errorf("%s: fingerprint = %s, want %s", tc.name, got, tc.want)
 		}
 	}
