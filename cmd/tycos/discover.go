@@ -110,8 +110,11 @@ func runDiscover(args []string, stdout, stderr io.Writer) int {
 			return exitFailure
 		}
 		defer journal.Close()
+		// The entries may have been written for other data or options, so
+		// the banner counts them without promising a resume; -stats
+		// reports the confirmations replayed.
 		if n := journal.Len(); n > 0 {
-			fmt.Fprintf(stdout, "checkpoint %s: %d candidates already journaled, resuming\n", *ckpt, n)
+			fmt.Fprintf(stdout, "checkpoint %s holds %d entries\n", *ckpt, n)
 		}
 		opts.Journal = journal
 	}

@@ -99,8 +99,8 @@ func TestDiscoverSubcommandCheckpointResume(t *testing.T) {
 	if code != exitOK {
 		t.Fatalf("second run exit %d\nstderr:\n%s", code, stderr)
 	}
-	if !strings.Contains(out2, "already journaled, resuming") {
-		t.Errorf("resume banner missing:\n%s", out2)
+	if !strings.Contains(out2, "holds ") || strings.Contains(out2, "resuming") {
+		t.Errorf("journal banner missing, or promising a resume:\n%s", out2)
 	}
 	if !strings.Contains(out2, "searched + ") {
 		t.Fatalf("-stats confirmed line missing:\n%s", out2)
@@ -117,6 +117,62 @@ func TestDiscoverSubcommandCheckpointResume(t *testing.T) {
 	}
 	if cut(out1) != cut(out2) {
 		t.Errorf("resumed rankings differ:\n%s\nvs\n%s", out1, out2)
+	}
+}
+
+// TestDiscoverJournalOfOtherValuesReplaysNothing runs a journaled
+// discovery, then one over a copy of the fleet with every candidate column
+// reversed (same names, same lengths) on the same journal. The second run
+// must replay nothing and rank as a journal-free run over the copy, and its
+// banner must count the journal's entries without promising a resume.
+func TestDiscoverJournalOfOtherValuesReplaysNothing(t *testing.T) {
+	in := writeFleetCSV(t)
+	raw, err := os.ReadFile(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSpace(string(raw)), "\n")
+	rows := make([][]string, len(lines)-1)
+	for i, line := range lines[1:] {
+		rows[i] = strings.Split(line, ",")
+	}
+	var sb strings.Builder
+	sb.WriteString(lines[0] + "\n")
+	for i, row := range rows {
+		mirror := rows[len(rows)-1-i]
+		cells := append([]string{row[0]}, mirror[1:]...) // the anchor keeps its order
+		sb.WriteString(strings.Join(cells, ",") + "\n")
+	}
+	reversed := filepath.Join(t.TempDir(), "reversed.csv")
+	if err := os.WriteFile(reversed, []byte(sb.String()), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	ckpt := filepath.Join(t.TempDir(), "disc.jsonl")
+	discover := func(in string, journal bool) string {
+		t.Helper()
+		args := []string{"discover", "-in", in, "-anchor", "anchor", "-smin", "8", "-smax", "16", "-tdmax", "4", "-sigma", "0.2", "-stats"}
+		if journal {
+			args = append(args, "-checkpoint", ckpt)
+		}
+		code, stdout, stderr := runCLI(t, args...)
+		if code != exitOK {
+			t.Fatalf("discover %s: exit %d\nstderr:\n%s", in, code, stderr)
+		}
+		return stdout
+	}
+	discover(in, true)
+	out := discover(reversed, true)
+	if !strings.HasPrefix(out, "checkpoint "+ckpt+" holds ") || strings.Contains(out, "resuming") {
+		t.Errorf("journal banner missing, or promising a resume:\n%s", out)
+	}
+	if !strings.Contains(out, " searched + 0 replayed") {
+		t.Errorf("the reversed fleet replayed the original's confirmations:\n%s", out)
+	}
+	ranking := func(s string) string {
+		return s[strings.Index(s, "#"):strings.Index(s, "candidates:")]
+	}
+	if got, want := ranking(out), ranking(discover(reversed, false)); got != want {
+		t.Errorf("the journaled run over the reversed fleet ranked\n%s\nwant, as a journal-free run,\n%s", got, want)
 	}
 }
 

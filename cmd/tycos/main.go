@@ -15,7 +15,9 @@
 // A first SIGINT (Ctrl-C) cancels the search gracefully: the windows
 // accepted so far are printed under a "(partial)" banner. -timeout and
 // -maxevals bound the run the same way. With -checkpoint, completed pairs of
-// a sweep are journaled so a killed run resumes where it left off.
+// a sweep are journaled so a killed run resumes where it left off; a pair's
+// entry is keyed by its names, values and the result-affecting options, so
+// a run over other data or flags recomputes it.
 //
 // Observability: -trace streams every search event as JSONL (with
 // -trace-sample R the run carries a deterministic trace ID stamped onto
@@ -304,8 +306,11 @@ func runSweep(ctx context.Context, in string, opts tycos.Options, sw tycos.Sweep
 			return exitFailure
 		}
 		defer journal.Close()
+		// The entries may have been written for other data or options, so
+		// the banner counts them without promising a resume: a pair that
+		// replays is tagged "(from checkpoint)".
 		if n := journal.Len(); n > 0 {
-			fmt.Fprintf(stdout, "checkpoint %s: %d pairs already journaled, resuming\n", ckptPath, n)
+			fmt.Fprintf(stdout, "checkpoint %s holds %d entries\n", ckptPath, n)
 		}
 		sw.Checkpoint = journal
 	}

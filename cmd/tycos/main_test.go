@@ -240,3 +240,45 @@ func TestRestartWorkersFlagDoesNotChangeOutput(t *testing.T) {
 		t.Errorf("-restart-workers changed the output:\nworkers=1:\n%s\nworkers=4:\n%s", out1, out4)
 	}
 }
+
+// TestSweepJournalKeyCoversOptions runs a journaled sweep of
+// examples/data/energy_small.csv at σ 0.2, then at σ 0.6 on the same
+// journal: the second sweep must replay nothing and print what a
+// journal-free σ 0.6 sweep prints, because a pair's journal key covers the
+// options (and the values), not just the pair's names. A third sweep at
+// σ 0.2 replays every pair. The banner counts the journal's entries without
+// promising a resume.
+func TestSweepJournalKeyCoversOptions(t *testing.T) {
+	in := filepath.Join("..", "..", "examples", "data", "energy_small.csv")
+	ckpt := filepath.Join(t.TempDir(), "sweep.jsonl")
+	const pairs = 36 // 9 columns
+	sweep := func(sigma string, journal bool) string {
+		t.Helper()
+		args := []string{"-in", in, "-all", "-sigma", sigma}
+		if journal {
+			args = append(args, "-checkpoint", ckpt)
+		}
+		code, stdout, stderr := runCLI(t, args...)
+		if code != exitOK {
+			t.Fatalf("sweep at σ %s: exit %d\nstderr:\n%s", sigma, code, stderr)
+		}
+		return stdout
+	}
+	banner := fmt.Sprintf("checkpoint %s holds %d entries\n", ckpt, pairs)
+	if out := sweep("0.2", true); strings.Contains(out, "(from checkpoint)") || strings.Contains(out, "holds") {
+		t.Fatalf("the first sweep replayed or found entries:\n%s", out)
+	}
+	out := sweep("0.6", true)
+	if !strings.HasPrefix(out, banner) {
+		t.Errorf("σ 0.6 sweep: want the banner %q, got:\n%s", banner, out)
+	}
+	if n := strings.Count(out, "(from checkpoint)"); n > 0 {
+		t.Errorf("the σ 0.6 sweep replayed %d pairs journaled at σ 0.2", n)
+	}
+	if fresh := sweep("0.6", false); strings.TrimPrefix(out, banner) != fresh {
+		t.Errorf("the journaled σ 0.6 sweep printed\n%s\nwant, as a journal-free sweep,\n%s", out, fresh)
+	}
+	if n := strings.Count(sweep("0.2", true), "(from checkpoint)"); n != pairs {
+		t.Errorf("the repeated σ 0.2 sweep replayed %d pairs, want %d", n, pairs)
+	}
+}

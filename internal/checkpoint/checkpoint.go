@@ -20,6 +20,7 @@ import (
 	"bufio"
 	"encoding/json"
 	"fmt"
+	"hash/fnv"
 	"io"
 	"os"
 	"sort"
@@ -27,6 +28,7 @@ import (
 
 	"tycos/internal/core"
 	"tycos/internal/faultinject"
+	"tycos/internal/series"
 )
 
 // record is one journal line: a completed pair and its search result.
@@ -78,7 +80,10 @@ type Journal struct {
 	trailingNewline bool
 }
 
-var _ core.SweepCheckpoint = (*Journal)(nil)
+var (
+	_ core.SweepCheckpoint = (*Journal)(nil)
+	_ core.SweepKeyer      = (*Journal)(nil)
+)
 
 // key joins a pair's names unambiguously (series names cannot contain NUL).
 func key(x, y string) string { return x + "\x00" + y }
@@ -204,6 +209,29 @@ func (j *Journal) Lookup(xName, yName string) (core.Result, bool) {
 	defer j.mu.Unlock()
 	r, ok := j.done[key(xName, yName)]
 	return r, ok
+}
+
+// SweepKey keys a sweep pair's entry as the daemon and the discovery engine
+// key theirs: the x name, and the y name joined to sweepFingerprint of the
+// pair and options. A journal outlives the data and flags it was written
+// for, so a sweep over other values or options under the same column names
+// recomputes instead of replaying.
+func (j *Journal) SweepKey(x, y series.Series, opts core.Options) (xKey, yKey string) {
+	return x.Name, y.Name + "\x1f" + sweepFingerprint(x, y, opts)
+}
+
+// sweepFingerprint hashes everything that determines a sweep pair's result:
+// the names, the aligned length and values (the first n of each series, n
+// the shorter length) and, through HashOptions, the algorithm version and
+// every result-affecting option.
+func sweepFingerprint(x, y series.Series, opts core.Options) string {
+	n := min(x.Len(), y.Len())
+	h := fnv.New64a()
+	fmt.Fprintf(h, "sweep\x00%s\x00%s\x00%d\x00", x.Name, y.Name, n)
+	HashValues(h, x.Values[:n])
+	HashValues(h, y.Values[:n])
+	HashOptions(h, opts)
+	return fmt.Sprintf("%016x", h.Sum64())
 }
 
 // Record appends the pair's result to the journal and flushes it to the OS

@@ -7,11 +7,13 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
 	"tycos/internal/core"
 	"tycos/internal/faultinject"
+	"tycos/internal/obs"
 	"tycos/internal/series"
 	"tycos/internal/window"
 )
@@ -137,6 +139,74 @@ func sweepSeries(names ...string) []series.Series {
 		ss[i] = series.New(name, v)
 	}
 	return ss
+}
+
+// TestSweepKeyCoversValuesAndOptions checks that a sweep pair's journal key
+// changes with the pair's values and with every result-affecting option,
+// and not with the restart workers or the observer, and that a sweep over
+// the same names with other values or options replays nothing.
+func TestSweepKeyCoversValuesAndOptions(t *testing.T) {
+	ss := sweepSeries("a", "b", "c")
+	opts := core.Options{SMin: 10, SMax: 60, TDMax: 5, Sigma: 0.25, MaxIdle: 3, Seed: 1}
+	path := filepath.Join(t.TempDir(), "sweep.jsonl")
+	j, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close()
+	x0, y0 := j.SweepKey(ss[0], ss[1], opts)
+	if x0 != "a" || !strings.HasPrefix(y0, "b\x1f") {
+		t.Fatalf("keys (%q, %q) do not start with the names", x0, y0)
+	}
+	same := opts
+	same.RestartWorkers, same.Observer = 3, obs.NewRegistry()
+	if _, y := j.SweepKey(ss[0], ss[1], same); y != y0 {
+		t.Errorf("restart workers or an observer changed the key")
+	}
+	other := opts
+	other.Sigma = 0.5
+	if _, y := j.SweepKey(ss[0], ss[1], other); y == y0 {
+		t.Errorf("σ did not change the key")
+	}
+	rev := reversedSeries(ss)
+	if _, y := j.SweepKey(rev[0], rev[1], opts); y == y0 {
+		t.Errorf("the values did not change the key")
+	}
+
+	first := core.SearchAllContext(context.Background(), ss, opts, core.SweepOptions{Checkpoint: j})
+	for _, run := range []struct {
+		name string
+		ss   []series.Series
+		opts core.Options
+	}{{"other σ", ss, other}, {"reversed values", rev, opts}} {
+		got := core.SearchAllContext(context.Background(), run.ss, run.opts, core.SweepOptions{Checkpoint: j})
+		want := core.SearchAllContext(context.Background(), run.ss, run.opts, core.SweepOptions{})
+		for i, pr := range got {
+			if pr.FromCheckpoint || pr.Err != nil {
+				t.Errorf("%s: pair (%s,%s) replayed %v, err %v", run.name, pr.XName, pr.YName, pr.FromCheckpoint, pr.Err)
+			}
+			if pr.Result.Stats.WindowsEvaluated != want[i].Result.Stats.WindowsEvaluated || len(pr.Result.Windows) != len(want[i].Result.Windows) {
+				t.Errorf("%s: pair (%s,%s) differs from a journal-free sweep", run.name, pr.XName, pr.YName)
+			}
+		}
+	}
+	for i, pr := range core.SearchAllContext(context.Background(), ss, opts, core.SweepOptions{Checkpoint: j}) {
+		if !pr.FromCheckpoint || pr.Result.Stats.WindowsEvaluated != first[i].Result.Stats.WindowsEvaluated {
+			t.Errorf("repeated sweep: pair (%s,%s) replayed %v", pr.XName, pr.YName, pr.FromCheckpoint)
+		}
+	}
+}
+
+// reversedSeries returns copies of ss with each series' values reversed
+// under the same name.
+func reversedSeries(ss []series.Series) []series.Series {
+	out := make([]series.Series, len(ss))
+	for i, s := range ss {
+		v := append([]float64(nil), s.Values...)
+		slices.Reverse(v)
+		out[i] = series.New(s.Name, v)
+	}
+	return out
 }
 
 // The acceptance scenario: a sweep with one persistently failing pair

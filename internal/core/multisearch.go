@@ -37,10 +37,24 @@ type PairResult struct {
 // for concurrent use; internal/checkpoint provides the JSONL-backed one
 // (exposed publicly as tycos.Checkpoint).
 type SweepCheckpoint interface {
-	// Lookup returns the journaled result for the named pair, if any.
-	Lookup(xName, yName string) (Result, bool)
-	// Record journals a completed pair result.
-	Record(xName, yName string, r Result) error
+	// Lookup returns the journaled result for the pair's keys, if any: its
+	// names, or the keys SweepKey returns when the checkpoint is a
+	// SweepKeyer.
+	Lookup(xKey, yKey string) (Result, bool)
+	// Record journals a completed pair result under the pair's keys.
+	Record(xKey, yKey string, r Result) error
+}
+
+// SweepKeyer is implemented by a SweepCheckpoint that keys each pair's
+// entry by the pair's values and the search options as well as its names,
+// so that it replays a pair only for a sweep that would recompute it
+// identically. The canonical option hash lives in internal/checkpoint,
+// which core cannot import, so the checkpoint builds the key; a
+// checkpoint without SweepKey is keyed by the names alone.
+type SweepKeyer interface {
+	// SweepKey returns the keys under which the checkpoint looks up and
+	// records the result of searching x against y with opts.
+	SweepKey(x, y series.Series, opts Options) (xKey, yKey string)
 }
 
 // SweepOptions configures the robustness envelope of a SearchAllContext
@@ -193,8 +207,12 @@ func searchPair(ctx context.Context, x, y series.Series, opts Options, sw SweepO
 			Duration:       clockSince(start),
 		})
 	}
+	jx, jy := x.Name, y.Name
+	if k, ok := sw.Checkpoint.(SweepKeyer); ok {
+		jx, jy = k.SweepKey(x, y, opts)
+	}
 	if sw.Checkpoint != nil {
-		if res, ok := sw.Checkpoint.Lookup(x.Name, y.Name); ok {
+		if res, ok := sw.Checkpoint.Lookup(jx, jy); ok {
 			pr.Result = res
 			pr.FromCheckpoint = true
 			finish()
@@ -225,7 +243,7 @@ func searchPair(ctx context.Context, x, y series.Series, opts Options, sw SweepO
 		pr.Err = fmt.Errorf("core: pair (%s, %s): %w", x.Name, y.Name, err)
 	}
 	if pr.Err == nil && !pr.Result.Partial && sw.Checkpoint != nil {
-		if err := sw.Checkpoint.Record(x.Name, y.Name, pr.Result); err != nil {
+		if err := sw.Checkpoint.Record(jx, jy, pr.Result); err != nil {
 			pr.Err = fmt.Errorf("core: pair (%s, %s): checkpoint: %w", x.Name, y.Name, err)
 		}
 	}

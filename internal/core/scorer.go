@@ -1,7 +1,6 @@
 package core
 
 import (
-	"math"
 	"math/rand"
 
 	"tycos/internal/mi"
@@ -99,12 +98,14 @@ type batchScorer struct {
 
 	// table is the search's score table, the zero handle when it binds none
 	// (see scoretable.go). probes are the current neighbourhood's lookups,
-	// the first nProbe of them, and lone the last lookup of a window no plan
-	// covered. nHit counts the estimates the table served, which nBatch also
-	// counts.
+	// the first nProbe of them, in plan order; next is the probe the next
+	// window is expected to take (see probe). lone is the last lookup of a
+	// window no plan covered. nHit counts the estimates the table served,
+	// which nBatch also counts.
 	table  TableHandle
 	probes [maxProbes]tableProbe
 	nProbe int
+	next   int
 	lone   tableProbe
 	nHit   int
 }
@@ -184,10 +185,17 @@ func (s *batchScorer) estimate(w window.Window) (raw float64, xs, ys []float64, 
 
 // probe returns w's table lookup: the one plan made for the neighbourhood,
 // or else a lookup made now. It returns nil when the search binds no table
-// or the key cannot hold w.
+// or the key cannot hold w. The climb scores a neighbourhood in plan order,
+// so w is usually the probe after the last one taken; any other window
+// (one the memo evicted after plan, or a window scored outside a
+// neighbourhood) is found by a scan.
 func (s *batchScorer) probe(w window.Window) *tableProbe {
 	if s.table.t == nil {
 		return nil
+	}
+	if s.next < s.nProbe && s.probes[s.next].w == w {
+		s.next++
+		return &s.probes[s.next-1]
 	}
 	for i := range s.probes[:s.nProbe] {
 		if s.probes[i].w == w {
@@ -217,7 +225,7 @@ func (s *batchScorer) lookup(w window.Window) (tableProbe, bool) {
 // will reach the scorer, keeping the answers for estimate, and returns skip
 // with the hits added: they need no τ-plane.
 func (s *batchScorer) probeAll(nbs []window.Window, skip uint32) uint32 {
-	s.nProbe = 0
+	s.nProbe, s.next = 0, 0
 	if s.table.t == nil {
 		return skip
 	}
@@ -413,15 +421,7 @@ func (s *incScorer) normalize(raw float64, w window.Window) float64 {
 	case mi.NormNone:
 		return raw
 	case mi.NormMaxEntropy:
-		m := w.Size()
-		if m < 2 {
-			return 0
-		}
-		v := raw / math.Log(float64(m))
-		if v > 1 {
-			return 1
-		}
-		return v
+		return mi.MaxEntropy(raw, w.Size())
 	default:
 		// Denominators that need the window contents fall back to slicing;
 		// this costs O(m) but keeps all normalizations available.

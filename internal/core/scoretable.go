@@ -31,8 +31,8 @@ import (
 // Sizing: 4,096 sets of 16 ways, 1 MiB in all. A way is one word beside its
 // 8-byte estimate. The packed key is mixed by a bijection on 64 bits; the
 // mixed key's top 12 bits pick the set, and the word holds the other 52
-// (the remainder) above a valid bit, a hit bit and the way's 4-bit recency
-// rank. A set and a remainder name exactly one key, so a hit never returns
+// (the remainder) above a valid bit, a hit bit and the way's 10-bit recency
+// stamp. A set and a remainder name exactly one key, so a hit never returns
 // another window's estimate. Share of the lookups a table answered after
 // warm-up on a replay of daemon-mixed's request stream (16 pairs of 400
 // samples, LMN, SMax 40, fresh seeds), 416 searches:
@@ -60,13 +60,17 @@ const (
 	TableHandles = 1<<16 - 1
 
 	// A way's word: the mixed key's remainder in bits 12–63, then wayValid,
-	// wayHit (set once a search has hit the entry) and the recency rank
-	// among the set's entries in bits 0–3 (0 the most recent). An empty way
-	// is 0; the valid bit keeps an entry whose remainder is 0 apart from it.
-	wayValid = 1 << 5
-	wayHit   = 1 << 4
-	wayRank  = tableWays - 1
-	wayState = wayHit | wayRank
+	// wayHit (set once a search has hit the entry) and the entry's recency
+	// stamp in bits 0–9: its set's clock when a search last hit or stored
+	// it. An empty way is 0; the valid bit keeps an entry whose remainder is
+	// 0 apart from it. The hit bit sits right above the stamp, so the way
+	// whose word&wayState is least is the one to evict (see store).
+	wayValid = 1 << 11
+	wayHit   = 1 << 10
+	wayStamp = wayHit - 1
+	wayState = wayHit | wayStamp
+
+	setsPerStripe = tableSets / tableStripes
 )
 
 // tableSet is one set: each way's word, and its estimate.
@@ -75,10 +79,14 @@ type tableSet struct {
 	vals  [tableWays]float64
 }
 
-// paddedMutex keeps each stripe's mutex on a cache line of its own.
-type paddedMutex struct {
+// tableStripe is one stripe's mutex and the recency clocks of the sets it
+// guards (set i's is clocks[i/tableStripes]), on a cache line of its own:
+// the clocks fill what was the mutex's padding, so a probe that takes the
+// lock has its set's clock at hand.
+type tableStripe struct {
 	sync.Mutex
-	_ [56]byte
+	clocks [setsPerStripe]uint16
+	_      [64 - 8 - 2*setsPerStripe]byte
 }
 
 // ScoreTable is a fixed-size, concurrency-safe table of raw KSG estimates,
@@ -86,7 +94,7 @@ type paddedMutex struct {
 // once and reused, never grown; NewScoreTable documents its size.
 type ScoreTable struct {
 	sets    []tableSet
-	stripes [tableStripes]paddedMutex
+	stripes [tableStripes]tableStripe
 
 	// handleMu orders handle issuance and Reset. epoch names the handles
 	// issued since the last Reset; it changes only while every stripe is
@@ -163,6 +171,9 @@ func (t *ScoreTable) resetLocked() {
 	}
 	if t.occupied.Load() > 0 {
 		clear(t.sets)
+		for i := range t.stripes {
+			t.stripes[i].clocks = [setsPerStripe]uint16{}
+		}
 		t.occupied.Store(0)
 	}
 	t.epoch.Add(1)
@@ -197,7 +208,7 @@ func mix(key uint64) uint64 {
 }
 
 // slotOf returns the index of key's set, and the word of a way that holds
-// key, less its hit bit and rank.
+// key, less its hit bit and stamp.
 func slotOf(key uint64) (int, uint64) {
 	m := mix(key)
 	return int(m >> (64 - tableSetBits)), m<<tableSetBits | wayValid
@@ -207,9 +218,9 @@ func slotOf(key uint64) (int, uint64) {
 // marks the entry hit and most recent.
 func (t *ScoreTable) lookup(h TableHandle, key uint64) (float64, bool) {
 	i, tag := slotOf(key)
-	mu := &t.stripes[i%tableStripes]
-	mu.Lock()
-	defer mu.Unlock()
+	st := &t.stripes[i%tableStripes]
+	st.Lock()
+	defer st.Unlock()
 	if h.epoch != t.epoch.Load() {
 		return 0, false
 	}
@@ -218,8 +229,7 @@ func (t *ScoreTable) lookup(h TableHandle, key uint64) (float64, bool) {
 	// array with a value variable copies it first.
 	for w, word := range &s.words {
 		if word&^wayState == tag {
-			s.promote(w)
-			s.words[w] |= wayHit
+			s.words[w] = tag | wayHit | s.tick(&st.clocks[i/tableStripes])
 			return s.vals[w], true
 		}
 	}
@@ -228,61 +238,77 @@ func (t *ScoreTable) lookup(h TableHandle, key uint64) (float64, bool) {
 
 // store enters key's estimate for h's epoch. It takes an empty way, or else
 // evicts the least recent entry no search has hit, or else the least recent
-// entry.
+// entry: the entry whose hit bit and stamp are least.
 func (t *ScoreTable) store(h TableHandle, key uint64, raw float64) {
 	i, tag := slotOf(key)
-	mu := &t.stripes[i%tableStripes]
-	mu.Lock()
-	defer mu.Unlock()
+	st := &t.stripes[i%tableStripes]
+	st.Lock()
+	defer st.Unlock()
 	if h.epoch != t.epoch.Load() {
 		return
 	}
 	s := &t.sets[i]
-	victim := -1
+	clock := &st.clocks[i/tableStripes]
+	empty, victim, least := -1, -1, uint64(wayState)+1
 	for w, word := range &s.words {
-		if word&^wayState == tag {
+		switch {
+		case word&^wayState == tag:
 			// Another search stored it meanwhile, with the same bits.
-			s.promote(w)
+			s.words[w] = word&wayHit | tag | s.tick(clock)
 			return
-		}
-		if word == 0 && victim < 0 {
-			victim = w
+		case word == 0:
+			if empty < 0 {
+				empty = w
+			}
+		case word&wayState < least:
+			victim, least = w, word&wayState
 		}
 	}
-	if victim >= 0 {
+	if empty >= 0 {
+		victim = empty
 		t.occupied.Add(1)
 	} else {
 		t.evictions.Add(1)
-		worst := -1
-		for w, word := range &s.words {
-			// An entry no search has hit goes before any that one has.
-			p := int(word & wayRank)
-			if word&wayHit == 0 {
-				p += tableWays
-			}
-			if p > worst {
-				victim, worst = w, p
-			}
-		}
 	}
-	s.promote(victim)
-	s.words[victim], s.vals[victim] = tag, raw
+	s.words[victim], s.vals[victim] = tag|s.tick(clock), raw
 }
 
-// promote makes way w the set's most recent: the entries more recent than
-// it (all entries, for an empty way) age by one rank, and w takes rank 0.
-// The ranks of a set's entries stay a permutation of 0…entries−1.
-func (s *tableSet) promote(w int) {
-	rank := uint64(tableWays)
-	if s.words[w] != 0 {
-		rank = s.words[w] & wayRank
+// tick returns the set's next recency stamp and advances its clock, so a
+// hit or a store stamps one word. Stamps grow with each hit or store, so
+// the order of the entries' stamps is the order in which searches last hit
+// or stored them. A clock that has run out of stamp bits first restamps the
+// set's entries 0…n−1 in that order and resumes at n.
+func (s *tableSet) tick(clock *uint16) uint64 {
+	if *clock > wayStamp {
+		*clock = s.restamp()
 	}
-	for j, word := range &s.words {
-		if word != 0 && word&wayRank < rank {
-			s.words[j]++
+	c := *clock
+	*clock++
+	return uint64(c)
+}
+
+// restamp renumbers the set's entries' stamps 0…n−1, keeping their order,
+// and returns n.
+func (s *tableSet) restamp() uint16 {
+	var old [tableWays]uint64
+	for w, word := range &s.words {
+		old[w] = word & wayStamp
+	}
+	n := uint16(0)
+	for w, word := range &s.words {
+		if word == 0 {
+			continue
 		}
+		rank := uint64(0)
+		for v, other := range &s.words {
+			if other != 0 && old[v] < old[w] {
+				rank++
+			}
+		}
+		s.words[w] = word&^wayStamp | rank
+		n++
 	}
-	s.words[w] &^= wayRank
+	return n
 }
 
 // tableProbe is one window's table lookup: its key, and its estimate when

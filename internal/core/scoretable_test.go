@@ -363,6 +363,93 @@ func TestScoreTableEvictsUnhitFirst(t *testing.T) {
 	}
 }
 
+// TestScoreTableClockKeepsSegmentedLRU drives one set through thousands of
+// random lookups and stores, enough to run its recency clock out of stamp
+// bits several times, and checks every answer, the occupancy and the
+// evictions against a reference segmented LRU that keeps the set's entries
+// in recency order: a hit or a store makes an entry the most recent, and a
+// full set evicts its least recent unhit entry, or else its least recent.
+func TestScoreTableClockKeepsSegmentedLRU(t *testing.T) {
+	table := NewScoreTable()
+	h := table.Handle(0)
+	var keys []uint64
+	target := -1
+	for start := 0; len(keys) < 3*tableWays; start++ {
+		key, _ := tableKey(h.id, window.Window{Start: start, End: start + 11, Delay: -2})
+		if target < 0 {
+			target = setOf(key)
+		}
+		if setOf(key) == target {
+			keys = append(keys, key)
+		}
+	}
+	type entry struct {
+		key uint64
+		hit bool
+	}
+	var ref []entry // least recent first
+	find := func(key uint64) int {
+		for i, e := range ref {
+			if e.key == key {
+				return i
+			}
+		}
+		return -1
+	}
+	touch := func(i int, hit bool) {
+		e := ref[i]
+		e.hit = e.hit || hit
+		ref = append(append(ref[:i:i], ref[i+1:]...), e)
+	}
+	vals := map[uint64]float64{}
+	evictions := 0
+	rng := rand.New(rand.NewSource(11))
+	const ops = 20000
+	for op := 0; op < ops; op++ {
+		// A skewed draw, so that some keys are hit often and others rarely.
+		key := keys[rng.Intn(1+rng.Intn(len(keys)))]
+		if rng.Intn(3) > 0 {
+			v, ok := table.lookup(h, key)
+			i := find(key)
+			if ok != (i >= 0) {
+				t.Fatalf("op %d: lookup of key %d hit %v, the reference %v", op, indexOf(keys, key), ok, i >= 0)
+			}
+			if ok {
+				if v != vals[key] {
+					t.Fatalf("op %d: key %d returned %v, want %v", op, indexOf(keys, key), v, vals[key])
+				}
+				touch(i, true)
+			}
+			continue
+		}
+		if i := find(key); i >= 0 {
+			table.store(h, key, vals[key])
+			touch(i, false)
+			continue
+		}
+		vals[key] = float64(op)
+		table.store(h, key, vals[key])
+		if len(ref) == tableWays {
+			victim := 0
+			for i, e := range ref {
+				if !e.hit {
+					victim = i
+					break
+				}
+			}
+			ref = append(ref[:victim], ref[victim+1:]...)
+			evictions++
+		}
+		ref = append(ref, entry{key: key})
+	}
+	if st := table.Stats(); st.Occupied != int64(len(ref)) || st.Evictions != int64(evictions) {
+		t.Errorf("table %+v, reference occupancy %d and evictions %d", st, len(ref), evictions)
+	}
+	if clock := table.stripes[target%tableStripes].clocks[target/tableStripes]; clock > wayStamp+1 {
+		t.Errorf("the set's clock reads %d, past its %d stamps", clock, wayStamp+1)
+	}
+}
+
 // setOf returns the index of key's set.
 func setOf(key uint64) int {
 	i, _ := slotOf(key)
@@ -526,11 +613,21 @@ func TestScoreTableNoFalseHits(t *testing.T) {
 // After that warm-up, the table must serve at least hitFloor of the
 // window estimates the searches ask for. The table reads 0.867 here; a
 // table of 3,072 sets of 16 18-byte ways (864 KiB) reads 0.787 and fails.
+// The hits, estimates, evictions and occupancy must also be exactly those
+// of segmented LRU, which the table kept as per-way ranks before it kept
+// it as per-set clock stamps.
 func TestScoreTableReplayHitShare(t *testing.T) {
 	const (
 		pairs    = 16
 		searches = 100
 		hitFloor = 0.85
+
+		// The counts of segmented LRU, whether recency is kept as ranks
+		// or as stamps of a per-set clock.
+		wantHits      = 255267
+		wantEstimates = 39092
+		wantEvictions = 20994
+		wantOccupied  = 61990
 	)
 	table := NewScoreTable()
 	ps := make([]series.Pair, pairs)
@@ -558,10 +655,17 @@ func TestScoreTableReplayHitShare(t *testing.T) {
 	}
 	hits, estimates := sink.counts["score_table_hits"], sink.counts["mi.ksg_estimates"]
 	share := float64(hits) / float64(hits+estimates)
+	st := table.Stats()
 	t.Logf("%d searches after warm-up: %d table hits, %d estimates, share %.4f; table %+v",
-		searches, hits, estimates, share, table.Stats())
+		searches, hits, estimates, share, st)
 	if share < hitFloor {
 		t.Errorf("the table served %.4f of the estimates after warm-up, want at least %.2f", share, hitFloor)
+	}
+	// The exact counts pin the replacement policy, not just its yield: a
+	// policy that answers as often but keeps other entries moves them.
+	if hits != wantHits || estimates != wantEstimates || st.Evictions != wantEvictions || st.Occupied != wantOccupied {
+		t.Errorf("%d hits, %d estimates, %d evictions, %d occupied; want %d, %d, %d, %d",
+			hits, estimates, st.Evictions, st.Occupied, wantHits, wantEstimates, wantEvictions, wantOccupied)
 	}
 }
 

@@ -9,6 +9,7 @@ import (
 	"slices"
 
 	"tycos/internal/freelist"
+	"tycos/internal/lahc"
 	"tycos/internal/mi"
 	"tycos/internal/obs"
 	"tycos/internal/series"
@@ -404,9 +405,12 @@ func (s *searcher) run() {
 		restart := s.stats.Restarts
 		// The acceptor RNG is created by the first restart whose scratch has
 		// none, and re-seeded by every other: Seed resets the stream exactly
-		// as a fresh source would, without a new source's allocation.
+		// as a fresh source would, without a new source's allocation. The
+		// source draws math/rand's stream but seeds in O(1) (see
+		// lahc.Source): a climb reads a few dozen of the 607 words that
+		// math/rand's Seed would fill.
 		if s.scratch.rng == nil {
-			s.scratch.rng = rand.New(rand.NewSource(restartSeed(s.opts.Seed, s.seg.index, restart)))
+			s.scratch.rng = rand.New(lahc.NewSource(restartSeed(s.opts.Seed, s.seg.index, restart)))
 		} else {
 			s.scratch.rng.Seed(restartSeed(s.opts.Seed, s.seg.index, restart))
 		}

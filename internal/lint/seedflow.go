@@ -17,10 +17,11 @@ var seedflowScope = map[string]bool{
 }
 
 // SeedFlow extends nodeterm from "no global RNG" to seed provenance: every
-// rand source constructed — or re-seeded through (*rand.Rand).Seed — in the
-// deterministic packages must be seeded with a value that went through the
-// SplitMix64 derivation idiom (restartSeed, CandidateSeed, or any function
-// that calls the mixer). Raw seeds and
+// rand source constructed — math/rand's or the LAHC acceptor's
+// lahc.NewSource — or re-seeded through (*rand.Rand).Seed or
+// (*lahc.Source).Seed in the deterministic packages must be seeded with a
+// value that went through the SplitMix64 derivation idiom (restartSeed,
+// CandidateSeed, or any function that calls the mixer). Raw seeds and
 // additive offsets (seed+k) produce streams whose low bits are correlated
 // across nearby coordinates — exactly the failure AMIC-style estimator
 // comparisons punish — and make two call sites that pick the same offset
@@ -32,10 +33,20 @@ var SeedFlow = &Analyzer{
 	Run: runSeedFlow,
 }
 
-// seedSourceCtors are the math/rand constructors whose argument is a seed.
-var seedSourceCtors = map[string]bool{
-	"NewSource": true, // math/rand
-	"NewPCG":    true, // math/rand/v2
+// seedSinks are the functions whose arguments are seeds, by package path:
+// the rand source constructors and the re-seeding methods (see isReseed).
+var seedSinks = map[string]map[string]bool{
+	"math/rand":    {"NewSource": true},
+	"math/rand/v2": {"NewPCG": true},
+	// lahc.Source draws math/rand's stream and seeds it lazily.
+	"tycos/internal/lahc": {"NewSource": true},
+}
+
+// reseedTypes name, by package path, the types whose Seed method restarts a
+// stream from its argument just as a new source would.
+var reseedTypes = map[string]string{
+	"math/rand":           "Rand",
+	"tycos/internal/lahc": "Source",
 }
 
 func runSeedFlow(pass *Pass) {
@@ -50,19 +61,20 @@ func runSeedFlow(pass *Pass) {
 				return true
 			}
 			fn := calleeFunc(info, call)
-			if fn == nil || fn.Pkg() == nil || !(seedSourceCtors[fn.Name()] || isRandReseed(fn)) {
+			if fn == nil || fn.Pkg() == nil || !(seedSinks[fn.Pkg().Path()][fn.Name()] || isReseed(fn)) {
 				return true
 			}
-			switch fn.Pkg().Path() {
-			case "math/rand", "math/rand/v2":
-			default:
+			// A package that defines a sink hands seeds to it as plumbing
+			// (lahc.NewSource seeds through Source.Seed); its callers are
+			// the ones checked.
+			if fn.Pkg().Path() == pass.Pkg.ImportPath {
 				return true
 			}
 			for _, arg := range call.Args {
 				if !seedDerived(pass, info, arg) {
 					pass.Report(call.Pos(),
-						"rand.%s seed is not derived through the SplitMix64 idiom (restartSeed/CandidateSeed); raw or offset seeds correlate streams across nearby coordinates",
-						fn.Name())
+						"%s.%s seed is not derived through the SplitMix64 idiom (restartSeed/CandidateSeed); raw or offset seeds correlate streams across nearby coordinates",
+						fn.Pkg().Name(), fn.Name())
 					return true
 				}
 			}
@@ -71,9 +83,10 @@ func runSeedFlow(pass *Pass) {
 	})
 }
 
-// isRandReseed reports whether fn is the (*rand.Rand).Seed method, which
-// restarts a generator's stream from its argument just as a new source would.
-func isRandReseed(fn *types.Func) bool {
+// isReseed reports whether fn is the Seed method of a reseedTypes type,
+// which restarts a generator's stream from its argument just as a new
+// source would.
+func isReseed(fn *types.Func) bool {
 	sig, ok := fn.Type().(*types.Signature)
 	if !ok || sig.Recv() == nil || fn.Name() != "Seed" {
 		return false
@@ -83,7 +96,7 @@ func isRandReseed(fn *types.Func) bool {
 		recv = p.Elem()
 	}
 	named, ok := recv.(*types.Named)
-	return ok && named.Obj().Name() == "Rand"
+	return ok && named.Obj().Name() == reseedTypes[fn.Pkg().Path()]
 }
 
 // seedDerived reports whether the seed expression is the result of a

@@ -3,7 +3,11 @@
 // tycos/internal/core and carries its own copy of the SplitMix64 idiom.
 package core
 
-import "math/rand"
+import (
+	"math/rand"
+
+	"tycos/internal/lahc"
+)
 
 // splitmix64 is the finalizer; its name marks it as the derivation primitive.
 func splitmix64(z uint64) uint64 {
@@ -52,4 +56,21 @@ func allowedRNG(seed int64) *rand.Rand {
 func reseed(r *rand.Rand, root int64, seg, restart int) {
 	r.Seed(restartSeed(root, seg, restart)) // derived: no finding
 	r.Seed(root + int64(restart))           // want "not derived through the SplitMix64 idiom"
+}
+
+// lazyRNG builds the acceptor's RNG on the lazily seeded source: its
+// constructor is a seed sink like rand.NewSource.
+func lazyRNG(root int64, seg, restart int) *rand.Rand {
+	return rand.New(lahc.NewSource(restartSeed(root, seg, restart))) // derived: no finding
+}
+
+func rawLazyRNG(seed int64) *rand.Rand {
+	return rand.New(lahc.NewSource(seed)) // want "lahc.NewSource seed is not derived through the SplitMix64 idiom"
+}
+
+// reseedLazy re-seeds the source itself: Source.Seed is checked like
+// (*rand.Rand).Seed.
+func reseedLazy(s *lahc.Source, root int64, seg, restart int) {
+	s.Seed(restartSeed(root, seg, restart)) // derived: no finding
+	s.Seed(root + 1)                        // want "lahc.Seed seed is not derived"
 }

@@ -152,7 +152,7 @@ func finite(x, y float64) bool {
 // ksgMI completes Eq. (9) for m points from the sum of the per-point
 // digamma terms ψ(n_x) + ψ(n_y).
 func ksgMI(k, m int, sum float64) float64 {
-	return mathx.DigammaInt(k) - 1/float64(k) - sum/float64(m) + mathx.Digamma(float64(m))
+	return mathx.DigammaInt(k) - 1/float64(k) - sum/float64(m) + psiSize(m)
 }
 
 // allPairsSum returns Σ_i ψ(n_x,i) + ψ(n_y,i) over the window, folded in

@@ -5,6 +5,8 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+
+	"tycos/internal/mathx"
 )
 
 // gaussianPair draws n samples of a bivariate Gaussian with correlation rho.
@@ -191,5 +193,19 @@ func TestNormalize(t *testing.T) {
 	// Huge raw MI clamps to 1.
 	if Normalize(1e9, x, y, NormJointHistogram) != 1 {
 		t.Error("oversized normalized MI must clamp to 1")
+	}
+}
+
+// TestSizeTermsMatchCalls checks that the tabulated per-size constants are
+// bit for bit the calls they replace, inside the table and past it, so
+// neither a normalized score nor an estimate moves by a bit.
+func TestSizeTermsMatchCalls(t *testing.T) {
+	for m := -2; m < 2*tabulatedSizes; m++ {
+		if got, want := math.Float64bits(logSize(m)), math.Float64bits(math.Log(float64(m))); got != want {
+			t.Fatalf("logSize(%d) bits %#x, want %#x", m, got, want)
+		}
+		if got, want := math.Float64bits(psiSize(m)), math.Float64bits(mathx.Digamma(float64(m))); got != want {
+			t.Fatalf("psiSize(%d) bits %#x, want %#x", m, got, want)
+		}
 	}
 }

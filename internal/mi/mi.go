@@ -14,7 +14,6 @@ package mi
 import (
 	"errors"
 	"fmt"
-	"math"
 )
 
 // ErrTooFewSamples is returned when a window is too small for the requested
@@ -88,11 +87,7 @@ func Normalize(raw float64, x, y []float64, n Normalization) float64 {
 	case NormNone:
 		return raw
 	case NormMaxEntropy:
-		m := len(x)
-		if m < 2 {
-			return 0
-		}
-		return clampTo1(raw / math.Log(float64(m)))
+		return MaxEntropy(raw, len(x))
 	case NormJointHistogram:
 		h := HistogramJointEntropy(x, y, 0)
 		if h <= 0 {
@@ -102,6 +97,17 @@ func Normalize(raw float64, x, y []float64, n Normalization) float64 {
 	default:
 		return raw
 	}
+}
+
+// MaxEntropy is Normalize's NormMaxEntropy case for a window of m samples:
+// raw divided by log m, clamped at 1, and 0 for fewer than 2 samples. It
+// needs only the window's size, so a scorer that holds no samples calls it
+// directly.
+func MaxEntropy(raw float64, m int) float64 {
+	if m < 2 {
+		return 0
+	}
+	return clampTo1(raw / logSize(m))
 }
 
 func clampTo1(v float64) float64 {
