@@ -159,7 +159,7 @@ func (s *batchScorer) scoreNull(w window.Window, null *nullModel) (float64, floa
 // table holds only such estimates), so the path does not show. A fresh
 // estimate enters the table.
 func (s *batchScorer) estimate(w window.Window) (raw float64, xs, ys []float64, err error) {
-	xs, ys, err = s.pair.DelaySlice(w.Start, w.End, w.Delay)
+	xs, ys, err = series.DelaySliceOf(&s.pair, w.Start, w.End, w.Delay)
 	if err != nil {
 		return 0, nil, nil, err
 	}
@@ -294,7 +294,7 @@ func (s *batchScorer) plan(nbs []window.Window, skip uint32) {
 		if n < 2 || union.Size()-core.Size() > core.Size() {
 			continue
 		}
-		xs, ys, err := s.pair.DelaySlice(union.Start, union.End, delay)
+		xs, ys, err := series.DelaySliceOf(&s.pair, union.Start, union.End, delay)
 		if err != nil {
 			continue
 		}
@@ -425,7 +425,7 @@ func (s *incScorer) normalize(raw float64, w window.Window) float64 {
 	default:
 		// Denominators that need the window contents fall back to slicing;
 		// this costs O(m) but keeps all normalizations available.
-		xs, ys, err := s.pair.DelaySlice(w.Start, w.End, w.Delay)
+		xs, ys, err := series.DelaySliceOf(&s.pair, w.Start, w.End, w.Delay)
 		if err != nil {
 			return 0
 		}
@@ -508,7 +508,7 @@ func (s *incScorer) freeSlot() *incState {
 // point-state and list allocations and gives the bits of a fresh one; its
 // op counters are retired first, so its work stays on the books.
 func (s *incScorer) rebuild(w window.Window, slot *incState) (*incState, error) {
-	xs, ys, err := s.pair.DelaySlice(w.Start, w.End, w.Delay)
+	xs, ys, err := series.DelaySliceOf(&s.pair, w.Start, w.End, w.Delay)
 	if err != nil {
 		return nil, err
 	}

@@ -28,29 +28,35 @@ import (
 // (Stats.MIBatch). Only the mi.* counters see fewer estimates; a bound
 // search reports the estimates the table served as score_table_hits.
 //
-// Sizing: 4,096 sets of 16 ways, 1 MiB in all. A way is one word beside its
-// 8-byte estimate. The packed key is mixed by a bijection on 64 bits; the
-// mixed key's top 12 bits pick the set, and the word holds the other 52
+// Sizing: 4,096 sets of 24 ways, 1.5 MiB in all. A way is one word beside
+// its 8-byte estimate. The packed key is mixed by a bijection on 64 bits;
+// the mixed key's top 12 bits pick the set, and the word holds the other 52
 // (the remainder) above a valid bit, a hit bit and the way's 10-bit recency
 // stamp. A set and a remainder name exactly one key, so a hit never returns
-// another window's estimate. Share of the lookups a table answered after
-// warm-up on a replay of daemon-mixed's request stream (16 pairs of 400
-// samples, LMN, SMax 40, fresh seeds), 416 searches:
+// another window's estimate. Share of the lookups a table answered on a
+// replay of daemon-mixed's request stream (16 pairs of 400 samples, LMN,
+// SMax 40, fresh seeds), over 400 searches after 116 of warm-up:
 //
-//	sets × ways       way    table    answered
-//	3,072 × 16        18 B   864 KiB  79.1 %
-//	2,048 × 27        16 B   864 KiB  85.2 %
-//	4,096 × 16        16 B   1 MiB    88.5 %
-//	6,144 × 16        16 B   1.5 MiB  93.8 %
+//	sets × ways   bytes      answered
+//	4,096 × 16    1 MiB      89.2 %
+//	4,096 × 20    1.25 MiB   94.0 %
+//	8,192 × 12    1.5 MiB    94.9 %
+//	4,096 × 24    1.5 MiB    95.9 %
+//	8,192 × 16    2 MiB      96.7 %
 //
-// An unbounded table would answer 94.8 %, and Belady's optimum at 49,152
-// ways 90.6 %; LFU, RRIP and a doorkeeper filter at 49,152 ways all landed
-// within a point of segmented LRU, so the bytes go to ways, not policy.
-// Segmented LRU evicts the entries no search has hit before the ones it
-// has: a climb's one-off windows make most of the stream, and they would
-// otherwise push out the windows every search of the pair passes through.
+// An unbounded table would answer 96.9 %. tycosd's peak RSS, not the hit
+// curve, sets the bytes: the GC's heap goal counts the live table, so it
+// costs about twice its bytes. Over the 1 MiB table, daemon-mixed's
+// peak_rss_mb read +6–7 % at 1.5 MiB and +13–14.5 % at 2 MiB, past the
+// benchmark's 10 % bound; 2 MiB mapped outside the heap still read +13 %
+// (see DESIGN, "The score table"). LFU, RRIP and a doorkeeper filter all
+// landed within a point of segmented LRU, so the bytes go to ways, not
+// policy. Segmented LRU evicts
+// the entries no search has hit before the ones it has: a climb's one-off
+// windows make most of the stream, and they would otherwise push out the
+// windows every search of the pair passes through.
 const (
-	tableWays    = 16
+	tableWays    = 24
 	tableSetBits = 12
 	tableSets    = 1 << tableSetBits
 	tableStripes = 256 // mutexes; set i is guarded by stripe i % tableStripes
@@ -126,7 +132,7 @@ type TableStats struct {
 }
 
 // NewScoreTable allocates an empty table of tableSets×tableWays entries
-// (1 MiB).
+// (1.5 MiB).
 func NewScoreTable() *ScoreTable {
 	return &ScoreTable{sets: make([]tableSet, tableSets), next: 1}
 }

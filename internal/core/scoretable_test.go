@@ -609,25 +609,26 @@ func TestScoreTableNoFalseHits(t *testing.T) {
 // TestScoreTableReplayHitShare replays a stream shaped like tycosd's on
 // daemon-mixed through one table, at one restart worker so that it is
 // deterministic: a seed-1 search of each of 16 pairs of 400 samples (LMN,
-// SMax 40), then 100 searches at fresh seeds of pairs drawn at random.
-// After that warm-up, the table must serve at least hitFloor of the
-// window estimates the searches ask for. The table reads 0.867 here; a
-// table of 3,072 sets of 16 18-byte ways (864 KiB) reads 0.787 and fails.
-// The hits, estimates, evictions and occupancy must also be exactly those
-// of segmented LRU, which the table kept as per-way ranks before it kept
-// it as per-set clock stamps.
+// SMax 40), then 400 searches at fresh seeds of pairs drawn at random,
+// long enough that the table fills and evicts throughout. After the
+// warm-up, the table must serve at least hitFloor of the window estimates
+// the searches ask for. The table (4,096 sets of 24 ways) reads 0.941
+// here; the 1 MiB table of 16 ways before it reads 0.884 and fails. The
+// hits, estimates, evictions and occupancy must also be exactly those of
+// segmented LRU, which the table kept as per-way ranks before it kept it
+// as per-set clock stamps.
 func TestScoreTableReplayHitShare(t *testing.T) {
 	const (
 		pairs    = 16
-		searches = 100
-		hitFloor = 0.85
+		searches = 400
+		hitFloor = 0.91
 
 		// The counts of segmented LRU, whether recency is kept as ranks
 		// or as stamps of a per-set clock.
-		wantHits      = 255267
-		wantEstimates = 39092
-		wantEvictions = 20994
-		wantOccupied  = 61990
+		wantHits      = 1099236
+		wantEstimates = 68793
+		wantEvictions = 19676
+		wantOccupied  = 93009
 	)
 	table := NewScoreTable()
 	ps := make([]series.Pair, pairs)

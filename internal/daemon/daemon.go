@@ -235,7 +235,7 @@ func New(cfg Config) (*Server, error) {
 func (s *Server) Handler() http.Handler { return s.mux }
 
 // scoreTable returns the process's one score table, allocated by the first
-// server: its 1 MiB is allocated once, not per server, and a server
+// server: its 1.5 MiB is allocated once, not per server, and a server
 // resets it when it starts. Servers in one process share it safely, since
 // each holds its own handles and a reset makes every issued handle stale.
 // The table is never persisted.

@@ -380,6 +380,27 @@ func TestJournalKeyDistinguishesDataAndOptions(t *testing.T) {
 	}
 }
 
+// fingerprintSink keeps BenchmarkSearchFingerprint's keys live.
+var fingerprintSink string
+
+// BenchmarkSearchFingerprint prices a computed /v1/search's journal key at
+// daemon-mixed's request shape: two 400-sample series and the options the
+// workload sends, defaulted as the handler defaults them. Every request
+// hashes both series' values again.
+func BenchmarkSearchFingerprint(b *testing.B) {
+	x, y := testSeries(400, 2)
+	req := searchRequest{X: "x3", Y: "y3", SMin: 8, SMax: 40, TDMax: 8, Sigma: 0.3, Variant: "lmn", Seed: 7, RestartWorkers: 1}
+	req.applyDefaults(Config{Workers: 2})
+	opts, err := req.options()
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		fingerprintSink = req.fingerprint(x, y, opts)
+	}
+}
+
 func TestDrainFlushesJournal(t *testing.T) {
 	jpath := filepath.Join(t.TempDir(), "journal.tycos")
 	s, ts := newTestServer(t, Config{Workers: 2, JournalPath: jpath})

@@ -254,6 +254,12 @@ func (p Pair) CheckFinite() error {
 // It returns an error if either interval falls outside the observation
 // period.
 func (p Pair) DelaySlice(start, end, delay int) (xs, ys []float64, err error) {
+	return DelaySliceOf(&p, start, end, delay)
+}
+
+// DelaySliceOf is DelaySlice on a pair held by pointer: a caller that
+// slices its pair once per scored window passes no copy of it.
+func DelaySliceOf(p *Pair, start, end, delay int) (xs, ys []float64, err error) {
 	if start < 0 || end >= p.X.Len() || start > end {
 		return nil, nil, fmt.Errorf("series: window [%d,%d] out of range (n=%d)", start, end, p.X.Len())
 	}
