@@ -1,11 +1,13 @@
-// Package checkpoint journals completed pair results of a multi-pair TYCOS
-// sweep to an append-only JSONL file, one record per line, so a killed sweep
-// can be restarted with the same journal and recompute only the pairs that
-// never finished. The format is deliberately dumb — flat JSON lines, flushed
-// record by record — because the failure mode it guards against is the
-// process dying at an arbitrary instant: a torn final line (the write the
-// kill interrupted) is detected and ignored on reopen, and every intact line
-// before it is recovered.
+// Package checkpoint stores completed search results in an append-only JSONL
+// file, one record per line under the caller's two-string key, so a killed
+// sweep, discovery or daemon can be restarted with the same journal and
+// recompute only what never finished. It builds no keys: every caller keys
+// its entries with core.JournalFingerprint, which covers the names, the
+// values and the options. The format is deliberately dumb — flat JSON
+// lines, flushed record by record — because the failure mode it guards
+// against is the process dying at an arbitrary instant: a torn final line
+// (the write the kill interrupted) is detected and ignored on reopen, and
+// every intact line before it is recovered.
 //
 // The always-on daemon (internal/daemon) raises the stakes: its journal
 // lives for weeks, not one sweep, so Open streams the file instead of
@@ -20,7 +22,6 @@ import (
 	"bufio"
 	"encoding/json"
 	"fmt"
-	"hash/fnv"
 	"io"
 	"os"
 	"sort"
@@ -28,7 +29,6 @@ import (
 
 	"tycos/internal/core"
 	"tycos/internal/faultinject"
-	"tycos/internal/series"
 )
 
 // record is one journal line: a completed pair and its search result.
@@ -46,11 +46,6 @@ type Options struct {
 	// survives not just a killed process but a lost page cache (power cut,
 	// kill -9 followed by a crash). Costs one fsync syscall per record.
 	Fsync bool
-	// MaxLineBytes bounds one journal line during Open; longer lines are
-	// skipped as garbage without ever being held in memory whole. 0 selects
-	// DefaultMaxLineBytes. Record refuses to append a line over the bound,
-	// so a journal never skips its own records on reopen.
-	MaxLineBytes int
 	// AutoCompactBytes, when positive, triggers Compact from inside Record
 	// once the file exceeds this size and more than half of it is dead
 	// weight (overwritten keys, skipped garbage, compaction leftovers).
@@ -58,10 +53,12 @@ type Options struct {
 	AutoCompactBytes int64
 }
 
-// DefaultMaxLineBytes is the Open line bound when Options.MaxLineBytes is 0.
-// A journal line is one pair result — a few hundred bytes per accepted
-// window — so 8 MiB is far above any legitimate record.
-const DefaultMaxLineBytes = 8 << 20
+// maxLineBytes bounds one journal line: Open skips longer lines as garbage
+// without ever holding them in memory whole, and Record refuses to append
+// one, so a journal never skips its own records on reopen. A journal line is
+// one pair result — a few hundred bytes per accepted window — so 8 MiB is
+// far above any legitimate record.
+const maxLineBytes = 8 << 20
 
 // Journal is a JSONL-backed core.SweepCheckpoint. It is safe for concurrent
 // use by the sweep's workers.
@@ -80,10 +77,7 @@ type Journal struct {
 	trailingNewline bool
 }
 
-var (
-	_ core.SweepCheckpoint = (*Journal)(nil)
-	_ core.SweepKeyer      = (*Journal)(nil)
-)
+var _ core.SweepCheckpoint = (*Journal)(nil)
 
 // key joins a pair's names unambiguously (series names cannot contain NUL).
 func key(x, y string) string { return x + "\x00" + y }
@@ -99,9 +93,6 @@ func Open(path string) (*Journal, error) { return OpenOptions(path, Options{}) }
 // trailing newline is repaired before appending so the next record cannot
 // be glued onto a torn one.
 func OpenOptions(path string, opts Options) (*Journal, error) {
-	if opts.MaxLineBytes <= 0 {
-		opts.MaxLineBytes = DefaultMaxLineBytes
-	}
 	j := &Journal{done: make(map[string]core.Result), path: path, opts: opts}
 	if err := j.load(); err != nil {
 		return nil, err
@@ -137,13 +128,9 @@ func (j *Journal) load() error {
 	defer f.Close() //lint:allow errdrop read-only handle; a close error cannot lose journal bytes
 
 	// ReadSlice hands back the reader's internal buffer, so one line costs
-	// at most MaxLineBytes of transient memory; anything longer is consumed
+	// at most maxLineBytes of transient memory; anything longer is consumed
 	// chunk by chunk and dropped.
-	bufSize := j.opts.MaxLineBytes
-	if bufSize > 64<<10 {
-		bufSize = 64 << 10
-	}
-	r := bufio.NewReaderSize(f, bufSize)
+	r := bufio.NewReaderSize(f, 64<<10)
 	line := make([]byte, 0, 4096)
 	overflow := false
 	flush := func() {
@@ -171,7 +158,7 @@ func (j *Journal) load() error {
 			}
 		}
 		if !overflow {
-			if len(line)+len(chunk) > j.opts.MaxLineBytes {
+			if len(line)+len(chunk) > maxLineBytes {
 				overflow = true // skip the whole line, stop buffering it
 			} else {
 				line = append(line, chunk...)
@@ -211,29 +198,6 @@ func (j *Journal) Lookup(xName, yName string) (core.Result, bool) {
 	return r, ok
 }
 
-// SweepKey keys a sweep pair's entry as the daemon and the discovery engine
-// key theirs: the x name, and the y name joined to sweepFingerprint of the
-// pair and options. A journal outlives the data and flags it was written
-// for, so a sweep over other values or options under the same column names
-// recomputes instead of replaying.
-func (j *Journal) SweepKey(x, y series.Series, opts core.Options) (xKey, yKey string) {
-	return x.Name, y.Name + "\x1f" + sweepFingerprint(x, y, opts)
-}
-
-// sweepFingerprint hashes everything that determines a sweep pair's result:
-// the names, the aligned length and values (the first n of each series, n
-// the shorter length) and, through HashOptions, the algorithm version and
-// every result-affecting option.
-func sweepFingerprint(x, y series.Series, opts core.Options) string {
-	n := min(x.Len(), y.Len())
-	h := fnv.New64a()
-	fmt.Fprintf(h, "sweep\x00%s\x00%s\x00%d\x00", x.Name, y.Name, n)
-	HashValues(h, x.Values[:n])
-	HashValues(h, y.Values[:n])
-	HashOptions(h, opts)
-	return fmt.Sprintf("%016x", h.Sum64())
-}
-
 // Record appends the pair's result to the journal and flushes it to the OS
 // (fsyncs it, with Options.Fsync) before reporting success, so a record is
 // either durably on its way to disk or the sweep knows it is not.
@@ -245,8 +209,8 @@ func (j *Journal) Record(xName, yName string, r core.Result) error {
 	if err != nil {
 		return fmt.Errorf("checkpoint: %w", err)
 	}
-	if len(line)+1 > j.opts.MaxLineBytes {
-		return fmt.Errorf("checkpoint: record for (%s, %s) is %d bytes, over the %d line bound", xName, yName, len(line)+1, j.opts.MaxLineBytes)
+	if len(line)+1 > maxLineBytes {
+		return fmt.Errorf("checkpoint: record for (%s, %s) is %d bytes, over the %d line bound", xName, yName, len(line)+1, maxLineBytes)
 	}
 	j.mu.Lock()
 	defer j.mu.Unlock()

@@ -13,7 +13,6 @@ import (
 
 	"tycos/internal/core"
 	"tycos/internal/faultinject"
-	"tycos/internal/obs"
 	"tycos/internal/series"
 	"tycos/internal/window"
 )
@@ -141,10 +140,9 @@ func sweepSeries(names ...string) []series.Series {
 	return ss
 }
 
-// TestSweepKeyCoversValuesAndOptions checks that a sweep pair's journal key
-// changes with the pair's values and with every result-affecting option,
-// and not with the restart workers or the observer, and that a sweep over
-// the same names with other values or options replays nothing.
+// TestSweepKeyCoversValuesAndOptions checks that a sweep over the same
+// names with other values or options replays nothing from the journal, and
+// that a repeated sweep replays every pair.
 func TestSweepKeyCoversValuesAndOptions(t *testing.T) {
 	ss := sweepSeries("a", "b", "c")
 	opts := core.Options{SMin: 10, SMax: 60, TDMax: 5, Sigma: 0.25, MaxIdle: 3, Seed: 1}
@@ -154,24 +152,9 @@ func TestSweepKeyCoversValuesAndOptions(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer j.Close()
-	x0, y0 := j.SweepKey(ss[0], ss[1], opts)
-	if x0 != "a" || !strings.HasPrefix(y0, "b\x1f") {
-		t.Fatalf("keys (%q, %q) do not start with the names", x0, y0)
-	}
-	same := opts
-	same.RestartWorkers, same.Observer = 3, obs.NewRegistry()
-	if _, y := j.SweepKey(ss[0], ss[1], same); y != y0 {
-		t.Errorf("restart workers or an observer changed the key")
-	}
 	other := opts
 	other.Sigma = 0.5
-	if _, y := j.SweepKey(ss[0], ss[1], other); y == y0 {
-		t.Errorf("σ did not change the key")
-	}
 	rev := reversedSeries(ss)
-	if _, y := j.SweepKey(rev[0], rev[1], opts); y == y0 {
-		t.Errorf("the values did not change the key")
-	}
 
 	first := core.SearchAllContext(context.Background(), ss, opts, core.SweepOptions{Checkpoint: j})
 	for _, run := range []struct {
@@ -274,9 +257,9 @@ func TestSweepResumeRecomputesOnlyUnjournaledPairs(t *testing.T) {
 	}
 }
 
-// A multi-GB journal must not be slurped whole; the regression proxy is an
-// oversized garbage line (way past MaxLineBytes) that Open must skip while
-// still recovering every intact record around it.
+// A multi-GB journal must not be slurped whole; the regression proxy is a
+// line past the 8 MiB line bound that Open must skip while still recovering
+// every intact record around it.
 func TestOpenSkipsOversizedGarbageLine(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "sweep.jsonl")
 	j, err := Open(path)
@@ -290,9 +273,10 @@ func TestOpenSkipsOversizedGarbageLine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// 1 MiB of garbage on one line, then an intact record, then a torn tail.
-	garbage := strings.Repeat("x", 1<<20)
-	f.WriteString(garbage + "\n")
+	// A 9 MiB line that parses as a record, so that only the line bound can
+	// skip it, then an intact record, then a torn tail.
+	oversized := `{"x":"a","y":"` + strings.Repeat("x", 9<<20) + `","result":{}}`
+	f.WriteString(oversized + "\n")
 	line, _ := json.Marshal(struct {
 		X string      `json:"x"`
 		Y string      `json:"y"`
@@ -302,13 +286,13 @@ func TestOpenSkipsOversizedGarbageLine(t *testing.T) {
 	f.WriteString(`{"x":"a","y":"d","result":`) // torn
 	f.Close()
 
-	j2, err := OpenOptions(path, Options{MaxLineBytes: 64 << 10})
+	j2, err := Open(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer j2.Close()
 	if j2.Len() != 2 {
-		t.Fatalf("Len = %d, want the 2 intact records around the garbage", j2.Len())
+		t.Fatalf("Len = %d, want the 2 intact records around the oversized line", j2.Len())
 	}
 	if _, ok := j2.Lookup("a", "c"); !ok {
 		t.Error("intact record after the oversized line was lost")
@@ -322,13 +306,12 @@ func TestOpenSkipsOversizedGarbageLine(t *testing.T) {
 // otherwise reopen would silently drop it.
 func TestRecordRefusesOversizedLine(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "sweep.jsonl")
-	j, err := OpenOptions(path, Options{MaxLineBytes: 256})
+	j, err := Open(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer j.Close()
-	big := core.Result{Windows: make([]window.Scored, 64)}
-	if err := j.Record("a", strings.Repeat("y", 200), big); err == nil || !strings.Contains(err.Error(), "line bound") {
+	if err := j.Record("a", strings.Repeat("y", maxLineBytes+1), testResult(1)); err == nil || !strings.Contains(err.Error(), "line bound") {
 		t.Fatalf("oversized record accepted: %v", err)
 	}
 	if j.Len() != 0 {

@@ -37,24 +37,11 @@ type PairResult struct {
 // for concurrent use; internal/checkpoint provides the JSONL-backed one
 // (exposed publicly as tycos.Checkpoint).
 type SweepCheckpoint interface {
-	// Lookup returns the journaled result for the pair's keys, if any: its
-	// names, or the keys SweepKey returns when the checkpoint is a
-	// SweepKeyer.
+	// Lookup returns the journaled result for the pair's keys, if any: the
+	// keys JournalFingerprint builds from the pair and the options.
 	Lookup(xKey, yKey string) (Result, bool)
 	// Record journals a completed pair result under the pair's keys.
 	Record(xKey, yKey string, r Result) error
-}
-
-// SweepKeyer is implemented by a SweepCheckpoint that keys each pair's
-// entry by the pair's values and the search options as well as its names,
-// so that it replays a pair only for a sweep that would recompute it
-// identically. The canonical option hash lives in internal/checkpoint,
-// which core cannot import, so the checkpoint builds the key; a
-// checkpoint without SweepKey is keyed by the names alone.
-type SweepKeyer interface {
-	// SweepKey returns the keys under which the checkpoint looks up and
-	// records the result of searching x against y with opts.
-	SweepKey(x, y series.Series, opts Options) (xKey, yKey string)
 }
 
 // SweepOptions configures the robustness envelope of a SearchAllContext
@@ -207,11 +194,9 @@ func searchPair(ctx context.Context, x, y series.Series, opts Options, sw SweepO
 			Duration:       clockSince(start),
 		})
 	}
-	jx, jy := x.Name, y.Name
-	if k, ok := sw.Checkpoint.(SweepKeyer); ok {
-		jx, jy = k.SweepKey(x, y, opts)
-	}
+	var jx, jy string
 	if sw.Checkpoint != nil {
+		jx, jy = JournalFingerprint(x, y, opts)
 		if res, ok := sw.Checkpoint.Lookup(jx, jy); ok {
 			pr.Result = res
 			pr.FromCheckpoint = true

@@ -415,7 +415,7 @@ func TestSweepEmitsPairEvents(t *testing.T) {
 // skip PairStarted but still announce their resolution.
 func TestSweepCheckpointRestoreEmitsPairFinished(t *testing.T) {
 	ss := sweepSeries("a", "b")
-	ck := &mapCheckpoint{m: map[string]Result{}}
+	ck := &memCheckpoint{}
 	opts := defaultOpts()
 
 	// First sweep populates the checkpoint.
@@ -439,47 +439,66 @@ func TestSweepCheckpointRestoreEmitsPairFinished(t *testing.T) {
 	}
 }
 
-// mapCheckpoint is an in-memory SweepCheckpoint for tests.
-type mapCheckpoint struct {
-	mu sync.Mutex
-	m  map[string]Result
+// countdownCtx is a context whose Done channel closes on its n-th call and
+// whose Err then reports context.DeadlineExceeded: a deadline that expires
+// at a fixed stop check of a search at one restart worker, instead of racing
+// the machine's speed. It is for one goroutine.
+type countdownCtx struct {
+	context.Context
+	left int
+	done chan struct{}
 }
 
-func (c *mapCheckpoint) Lookup(x, y string) (Result, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	r, ok := c.m[x+"/"+y]
-	return r, ok
+func newCountdownCtx(n int) *countdownCtx {
+	return &countdownCtx{Context: context.Background(), left: n, done: make(chan struct{})}
 }
 
-func (c *mapCheckpoint) Record(x, y string, r Result) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.m[x+"/"+y] = r
-	return nil
+func (c *countdownCtx) Done() <-chan struct{} {
+	if c.left--; c.left == 0 {
+		close(c.done)
+	}
+	return c.done
+}
+
+func (c *countdownCtx) Err() error {
+	select {
+	case <-c.done:
+		return context.DeadlineExceeded
+	default:
+		return nil
+	}
 }
 
 // TestContextDeadlineStopsMidSearch pins that a context deadline expiring
 // while the search runs cuts it short at the next climb-iteration boundary
-// with StopDeadline, not only a deadline that expired before the start.
+// with StopDeadline, not only a deadline that expired before the start, and
+// that the cut falls at the same point every time.
 func TestContextDeadlineStopsMidSearch(t *testing.T) {
-	// Big enough that an unbounded search takes far longer than the deadline.
 	p := testPair(5, 4000, 500, 900, 0)
 	opts := defaultOpts()
 	opts.SMax = 200
 	opts.Variant = VariantL
-	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
-	defer cancel()
-	start := time.Now()
-	res, err := SearchContext(ctx, p, opts)
+	opts.RestartWorkers = 1
+	full, err := SearchContext(context.Background(), p, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if elapsed := time.Since(start); elapsed > 5*time.Second {
-		t.Errorf("deadline overshot by %v", elapsed)
+	var evals [2]int
+	for i := range evals {
+		res, err := SearchContext(newCountdownCtx(50), p, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !res.Partial || res.Stats.StopReason != StopDeadline {
+			t.Fatalf("Partial=%v StopReason=%q, want partial deadline stop", res.Partial, res.Stats.StopReason)
+		}
+		evals[i] = res.Stats.WindowsEvaluated
 	}
-	if !res.Partial || res.Stats.StopReason != StopDeadline {
-		t.Errorf("Partial=%v StopReason=%q, want partial deadline stop", res.Partial, res.Stats.StopReason)
+	if evals[0] <= 0 || evals[0] >= full.Stats.WindowsEvaluated {
+		t.Errorf("cut search evaluated %d windows, want between 0 and the uncut search's %d", evals[0], full.Stats.WindowsEvaluated)
+	}
+	if evals[0] != evals[1] {
+		t.Errorf("two cut searches evaluated %d and %d windows", evals[0], evals[1])
 	}
 }
 

@@ -7,10 +7,14 @@ package core
 
 import (
 	"fmt"
+	"hash/fnv"
+	"io"
+	"math"
 	"time"
 
 	"tycos/internal/mi"
 	"tycos/internal/obs"
+	"tycos/internal/series"
 	"tycos/internal/window"
 )
 
@@ -191,6 +195,74 @@ func (o Options) Validate(n int) error {
 		return fmt.Errorf("core: s_min = %d must exceed KSG k = %d", o.SMin, o.K)
 	}
 	return nil
+}
+
+// AlgorithmVersion names the search algorithm's answers: bump it in every
+// change that changes a result (a window, a score or a ranking) for some
+// input and options. JournalFingerprint writes it into every journal key, so
+// a journal written before such a change recomputes instead of replaying
+// answers the new code would not give. TestAlgorithmVersionPinsGoldens ties
+// each version to the golden windows.
+const AlgorithmVersion = 1
+
+// JournalFingerprint returns the keys under which a journal looks up and
+// records the result of searching x against y with opts: x's name, and y's
+// name joined by "\x1f" to an FNV-64a fingerprint of everything that
+// determines the result — the names, the aligned length n (the shorter
+// length), digests of both series' first n values, the algorithm version and
+// every result-affecting option. It is the one key of every resumable path:
+// the sweep, tycosd's /v1/search and discovery each journal the complete
+// result of searching x[:n] against y[:n] with exactly opts. A journal
+// outlives the data and flags it was written for, so a run over other values
+// or options under the same names recomputes instead of replaying.
+// Wall-clock budgets are context deadlines, not Options fields: they either
+// leave a result untouched or make it partial, and partial results are never
+// journaled.
+func JournalFingerprint(x, y series.Series, opts Options) (xKey, yKey string) {
+	n := min(x.Len(), y.Len())
+	h := fnv.New64a()
+	fmt.Fprintf(h, "%s\x00%s\x00%d\x00", x.Name, y.Name, n)
+	hashValues(h, x.Values[:n])
+	hashValues(h, y.Values[:n])
+	hashOptions(h, opts)
+	return x.Name, fmt.Sprintf("%s\x1f%016x", y.Name, h.Sum64())
+}
+
+// hashOptions writes the algorithm version and the canonical serialization
+// of every result-affecting Options field to w; it is the one place option
+// fields enter a journal key. The byte layout is pinned by
+// TestHashOptionsGolden. The result-invariant fields — RestartWorkers and
+// Observer — are deliberately absent: each carries a dynamic test pinning
+// that it cannot change results, and the fingerprintcov analyzer's
+// allow-list mirrors this set.
+func hashOptions(w io.Writer, o Options) {
+	fmt.Fprintf(w, "v%d|", AlgorithmVersion)
+	fmt.Fprintf(w, "%d|%d|%d|%g|%g|%d|%d|%d|%d|%g|%d|%d|%d|%g|%d|%g",
+		o.SMin, o.SMax, o.TDMax, o.Sigma, o.Epsilon, o.K, o.Delta, o.MaxIdle,
+		o.HistoryLength, o.MinImprovement, int(o.Normalization), o.TopK,
+		int(o.Variant), o.Jitter, o.MaxEvaluations, o.SignificanceLevel)
+	fmt.Fprintf(w, "|%d", o.Seed)
+}
+
+// hashValues writes the FNV-64a digest of the values' IEEE-754 bits (each
+// value's eight bytes, least significant first) to w as "d<hex>|", so a
+// journaled answer is replayed only for the same data, not merely for data
+// of the same names and length.
+func hashValues(w io.Writer, values []float64) {
+	const (
+		offset = 14695981039346656037
+		prime  = 1099511628211
+	)
+	h := uint64(offset)
+	for _, v := range values {
+		b := math.Float64bits(v)
+		for i := 0; i < 8; i++ {
+			h ^= b & 0xff
+			h *= prime
+			b >>= 8
+		}
+	}
+	fmt.Fprintf(w, "d%016x|", h)
 }
 
 // StopReason records why a search stopped.

@@ -11,7 +11,9 @@ import (
 	"time"
 
 	"tycos/internal/checkpoint"
+	"tycos/internal/core"
 	"tycos/internal/faultinject"
+	"tycos/internal/series"
 )
 
 // testSeries builds a pair with a planted delayed linear correlation, long
@@ -380,24 +382,41 @@ func TestJournalKeyDistinguishesDataAndOptions(t *testing.T) {
 	}
 }
 
-// fingerprintSink keeps BenchmarkSearchFingerprint's keys live.
-var fingerprintSink string
-
-// BenchmarkSearchFingerprint prices a computed /v1/search's journal key at
-// daemon-mixed's request shape: two 400-sample series and the options the
-// workload sends, defaulted as the handler defaults them. Every request
-// hashes both series' values again.
-func BenchmarkSearchFingerprint(b *testing.B) {
-	x, y := testSeries(400, 2)
+// mixedSearch is a /v1/search at daemon-mixed's request shape: two
+// 400-sample series and the options the workload sends, defaulted as the
+// handler defaults them.
+func mixedSearch(tb testing.TB) (x, y series.Series, opts core.Options) {
+	xv, yv := testSeries(400, 2)
 	req := searchRequest{X: "x3", Y: "y3", SMin: 8, SMax: 40, TDMax: 8, Sigma: 0.3, Variant: "lmn", Seed: 7, RestartWorkers: 1}
 	req.applyDefaults(Config{Workers: 2})
 	opts, err := req.options()
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
+	return series.New(req.X, xv), series.New(req.Y, yv), opts
+}
+
+// TestJournalKeyUnchanged pins a /v1/search journal key to the bytes the
+// daemon has written since its key covered the values, so an upgraded
+// tycosd keeps replaying the entries its journal holds.
+func TestJournalKeyUnchanged(t *testing.T) {
+	x, y, opts := mixedSearch(t)
+	if jx, jy := core.JournalFingerprint(x, y, opts); jx != "x3" || jy != "y3\x1f82ecefaba5444a22" {
+		t.Fatalf("journal key (%q, %q), want (\"x3\", \"y3\\x1f82ecefaba5444a22\")", jx, jy)
+	}
+}
+
+// fingerprintSink keeps BenchmarkSearchFingerprint's keys live.
+var fingerprintSink string
+
+// BenchmarkSearchFingerprint prices a computed /v1/search's journal key
+// pair at daemon-mixed's request shape. Every request hashes both series'
+// values again.
+func BenchmarkSearchFingerprint(b *testing.B) {
+	x, y, opts := mixedSearch(b)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		fingerprintSink = req.fingerprint(x, y, opts)
+		_, fingerprintSink = core.JournalFingerprint(x, y, opts)
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"hash/fnv"
 	"math"
 	"net/http"
 	"strconv"
@@ -12,7 +11,6 @@ import (
 	"time"
 
 	"tycos/internal/baseline"
-	"tycos/internal/checkpoint"
 	"tycos/internal/core"
 	"tycos/internal/obs"
 	"tycos/internal/series"
@@ -252,28 +250,6 @@ func (req *searchRequest) options() (core.Options, error) {
 	return opts, nil
 }
 
-// fingerprint hashes everything that determines a search's result — the
-// pair's names, length and values (the aligned xv and yv), and every
-// result-affecting option — into the journal key, so a journaled result is
-// only ever replayed for a request that would recompute it identically. The
-// values' digest matters across restarts: the journal outlives the store,
-// so a restarted daemon can hold other values under the same names and
-// lengths. The option fields are serialized by checkpoint.HashOptions, the
-// one canonical enumeration shared with the discovery engine, so a new
-// result-affecting option cannot be threaded into one journal key and
-// forgotten in the other. Wall-clock timeouts are excluded by construction:
-// they are context deadlines, not Options fields, and a timeout either
-// leaves the result untouched or makes it partial, and partial results are
-// never journaled.
-func (req *searchRequest) fingerprint(xv, yv []float64, opts core.Options) string {
-	h := fnv.New64a()
-	fmt.Fprintf(h, "%s\x00%s\x00%d\x00", req.X, req.Y, len(xv))
-	checkpoint.HashValues(h, xv)
-	checkpoint.HashValues(h, yv)
-	checkpoint.HashOptions(h, opts)
-	return fmt.Sprintf("%016x", h.Sum64())
-}
-
 // scoredWindow is the wire form of one accepted window.
 type scoredWindow struct {
 	Start int     `json:"start"`
@@ -365,7 +341,9 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	jx, jy := req.X, req.Y+"\x1f"+req.fingerprint(xv[:n], yv[:n], opts)
+	// The key covers the values: the journal outlives the store, so a
+	// restarted daemon can hold other values under the same names.
+	jx, jy := core.JournalFingerprint(pair.X, pair.Y, opts)
 	s.sink.Count("daemon.search_requests", 1)
 	if s.journal != nil {
 		if res, ok := s.journal.Lookup(jx, jy); ok {

@@ -31,14 +31,12 @@ import (
 	"cmp"
 	"context"
 	"fmt"
-	"hash/fnv"
 	"runtime"
 	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"tycos/internal/checkpoint"
 	"tycos/internal/core"
 	"tycos/internal/freelist"
 	"tycos/internal/mi"
@@ -76,10 +74,11 @@ type Options struct {
 	// Results are byte-identical for every value.
 	Workers int
 	// Journal, when non-nil, records each confirmed candidate's result under
-	// a fingerprint key (anchor, candidate + "\x1f" + fingerprint) and
-	// replays matching entries instead of recomputing, making a killed
-	// discovery resumable. Record failures degrade durability, not results
-	// (counted in Stats.JournalErrors).
+	// the key core.JournalFingerprint builds from the aligned anchor and
+	// candidate and the candidate's search options, and replays matching
+	// entries instead of recomputing, making a killed discovery resumable.
+	// Record failures degrade durability, not results (counted in
+	// Stats.JournalErrors).
 	Journal core.SweepCheckpoint
 	// Observer, when non-nil, receives every candidate search's events,
 	// counters and phase timings plus the discovery-level counters, replayed
@@ -250,23 +249,6 @@ func CandidateSeed(root int64, index int) int64 {
 	h = splitmix64(h ^ uint64(index/shardSpan))
 	h = splitmix64(h ^ uint64(index%shardSpan))
 	return int64(h)
-}
-
-// fingerprint hashes everything that determines one candidate's confirmation
-// result — the pair identity, the aligned length and values (av and cv, the
-// anchor's and the candidate's first n values), the candidate's fleet
-// position (it seeds the search) and every result-affecting search option —
-// so a journaled result is only replayed for a discovery that would
-// recompute it identically. The values' digest matters because a journal
-// outlives the data it was written for: a later discovery can bring other
-// values under the same names and lengths.
-func fingerprint(anchor, cand string, av, cv []float64, index int, o core.Options) string {
-	h := fnv.New64a()
-	fmt.Fprintf(h, "discover\x00%s\x00%s\x00%d\x00%d\x00", anchor, cand, len(av), index)
-	checkpoint.HashValues(h, av)
-	checkpoint.HashValues(h, cv)
-	checkpoint.HashOptions(h, o)
-	return fmt.Sprintf("%016x", h.Sum64())
 }
 
 // candState is one candidate's slot: workers write it, the merge reads it in
@@ -467,10 +449,7 @@ func (e *engine) searchCandidate(ctx context.Context, _, i int) {
 		}
 	}()
 	cand := e.cands[i]
-	n := e.anchor.Len()
-	if cand.Len() < n {
-		n = cand.Len()
-	}
+	n := min(e.anchor.Len(), cand.Len())
 	sOpts := e.opts.Search
 	sOpts.Seed = CandidateSeed(e.opts.Search.Seed, i)
 	// Assign the buffer only when one exists: a typed-nil *eventBuffer in the
@@ -479,20 +458,6 @@ func (e *engine) searchCandidate(ctx context.Context, _, i int) {
 	if st.buf != nil {
 		sOpts.Observer = st.buf
 	}
-
-	// The key hashes the candidate's values: build it once, for the lookup
-	// and the record.
-	var jx, jy string
-	if e.opts.Journal != nil {
-		jx, jy = e.journalKeys(i, n)
-		if res, ok := e.opts.Journal.Lookup(jx, jy); ok {
-			st.res = res
-			st.replayed = true
-			st.done = true
-			return
-		}
-	}
-
 	ax, err := e.anchor.Slice(0, n-1)
 	if err != nil {
 		st.err = err
@@ -503,6 +468,22 @@ func (e *engine) searchCandidate(ctx context.Context, _, i int) {
 		st.err = err
 		return
 	}
+
+	// The key hashes the candidate's values: build it once, for the lookup
+	// and the record. The derived seed in sOpts stands for the fleet index.
+	var jx, jy string
+	if e.opts.Journal != nil {
+		jx, jy = core.JournalFingerprint(ax, cx, sOpts)
+		if res, ok := e.opts.Journal.Lookup(jx, jy); ok {
+			// A sweep's entry under the same key carries its timings.
+			res.Stats = res.Stats.Deterministic()
+			st.res = res
+			st.replayed = true
+			st.done = true
+			return
+		}
+	}
+
 	pair, err := series.NewPair(ax, cx)
 	if err != nil {
 		st.err = err
@@ -525,13 +506,6 @@ func (e *engine) searchCandidate(ctx context.Context, _, i int) {
 			st.journalErrs++
 		}
 	}
-}
-
-// journalKeys builds the candidate's journal key pair over the first n
-// values of the anchor and the candidate.
-func (e *engine) journalKeys(i, n int) (string, string) {
-	name := e.slots[i].name
-	return e.anchor.Name, name + "\x1f" + fingerprint(e.anchor.Name, name, e.anchor.Values[:n], e.cands[i].Values[:n], i, e.opts.Search)
 }
 
 // resetProgress restarts the OnProgress counter for a phase of total

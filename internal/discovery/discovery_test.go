@@ -390,6 +390,63 @@ func TestDiscoverSeedChangesInvalidateJournal(t *testing.T) {
 	}
 }
 
+// TestDiscoverJournalKeyCoversFleetIndex: a candidate's search seed derives
+// from its fleet index, so a candidate moved to another position must not
+// replay the answer journaled for its old one.
+func TestDiscoverJournalKeyCoversFleetIndex(t *testing.T) {
+	anchor, cands := testFleet(160, 4, map[int]int{0: 0}, 91)
+	opts := Options{Search: testSearchOpts(), TopK: 3, Journal: newMemJournal()}
+	first, err := Discover(context.Background(), anchor, cands, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if first.Stats.Searched == 0 {
+		t.Fatalf("the first pass journaled nothing: %+v", first.Stats)
+	}
+	moved := make([]series.Series, len(cands))
+	for i, c := range cands {
+		moved[len(cands)-1-i] = c
+	}
+	second, err := Discover(context.Background(), anchor, moved, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if second.Stats.Replayed != 0 {
+		t.Errorf("%d candidates replayed answers journaled at another fleet position", second.Stats.Replayed)
+	}
+}
+
+// TestDiscoverJournalReplaysSweepEntry: a sweep and a discovery key their
+// entries alike, so a discovery replays a candidate that a sweep journaled
+// with the candidate's derived seed, and ranks it as a fresh discovery does,
+// without the sweep's wall-clock timings.
+func TestDiscoverJournalReplaysSweepEntry(t *testing.T) {
+	anchor, cands := testFleet(160, 4, map[int]int{0: 0}, 91)
+	journal := newMemJournal()
+	sOpts := testSearchOpts()
+	sOpts.Seed = CandidateSeed(sOpts.Seed, 0)
+	sweep := core.SearchAllContext(context.Background(), []series.Series{anchor, cands[0]}, sOpts, core.SweepOptions{Checkpoint: journal})
+	if sweep[0].Err != nil || sweep[0].Result.Stats.Timing.Total == 0 {
+		t.Fatalf("sweep: err %v, timing %+v", sweep[0].Err, sweep[0].Result.Stats.Timing)
+	}
+	opts := Options{Search: testSearchOpts(), TopK: 3, Journal: journal}
+	got, err := Discover(context.Background(), anchor, cands, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Stats.Replayed != 1 {
+		t.Errorf("replayed %d candidates, want the one the sweep journaled", got.Stats.Replayed)
+	}
+	opts.Journal = nil
+	fresh, err := Discover(context.Background(), anchor, cands, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got.Ranked, fresh.Ranked) || got.Threshold != fresh.Threshold {
+		t.Errorf("the discovery that replayed the sweep's entry ranks\n%+v\nwant the fresh ranking\n%+v", got.Ranked, fresh.Ranked)
+	}
+}
+
 // TestDiscoverCancelledIsPartial: a pre-cancelled context resolves nothing
 // and marks the result partial, with the whole fleet unfinished.
 func TestDiscoverCancelledIsPartial(t *testing.T) {

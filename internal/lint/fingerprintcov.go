@@ -24,13 +24,14 @@ var fingerprintInvariant = map[string]string{
 }
 
 // FingerprintCov cross-references the fields of core.Options against what
-// each fingerprint function actually hashes. The crash-safe journals
-// (internal/checkpoint) replay a stored result whenever the fingerprint of a
-// request matches, so any result-affecting Options field missing from the
-// hash lets a journal written under one configuration satisfy a request made
-// under another — silent replay poisoning. A field is counted as hashed when
-// the function reads it off its Options parameter directly or forwards the
-// whole parameter to a helper that does (the OptionsCoverage fact).
+// each fingerprint function actually hashes. The sweep, tycosd and discovery
+// replay a journaled result whenever core.JournalFingerprint, the one key of
+// all three, matches a request's, so any result-affecting Options field
+// missing from the hash lets a journal written under one configuration
+// satisfy a request made under another — silent replay poisoning. A field is
+// counted as hashed when the function reads it off its Options parameter
+// directly or forwards the whole parameter to a helper that does (the
+// OptionsCoverage fact), as JournalFingerprint forwards it to hashOptions.
 var FingerprintCov = &Analyzer{
 	Name: "fingerprintcov",
 	Doc: "every result-affecting core.Options field must be folded into every " +
@@ -39,7 +40,8 @@ var FingerprintCov = &Analyzer{
 }
 
 // isFingerprintFunc matches the functions whose output keys journal replay:
-// anything named like a fingerprint, plus the canonical HashOptions helper.
+// anything named like a fingerprint (core.JournalFingerprint), plus the
+// canonical hashOptions helper.
 func isFingerprintFunc(name string) bool {
 	lower := strings.ToLower(name)
 	return strings.Contains(lower, "fingerprint") || lower == "hashoptions"
